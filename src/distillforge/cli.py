@@ -135,9 +135,20 @@ def _parse_stage(key: str) -> dict:
         else:
             g = _GRID_RE.match(rest)
             if g:
-                return {"kind": "task_grid", "label": label, "divisor": d,
-                        "init": g.group(1), "alpha": float(g.group(2)), "beta": float(g.group(3))}
+                return {"kind": "task_grid", "label": label, "divisor": d, "init": g.group(1),
+                        "alpha": _grid_weight(key, "alpha", g.group(2)),
+                        "beta": _grid_weight(key, "beta", g.group(3))}
     raise ConfigError(f"unknown stage key {key!r}")
+
+
+def _grid_weight(key: str, name: str, text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"bad stage key {key!r}: {name} {text!r} is not a number") from None
+    if not 0.0 <= value < float("inf"):
+        raise ConfigError(f"bad stage key {key!r}: {name} must be finite and nonnegative, got {text!r}")
+    return value
 
 
 def _task_of(label: str) -> str:

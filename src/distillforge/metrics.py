@@ -7,6 +7,7 @@ lowest index so results are deterministic.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -133,6 +134,8 @@ class MetricsReport:
         clean = {}
         for name, value in metrics.items():
             value = float(value)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
             if name in ("top1", "verif_top1", "pair_acc") and not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
             if name == "nrmse" and value < 0:

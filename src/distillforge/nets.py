@@ -103,20 +103,22 @@ class Network:
         self.norm_std = std
 
     def forward(self, batch) -> NetworkOutputs:
+        """Outputs for a constant batch; the input itself never gets a gradient."""
         x = tc.as_tensor(batch)
+        if x.requires_grad:
+            raise ValueError("forward: the input batch is a constant and must not require a gradient")
         if x.data.ndim != 2 or x.shape[1] != self.spec.input_dim:
             raise ValueError(
                 f"forward: expected a batch of shape (B, {self.spec.input_dim}), got {x.shape}")
-        h = tc.mul(tc.sub(x, Tensor(self.norm_mean)), Tensor(1.0 / self.norm_std))
+        h = (x.data - self.norm_mean) * (1.0 / self.norm_std)
         n_trunk = len(self.spec.layer_dims()) - 1
         for i in range(n_trunk):
-            w, b = self.parameters[2 * i], self.parameters[2 * i + 1]
-            h = tc.relu(tc.add(tc.matmul(h, w), b))
+            h = tc.affine(h, self.parameters[2 * i], self.parameters[2 * i + 1], rectify=True)
         k = h
         w_cls, b_cls = self.parameters[2 * n_trunk], self.parameters[2 * n_trunk + 1]
         w_reg, b_reg = self.parameters[2 * n_trunk + 2], self.parameters[2 * n_trunk + 3]
-        logits = tc.add(tc.matmul(k, w_cls), b_cls)
-        regression = tc.add(tc.matmul(k, w_reg), b_reg)
+        logits = tc.affine(k, w_cls, b_cls, rectify=False)
+        regression = tc.affine(k, w_reg, b_reg, rectify=False)
         return NetworkOutputs(logits, k, regression)
 
 

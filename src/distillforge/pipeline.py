@@ -20,6 +20,7 @@ their per-step loss history in ``net.training_log``.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -29,8 +30,7 @@ import numpy as np
 from . import tensor as tc
 from .data import GeneratorParams, SplitDataset, as_arrays, generate, make_pairs, make_triplets
 from .losses import (DistillConfig, alignment_distill_loss, classification_distill_loss,
-                     euclidean_loss, hidden_match_loss, softmax_loss, triplet_loss,
-                     verification_distill_loss)
+                     euclidean_loss, softmax_loss, triplet_loss, verification_distill_loss)
 from .metrics import (MetricsReport, nrmse, pair_verification_accuracy, reference_distances,
                       top1_accuracy, verification_top1)
 from .nets import Network, NetworkSpec, build, clone, save_network
@@ -114,17 +114,22 @@ class OptimizerState:
 
 
 def nag_step(net, opt: OptimizerState) -> None:
-    """v <- mu*v - lr*g; theta <- theta + mu*v - lr*g; gradients are cleared."""
+    """v <- mu*v - lr*g; theta <- theta + mu*v - lr*g; gradients are cleared.
+
+    Updates run in place; the gradient arrays themselves are left unmodified.
+    """
     if len(opt.velocities) != len(net.parameters):
         raise ValueError("optimizer state does not match the network's parameter list")
     mu, lr = opt.momentum, opt.learning_rate
     for p, v in zip(net.parameters, opt.velocities):
         if p.grad is None:
             raise RuntimeError("nag_step: a parameter has no gradient; run backward first")
-        g = p.grad
+        lr_g = lr * p.grad
         v *= mu
-        v -= lr * g
-        p.data += mu * v - lr * g
+        v -= lr_g
+        update = mu * v
+        update -= lr_g
+        p.data += update
         p.grad = None
 
 
@@ -138,11 +143,16 @@ def _run_training(net, stage: StageConfig, make_epoch, step_fn) -> TrainingLog:
     opt = OptimizerState.for_network(net, stage.lr_schedule[0][0], stage.momentum)
     rng = np.random.default_rng(stage.seed)
     log = TrainingLog()
-    for lr, n_epochs in stage.lr_schedule:
+    for phase, (lr, n_epochs) in enumerate(stage.lr_schedule, 1):
         opt.learning_rate = lr
-        for _ in range(n_epochs):
-            for batch in make_epoch(rng):
+        for epoch in range(1, n_epochs + 1):
+            for step, batch in enumerate(make_epoch(rng), 1):
                 loss = step_fn(batch)
+                value = loss.item()
+                if not math.isfinite(value):
+                    raise RuntimeError(
+                        f"non-finite training loss {value} in learning-rate phase {phase} "
+                        f"(lr {lr:g}), epoch {epoch}, step {step}")
                 tc.backward(loss)
                 # heads untouched by this objective have a genuinely zero gradient
                 for p in net.parameters:
@@ -150,7 +160,7 @@ def _run_training(net, stage: StageConfig, make_epoch, step_fn) -> TrainingLog:
                         p.grad = np.zeros_like(p.data)
                 nag_step(net, opt)
                 log.step_lrs.append(lr)
-                log.step_losses.append(loss.item())
+                log.step_losses.append(value)
     net.training_log = log
     return log
 
@@ -211,19 +221,27 @@ def init_student_cls(spec: NetworkSpec, data: SplitDataset, stage: StageConfig) 
     return train_teacher_cls(spec, data, stage)
 
 
+def _teacher_targets(teacher: Network, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The constant teacher's logits and embedding for every training row.
+
+    One forward per stage, outside any tape; batches index these rows, which
+    match a per-batch forward bitwise for logits and embedding (not for the
+    regression head, which is therefore never read from here).
+    """
+    out = teacher.forward(feats)
+    return out.logits.data, out.embedding.data
+
+
 def distill_student_cls(teacher: Network, data: SplitDataset, cfg: DistillConfig,
                         stage: StageConfig, student_spec: NetworkSpec | None = None,
-                        init_from: Network | None = None, target: str = "soft") -> Network:
+                        init_from: Network | None = None) -> Network:
     """Classification distillation from a (constant) teacher.
 
     ``init_from=None`` builds the student fresh (scratch mode); otherwise
     the student continues from a value copy of ``init_from`` (full
-    initialization). ``target`` picks the alpha-weighted distillation term:
-    "soft" (temperature cross-entropy), "logits" (logit regression), or
-    "hidden" (embedding matching).
+    initialization). The objective is the hard-label loss plus the
+    alpha-weighted soft-target cross-entropy.
     """
-    if target not in ("soft", "logits", "hidden"):
-        raise ValueError(f"unknown distillation target {target!r}")
     feats, ids, _ = as_arrays(data.train)
     if init_from is not None:
         net = clone(init_from)
@@ -235,23 +253,12 @@ def distill_student_cls(teacher: Network, data: SplitDataset, cfg: DistillConfig
     if net.spec.embedding_dim != teacher.spec.embedding_dim \
             or net.spec.num_classes != teacher.spec.num_classes:
         raise ValueError("student and teacher must share embedding_dim and num_classes")
+    t_logits, _ = _teacher_targets(teacher, feats)
 
     def step(idx):
-        if cfg.alpha == 0 and target == "soft":
-            with tc.Tape():
-                out = net.forward(feats[idx])
-                return classification_distill_loss(out.logits, out.logits.detach(), ids[idx], cfg)
-        t_out = teacher.forward(feats[idx])  # outside the tape: constants
         with tc.Tape():
             out = net.forward(feats[idx])
-            if target == "soft":
-                return classification_distill_loss(out.logits, t_out.logits, ids[idx], cfg)
-            hard = softmax_loss(out.logits, ids[idx])
-            if target == "logits":
-                extra = euclidean_loss(out.logits, tc.detach(t_out.logits))
-            else:
-                extra = hidden_match_loss(out.embedding, t_out.embedding)
-            return tc.add(hard, tc.mul(extra, cfg.alpha))
+            return classification_distill_loss(out.logits, t_logits[idx], ids[idx], cfg)
 
     _run_training(net, stage, _index_batches(len(data.train), stage.batch_size), step)
     return net
@@ -328,21 +335,20 @@ def distill_student_task(teacher_task: Network, init_net: Network, task: str, da
     _check_task(task)
     feats, ids, kps = as_arrays(data.train)
     net = clone(init_net)
+    t_logits, t_emb = _teacher_targets(teacher_task, feats)
 
     if task == ALIGNMENT:
         def step(idx):
-            t_out = teacher_task.forward(feats[idx])  # outside the tape: constants
             with tc.Tape():
                 out = net.forward(feats[idx])
-                return alignment_distill_loss(out, (t_out.logits, t_out.embedding), kps[idx], cfg)
+                return alignment_distill_loss(out, (t_logits[idx], t_emb[idx]), kps[idx], cfg)
     else:
         def step(batch):
             uniq, ia, ip, in_ = _dedup_triplet_batch(batch)
-            t_out = teacher_task.forward(feats[uniq])
             with tc.Tape():
                 out = net.forward(feats[uniq])
                 return verification_distill_loss(
-                    (out.logits, out.embedding), (t_out.logits, t_out.embedding),
+                    (out.logits, out.embedding), (t_logits[uniq], t_emb[uniq]),
                     (ia, ip, in_), cfg, include_softmax, ids[uniq])
 
     _run_training(net, stage, _task_batches(task, data, stage, triplets_per_epoch), step)

@@ -36,6 +36,7 @@ __all__ = [
     "mul",
     "div_scalar",
     "matmul",
+    "affine",
     "relu",
     "log",
     "clamp_min",
@@ -44,6 +45,7 @@ __all__ = [
     "sum_rows",
     "mean",
     "take_rows",
+    "clamped_cross_entropy",
     "grad_check",
     "GradCheckResult",
 ]
@@ -132,8 +134,10 @@ def detach(x) -> Tensor:
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # one allocation; bitwise zeros_like(g) + g, so -0.0 becomes +0.0
+        t.grad = np.asarray(g + 0.0)
+    else:
+        t.grad += g
 
 
 def backward(loss: Tensor) -> None:
@@ -282,6 +286,34 @@ def matmul(a, b) -> Tensor:
     return _maybe_record(out, (a, b), backward_fn)
 
 
+def affine(h, w, b, rectify: bool) -> Tensor:
+    """h @ w + b, then max(., 0) when ``rectify``, as one tape entry.
+
+    Values and gradients are bitwise those of relu(add(matmul(h, w), b))
+    (or add(matmul(h, w), b)): the same float operations in the same order.
+    """
+    h, w, b = as_tensor(h), as_tensor(w), as_tensor(b)
+    hd, wd, bd = h.data, w.data, b.data
+    if hd.ndim != 2 or wd.ndim != 2 or hd.shape[1] != wd.shape[0]:
+        raise ValueError(f"affine: shapes {hd.shape} and {wd.shape} do not align")
+    z = hd @ wd
+    _check_broadcast(z, bd, "affine")
+    z += bd
+    out = Tensor(np.maximum(z, 0.0) if rectify else z)
+
+    def backward_fn(g: np.ndarray) -> None:
+        if rectify:
+            g = g * (z > 0.0)  # subgradient 0 at the kink
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, bd.shape))
+        if h.requires_grad:
+            _accumulate(h, g @ wd.T)
+        if w.requires_grad:
+            _accumulate(w, hd.T @ g)
+
+    return _maybe_record(out, (h, w, b), backward_fn)
+
+
 # Nonlinearities ---------------------------------------------------------------
 
 def relu(a) -> Tensor:
@@ -405,6 +437,37 @@ def take_rows(a, indices) -> Tensor:
             _accumulate(a, acc)
 
     return _maybe_record(out, (a,), backward_fn)
+
+
+# Losses -------------------------------------------------------------------------
+
+def clamped_cross_entropy(pred, target, floor: float) -> Tensor:
+    """Batch mean of -sum_k target_k * ln(max(pred_k, floor)), as one tape entry.
+
+    Values and gradients are bitwise those of the unfused chain
+    mul(tsum(mul(target, log(clamp_min(pred, floor)))), -1 / batch); the
+    gradient through the clamp is 0 wherever the floor is active.
+    """
+    pred, target = as_tensor(pred), as_tensor(target)
+    pd, td = pred.data, target.data
+    if pd.shape != td.shape or pd.ndim != 2:
+        raise ValueError(f"clamped_cross_entropy: need matching 2-D shapes, got {pd.shape} and {td.shape}")
+    floor = float(floor)
+    if not floor > 0.0:
+        raise ValueError(f"clamped_cross_entropy: floor must be positive, got {floor}")
+    scale = -1.0 / pd.shape[0]
+    clamped = np.maximum(pd, floor)
+    logp = np.log(clamped)
+    out = Tensor((td * logp).sum() * scale)
+
+    def backward_fn(g: np.ndarray) -> None:
+        g = g * scale
+        if target.requires_grad:
+            _accumulate(target, g * logp)
+        if pred.requires_grad:
+            _accumulate(pred, g * td / clamped * (pd > floor))
+
+    return _maybe_record(out, (pred, target), backward_fn)
 
 
 # Gradient checking ------------------------------------------------------------

@@ -1,16 +1,20 @@
 """Release gate for the package.
 
-Ten checks: finite-difference gradient coverage of every loss, bitwise
+Eleven checks: finite-difference gradient coverage of every loss, bitwise
 weight-zero reductions, frozen value examples, target selection, three
 directional training orderings on the default benchmark, byte-determinism
-of ``reproduce``, metric oracles, and the optimizer oracle. The terminal
+of ``reproduce``, metric oracles, the optimizer oracle, and the recorded
+``report.json`` digest of the benchmark's scaled grid. The terminal
 summary prints one PASS/FAIL line per check (see conftest).
 
 The ordering checks train real networks and dominate the runtime; each
 asserts its own wall-clock budget so regressions in speed fail loudly.
 """
+import hashlib
+import json
 import math
 import time
+from pathlib import Path
 from statistics import median
 
 import numpy as np
@@ -322,3 +326,18 @@ def test_10_optimizer_matches_scalar_reference():
         v = 0.9 * v - 0.1 * g
         theta_ref = theta_ref + 0.9 * v - 0.1 * g
         assert float(net.parameters[0].data[0]) == pytest.approx(theta_ref, abs=1e-12)
+
+
+# ------------------------------------------------- 11: recorded report digest
+
+def test_11_reproduce_matches_recorded_digest(tmp_path, capsys):
+    # test_08 only compares two runs with each other; this pins the bytes
+    # themselves to the digest recorded for the benchmark's scaled grid
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "perfbench" / "digests.json", encoding="utf-8") as fh:
+        expected = json.load(fh)["reproduce"]["0"]["report.json"]
+    out = tmp_path / "grid"
+    assert cli_main(["reproduce", "--seed", "0", "--config",
+                     str(root / "perfbench" / "configs" / "grid.cfg"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == expected

@@ -183,6 +183,19 @@ def test_unknown_stage_is_config_error(tmp_path, capsys):
     assert "unknown stage key" in err
 
 
+@pytest.mark.parametrize("stage", [
+    "student2_verification_pretrain_a1e_b0",
+    "student2_verification_pretrain_a1-_b0",
+    "student2_verification_pretrain_a0_b1.2.3",
+    "student2_verification_pretrain_a-1_b0",
+    "student2_verification_pretrain_a1e999_b0",
+])
+def test_malformed_grid_weight_is_config_error(tmp_path, capsys, stage):
+    code, _, err = _run(capsys, "train", stage, "--out", str(tmp_path))
+    assert code == 1, err
+    assert stage in err
+
+
 def test_bad_set_is_config_error(tmp_path, capsys):
     code, _, err = _run(capsys, "generate", "--out", str(tmp_path), "--set", "nonsense")
     assert code == 1

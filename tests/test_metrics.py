@@ -1,5 +1,6 @@
 """Evaluation metrics against brute-force oracles, plus the report container."""
 import json
+import math
 
 import numpy as np
 import pytest
@@ -201,6 +202,15 @@ def test_report_rejects_duplicates():
     r.add("alignment", "teacher", "scratch", 0.0, 0.0, nrmse=0.5)
     with pytest.raises(ValueError):
         r.add("alignment", "teacher", "scratch", 0.0, 0.0, nrmse=0.6)
+
+
+@pytest.mark.parametrize("metric", ["top1", "verif_top1", "pair_acc", "nrmse", "custom"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_report_rejects_non_finite_metrics(metric, value):
+    r = MetricsReport()
+    with pytest.raises(ValueError, match="finite"):
+        r.add("alignment", "teacher", "scratch", 0.0, 0.0, **{metric: value})
+    assert not r.keys()
 
 
 def test_report_text_and_json_numbers_agree():

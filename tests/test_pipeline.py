@@ -7,7 +7,7 @@ import pytest
 
 import distillforge.tensor as tc
 from distillforge.data import GeneratorParams, as_arrays, generate
-from distillforge.losses import DistillConfig
+from distillforge.losses import DistillConfig, softmax_loss
 from distillforge.metrics import top1_accuracy
 from distillforge.nets import NetworkSpec, build, clone
 from distillforge.pipeline import (
@@ -30,6 +30,7 @@ from distillforge.pipeline import (
     train_teacher_cls,
     train_teacher_task,
 )
+from distillforge.pipeline import _index_batches, _run_training, _teacher_targets
 
 GEN = GeneratorParams(num_identities=6, samples_per_identity=10, input_dim=16,
                       latent_dim=4, pose_dim=2, num_keypoints=3, seed=0)
@@ -208,6 +209,47 @@ def test_verification_stage_runs(data):
     net = pretrain_student_task(SPEC.student(2), VERIFICATION, data, DCFG,
                                 _stage(epochs=2), triplets_per_epoch=30)
     assert len(net.training_log.step_losses) > 0
+
+
+def test_teacher_cache_rows_match_per_batch_forward(rng):
+    # distillation stages run the teacher once over the training features and
+    # index the rows; that is exact only if this BLAS computes a row of a
+    # product the same way whatever the batch size
+    teacher_spec = ExperimentPlan().teacher
+    teacher = build(teacher_spec, seed=5)
+    feats = rng.normal(size=(1280, teacher_spec.input_dim)) * 3.0 + 1.0
+    teacher.set_normalizer(feats.mean(axis=0), feats.std(axis=0))
+    cached_logits, cached_emb = _teacher_targets(teacher, feats)
+    for size in range(2, 129):
+        idx = rng.choice(len(feats), size=size, replace=False)
+        out = teacher.forward(feats[idx])
+        for name, cached, fresh in (("logits", cached_logits, out.logits.data),
+                                    ("embedding", cached_emb, out.embedding.data)):
+            assert cached[idx].tobytes() == fresh.tobytes(), (
+                f"teacher {name} for a {size}-row batch differ from the cached full-set rows: "
+                "this BLAS build breaks the per-stage teacher cache")
+
+
+def test_non_finite_loss_fails_before_backward(data):
+    net = build(SPEC, seed=0)
+    feats, ids, _ = as_arrays(data.train)
+    n_batches = -(-len(data.train) // 16)
+    fail_at = 2 * n_batches + 2  # phase 2, its second epoch, second step
+    calls = []
+
+    def step(idx):
+        calls.append(idx)
+        with tc.Tape():
+            loss = softmax_loss(net.forward(feats[idx]).logits, ids[idx])
+            return tc.mul(loss, np.nan) if len(calls) == fail_at else loss
+
+    stage = StageConfig(batch_size=16, lr_schedule=((0.02, 1), (0.002, 3)), seed=0)
+    with pytest.raises(RuntimeError) as err:
+        _run_training(net, stage, _index_batches(len(data.train), 16), step)
+    assert str(err.value) == ("non-finite training loss nan in learning-rate phase 2 (lr 0.002), "
+                              "epoch 2, step 2")
+    assert len(calls) == fail_at
+    assert all(p.grad is None for p in net.parameters)  # backward never ran on the bad loss
 
 
 # --------------------------------------------------------- select_targets

@@ -192,3 +192,174 @@ def test_grad_check_matmul(rng):
     while np.any(np.abs(x @ w) < 1e-3):
         x = rng.normal(size=(5, 3))
     assert tc.grad_check(f, x).passed
+
+
+# ------------------------------------------------------------------ fused ops
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _taped(build, leaves, grad_mask):
+    """Run ``build`` on fresh leaf copies under a tape and backpropagate;
+    returns the loss value and each leaf's gradient (None for constants)."""
+    ts = [tc.Tensor(x.copy(), requires_grad=flag) for x, flag in zip(leaves, grad_mask)]
+    with tc.Tape():
+        loss = build(*ts)
+    tc.backward(loss)
+    return loss.data, [t.grad for t in ts]
+
+
+def _assert_bitwise(build_fused, build_ref, leaves, grad_mask):
+    v_f, g_f = _taped(build_fused, leaves, grad_mask)
+    v_r, g_r = _taped(build_ref, leaves, grad_mask)
+    assert _same_bits(v_f, v_r), (v_f, v_r)
+    for i, (a, b) in enumerate(zip(g_f, g_r)):
+        if a is None or b is None:
+            assert a is None and b is None, f"gradient of leaf {i} missing on one side"
+            continue
+        assert _same_bits(a, b), f"gradient of leaf {i} differs"
+
+
+def _unfused_affine(h, w, b, rectify):
+    z = tc.add(tc.matmul(h, w), b)
+    return tc.relu(z) if rectify else z
+
+
+def _affine_case(rng, m, n_in, n_emb, n_out, bias_kind):
+    h = rng.normal(size=(m, n_in))
+    h[rng.random(m) < 0.3] = 0.0              # zero rows
+    w1 = rng.normal(size=(n_in, n_emb))
+    w1[:, rng.random(n_emb) < 0.3] = 0.0      # zero columns
+    bias_shape = {"row": (n_emb,), "full": (m, n_emb), "scalar": ()}[bias_kind]
+    b1 = rng.normal(size=bias_shape)
+    if bias_kind == "row":
+        b1[w1.any(axis=0) == 0] = 0.0         # exact-zero pre-activations
+    w2, b2 = rng.normal(size=(n_emb, n_out)), rng.normal(size=(n_out,))
+    w3, b3 = rng.normal(size=(n_emb, n_out)), rng.normal(size=(n_out,))
+    c1, c2, c3 = rng.normal(size=(m, n_out)), rng.normal(size=(m, n_out)), rng.normal(size=(m, n_emb))
+    return [h, w1, b1, w2, b2, w3, b3], (c1, c2, c3)
+
+
+def test_affine_matches_unfused_bitwise(rng):
+    # trunk layer feeding two heads plus a direct term, as in Network.forward
+    for trial in range(60):
+        m, n_in, n_emb, n_out = (int(v) for v in rng.integers(1, 9, size=4))
+        bias_kind = ("row", "full", "scalar")[trial % 3]
+        leaves, (c1, c2, c3) = _affine_case(rng, m, n_in, n_emb, n_out, bias_kind)
+
+        def graph(op):
+            def build(h, w1, b1, w2, b2, w3, b3):
+                k = op(h, w1, b1, True)
+                y1, y2 = op(k, w2, b2, False), op(k, w3, b3, True)
+                return tc.add(tc.add(tc.tsum(tc.mul(y1, c1)), tc.tsum(tc.mul(y2, c2))),
+                              tc.tsum(tc.mul(k, c3)))
+            return build
+
+        for input_needs_grad in (False, True):
+            mask = [input_needs_grad] + [True] * 6
+            _assert_bitwise(graph(tc.affine), graph(_unfused_affine), leaves, mask)
+
+
+def test_affine_forward_values_and_kink():
+    h = tc.as_tensor(np.array([[1.0, -1.0], [0.0, 0.0]]))
+    w = tc.as_tensor(np.array([[1.0, 2.0], [1.0, -1.0]]))
+    b = tc.as_tensor(np.array([0.0, -1.0]))
+    assert np.array_equal(tc.affine(h, w, b, rectify=False).data, [[0.0, 2.0], [0.0, -1.0]])
+    assert np.array_equal(tc.affine(h, w, b, rectify=True).data, [[0.0, 2.0], [0.0, 0.0]])
+    x = tc.Tensor(h.data, requires_grad=True)
+    with tc.Tape():
+        loss = tc.tsum(tc.affine(x, w, b, rectify=True))
+    tc.backward(loss)
+    # pre-activation exactly 0 at [0, 0]: subgradient 0 there
+    assert np.array_equal(x.grad, [[2.0, -1.0], [0.0, 0.0]])
+
+
+def test_affine_rejects_bad_shapes():
+    with pytest.raises(ValueError):
+        tc.affine(np.ones((2, 3)), np.ones((2, 3)), np.ones(3), rectify=True)
+    with pytest.raises(ValueError):
+        tc.affine(np.ones((2, 3)), np.ones((3, 4)), np.ones(3), rectify=False)
+
+
+def test_grad_check_affine(rng):
+    h0, w0, b0 = rng.normal(size=(5, 3)), rng.normal(size=(3, 4)), rng.normal(size=(4,))
+    while np.any(np.abs(h0 @ w0 + b0) < 1e-3):  # away from relu kinks
+        h0 = rng.normal(size=(5, 3))
+    c = rng.normal(size=(5, 4))
+    for rectify in (False, True):
+        def f_h(t):
+            return tc.tsum(tc.mul(tc.affine(t, w0, b0, rectify), c))
+
+        def f_w(t):
+            return tc.tsum(tc.mul(tc.affine(h0, t, b0, rectify), c))
+
+        def f_b(t):
+            return tc.tsum(tc.mul(tc.affine(h0, w0, t, rectify), c))
+
+        for f, x in ((f_h, h0), (f_w, w0), (f_b, b0)):
+            assert tc.grad_check(f, x).passed
+
+
+def _unfused_ce(pred, target, floor):
+    logp = tc.log(tc.clamp_min(pred, floor))
+    return tc.mul(tc.tsum(tc.mul(target, logp)), -1.0 / pred.shape[0])
+
+
+def test_clamped_cross_entropy_matches_unfused_bitwise(rng):
+    floor = 1e-12
+    for _ in range(60):
+        m, n = (int(v) for v in rng.integers(1, 8, size=2))
+        logits = rng.normal(size=(m, n)) * rng.choice([1.0, 40.0])  # large spread: clamp active
+        target = rng.uniform(0.0, 1.0, (m, n))
+        target[rng.random((m, n)) < 0.2] = 0.0
+        c = rng.normal(size=(m, n))
+
+        def via_softmax(ce):
+            # the prediction also feeds a second term, so its gradient accumulates twice
+            def build(x, t):
+                p = tc.softmax_rows(x)
+                return tc.add(ce(p, t, floor), tc.tsum(tc.mul(p, c)))
+            return build
+
+        def on_pred(ce):
+            return lambda p, t: ce(p, t, floor)
+
+        def self_target(ce):
+            return lambda p, _t: ce(p, p, floor)
+
+        pred = rng.uniform(0.0, 1.0, (m, n))
+        pred.flat[rng.integers(0, pred.size, 2)] = (0.0, floor)
+        pred[rng.random((m, n)) < 0.2] = 1e-14
+        for build, leaves in ((via_softmax, [logits, target]), (on_pred, [pred, target]),
+                              (self_target, [pred, target])):
+            for mask in ([True, False], [True, True]):
+                _assert_bitwise(build(tc.clamped_cross_entropy), build(_unfused_ce), leaves, mask)
+
+
+def test_clamped_cross_entropy_rejects_bad_input():
+    with pytest.raises(ValueError):
+        tc.clamped_cross_entropy(np.ones((2, 3)), np.ones((3, 2)), 1e-12)
+    with pytest.raises(ValueError):
+        tc.clamped_cross_entropy(np.ones(3), np.ones(3), 1e-12)
+    with pytest.raises(ValueError):
+        tc.clamped_cross_entropy(np.ones((2, 3)), np.ones((2, 3)), 0.0)
+
+
+def test_grad_check_clamped_cross_entropy(rng):
+    target = rng.uniform(0.0, 1.0, (3, 4))
+    pred = rng.uniform(0.1, 1.0, (3, 4))
+    pred[0, 1] = pred[2, 3] = 0.01  # well below the floor: zero gradient there
+    floor = 0.05
+    assert tc.grad_check(lambda t: tc.clamped_cross_entropy(t, target, floor), pred).passed
+    assert tc.grad_check(lambda t: tc.clamped_cross_entropy(pred, t, floor), target).passed
+
+
+def test_first_accumulation_is_positive_zero():
+    x = tc.Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    with tc.Tape():
+        loss = tc.tsum(tc.mul(tc.relu(x), -1.0))
+    tc.backward(loss)
+    # relu's backward yields -1 * 0 = -0.0 at the negative input; zeros + g is +0.0
+    assert _same_bits(x.grad, np.array([-1.0, 0.0]))
