@@ -30,12 +30,13 @@ import re
 import sys
 from dataclasses import replace
 
+from ._atomic import atomic_write
 from .config import (ConfigError, describe_keys, distill_config, experiment_plan,
                      generator_params, load_config, network_spec, stage_plan)
 from .data import as_arrays, generate, load_dataset, make_pairs, save_dataset
 from .metrics import MetricsReport
-from .nets import build, load_network, save_network
-from .pipeline import (ALIGNMENT, VERIFICATION, _normalizer, derive_seed,
+from .nets import load_network, save_network
+from .pipeline import (ALIGNMENT, VERIFICATION, _fresh, derive_seed,
                        distill_student_cls, distill_student_task, evaluate_alignment,
                        evaluate_all, evaluate_classification, evaluate_verification,
                        init_student_cls, pretrain_student_task, run_experiment,
@@ -217,9 +218,7 @@ def _train_stage(key: str, cfg: dict, out_dir: str, data):
         init_net = _require_ckpt(out_dir, f"student{d}_cls_full_init")
         mode = "continue"
     else:  # scratch: fresh build trained on the combined objective
-        feats, _, _ = as_arrays(data.train)
-        init_net = build(spec.student(d), seed)
-        init_net.set_normalizer(*_normalizer(feats))
+        init_net = _fresh(spec.student(d), seed, as_arrays(data.train)[0])
         mode = "scratch"
     return distill_student_task(teacher_task, init_net, task, data, cfg_run,
                                 splan.stage(mode, seed), include_softmax=joint,
@@ -251,7 +250,8 @@ def cmd_train(args) -> int:
     ckpt = os.path.join(out_dir, f"{args.stage}.ckpt")
     save_network(net, ckpt)
     metrics = _metrics_for(info["label"], net, data, cfg)
-    with open(os.path.join(out_dir, f"{args.stage}.metrics.json"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(out_dir, f"{args.stage}.metrics.json"), "w",
+                      encoding="utf-8") as fh:
         fh.write(json.dumps({"stage": args.stage, "metrics": metrics}, indent=2, sort_keys=True))
         fh.write("\n")
     print(f"wrote {ckpt}")
@@ -284,7 +284,7 @@ def cmd_reproduce(args) -> int:
     save_dataset(generate(plan.generator), os.path.join(out_dir, "dataset.txt"))
     report = run_experiment(plan, out_dir=os.path.join(out_dir, "checkpoints"))
     report_path = os.path.join(out_dir, "report.json")
-    with open(report_path, "w", encoding="utf-8") as fh:
+    with atomic_write(report_path, "w", encoding="utf-8") as fh:
         fh.write(report.to_json())
     tasks = sorted({key[0] for key, _ in report.rows()})
     for task in tasks:
@@ -292,7 +292,7 @@ def cmd_reproduce(args) -> int:
         for key, metrics in report.rows():
             if key[0] == task:
                 sub.add(*key, **metrics)
-        with open(os.path.join(out_dir, f"report_{task}.txt"), "w", encoding="utf-8") as fh:
+        with atomic_write(os.path.join(out_dir, f"report_{task}.txt"), "w", encoding="utf-8") as fh:
             fh.write(sub.to_text())
     print(report.to_text(), end="")
     print(f"wrote {report_path}")

@@ -228,12 +228,6 @@ def experiment_plan(cfg: dict) -> ExperimentPlan:
         raise ConfigError(str(exc)) from exc
 
 
-def with_seed(cfg: dict, seed: int) -> dict:
-    out = dict(cfg)
-    out["seed"] = seed
-    return out
-
-
 def describe_keys() -> str:
     """Aligned listing of every key with its default, for the ``config`` subcommand."""
     width = max(len(k) for k in DEFAULTS)

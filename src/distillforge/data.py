@@ -20,6 +20,8 @@ from typing import Iterable
 
 import numpy as np
 
+from ._atomic import atomic_write
+
 __all__ = [
     "GeneratorParams",
     "Sample",
@@ -166,6 +168,39 @@ def _ids_by_identity(samples: list[Sample]) -> dict[int, np.ndarray]:
     return {k: np.asarray(v) for k, v in groups.items()}
 
 
+def _bounded_draws(rng: np.random.Generator, chunk: int):
+    """``draw(bound)`` equal to ``int(rng.integers(bound))`` call for call.
+
+    numpy's Generator maps one 32-bit word ``w`` to ``(w * bound) >> 32``
+    for a scalar ``integers(bound)`` with ``bound <= 2**32`` (Lemire's
+    multiply-shift), drawing again while the low 32 bits of the product fall
+    below ``2**32 % bound``; a bound of 1 draws no word. The words are those
+    of ``rng.integers(0, 2**32, size=k, dtype=np.uint64)``, so they are drawn
+    here in bulk, ``chunk`` at a time, and replayed without a numpy call per
+    draw. ``tests/test_data.py`` pins the equality on the installed numpy.
+    """
+    words: list[int] = []
+    pos = 0
+
+    def draw(bound: int) -> int:
+        nonlocal words, pos
+        if not 1 <= bound <= 1 << 32:
+            raise ValueError(f"bound must lie in [1, 2**32], got {bound}")
+        if bound == 1:
+            return 0
+        threshold = (1 << 32) % bound
+        while True:
+            if pos == len(words):
+                words = rng.integers(0, 1 << 32, size=chunk, dtype=np.uint64).tolist()
+                pos = 0
+            m = words[pos] * bound
+            pos += 1
+            if m & 0xFFFF_FFFF >= threshold:
+                return m >> 32
+
+    return draw
+
+
 def make_triplets(samples: list[Sample], count: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Uniform (anchor, positive, negative) index triples over ``samples``.
 
@@ -180,22 +215,24 @@ def make_triplets(samples: list[Sample], count: int, seed: int) -> tuple[np.ndar
     for identity, idx in groups.items():
         if idx.size < 2:
             raise ValueError(f"identity {identity} has fewer than 2 samples; cannot form positives")
-    rng = np.random.default_rng(seed)
-    identities = np.array([s.identity for s in samples])
+    # the draws replay the scalar rng.integers calls of this seed; a triple
+    # takes about three words, so one bulk draw nearly always suffices
+    draw = _bounded_draws(np.random.default_rng(seed), 4 * count + 16)
+    identities = [s.identity for s in samples]
+    members = {identity: idx.tolist() for identity, idx in groups.items()}
     n = len(samples)
-    anchors = np.empty(count, dtype=np.int64)
-    positives = np.empty(count, dtype=np.int64)
-    negatives = np.empty(count, dtype=np.int64)
-    for t in range(count):
-        a = int(rng.integers(n))
-        own = groups[identities[a]]
+    triples = []
+    for _ in range(count):
+        a = draw(n)
+        own = members[identities[a]]
         p = a
         while p == a:
-            p = int(own[rng.integers(own.size)])
+            p = own[draw(len(own))]
         neg = a
         while identities[neg] == identities[a]:
-            neg = int(rng.integers(n))
-        anchors[t], positives[t], negatives[t] = a, p, neg
+            neg = draw(n)
+        triples.append((a, p, neg))
+    anchors, positives, negatives = np.array(triples, dtype=np.int64).reshape(count, 3).T
     return anchors, positives, negatives
 
 
@@ -245,7 +282,7 @@ def save_dataset(ds: SplitDataset, path) -> None:
         if kc:
             line += f" {kps}"
         lines.append(line)
-    with open(path, "w") as fh:
+    with atomic_write(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 

@@ -106,12 +106,11 @@ def pair_verification_accuracy(embeddings, same_pairs, diff_pairs) -> float:
     d_all = np.sort(np.concatenate([d_same, d_diff]))
     midpoints = (d_all[:-1] + d_all[1:]) / 2.0
     thresholds = np.concatenate([[d_all[0] - 1.0], midpoints, [d_all[-1] + 1.0]])
-    total = d_same.size + d_diff.size
-    best = 0.0
-    for t in thresholds:
-        acc = (np.count_nonzero(d_same <= t) + np.count_nonzero(d_diff > t)) / total
-        best = max(best, acc)
-    return float(best)
+    # pairs at or below each threshold, counted on the sorted distances
+    same_below = np.searchsorted(np.sort(d_same), thresholds, side="right")
+    diff_below = np.searchsorted(np.sort(d_diff), thresholds, side="right")
+    correct = same_below + (d_diff.size - diff_below)
+    return float(np.max(correct / (d_same.size + d_diff.size)))
 
 
 class MetricsReport:

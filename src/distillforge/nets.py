@@ -18,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tensor as tc
+from ._atomic import atomic_write
 from .tensor import Tensor
 
 __all__ = [
@@ -190,7 +191,7 @@ def save_network(net: Network, path) -> None:
         },
         "param_shapes": [list(p.shape) for p in net.parameters],
     }
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(_CKPT_MAGIC.encode() + b"\n")
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
         fh.write(net.norm_mean.astype("<f8").tobytes())

@@ -101,12 +101,14 @@ class StageConfig:
 
 
 class OptimizerState:
-    """Nesterov-style momentum state: one velocity buffer per parameter."""
+    """Nesterov-style momentum state: one velocity buffer per parameter, plus
+    two scratch buffers per parameter so that a step allocates nothing."""
 
     def __init__(self, learning_rate: float, momentum: float, velocities: list[np.ndarray]):
         self.learning_rate = float(learning_rate)
         self.momentum = float(momentum)
         self.velocities = velocities
+        self.scratch = [(np.empty_like(v), np.empty_like(v)) for v in velocities]
 
     @classmethod
     def for_network(cls, net, learning_rate: float, momentum: float = 0.9) -> "OptimizerState":
@@ -116,18 +118,19 @@ class OptimizerState:
 def nag_step(net, opt: OptimizerState) -> None:
     """v <- mu*v - lr*g; theta <- theta + mu*v - lr*g; gradients are cleared.
 
-    Updates run in place; the gradient arrays themselves are left unmodified.
+    Updates run in place, through the state's scratch buffers; the gradient
+    arrays themselves are left unmodified.
     """
     if len(opt.velocities) != len(net.parameters):
         raise ValueError("optimizer state does not match the network's parameter list")
     mu, lr = opt.momentum, opt.learning_rate
-    for p, v in zip(net.parameters, opt.velocities):
+    for p, v, (lr_g, update) in zip(net.parameters, opt.velocities, opt.scratch):
         if p.grad is None:
             raise RuntimeError("nag_step: a parameter has no gradient; run backward first")
-        lr_g = lr * p.grad
+        np.multiply(p.grad, lr, out=lr_g)
         v *= mu
         v -= lr_g
-        update = mu * v
+        np.multiply(v, mu, out=update)
         update -= lr_g
         p.data += update
         p.grad = None
@@ -190,8 +193,23 @@ def _dedup_triplet_batch(batch):
     return uniq, inv[:k], inv[k:2 * k], inv[2 * k:]
 
 
-def _normalizer(feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return feats.mean(axis=0), feats.std(axis=0)
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _train_arrays(data: SplitDataset) -> tuple[np.ndarray, ...]:
+    """(features, identities, keypoints) of the training split, read-only so
+    that every stage of a run, concurrent grid jobs included, shares them."""
+    return _read_only(*as_arrays(data.train))
+
+
+def _fresh(spec: NetworkSpec, seed: int, feats: np.ndarray) -> Network:
+    """A newly built network that standardizes inputs by ``feats``."""
+    net = build(spec, seed)
+    net.set_normalizer(feats.mean(axis=0), feats.std(axis=0))
+    return net
 
 
 def _check_task(task: str) -> None:
@@ -199,20 +217,26 @@ def _check_task(task: str) -> None:
         raise ValueError(f"unknown task {task!r}; expected one of {_TASKS}")
 
 
-# Classification stages --------------------------------------------------------
+# Stages ---------------------------------------------------------------------------
+# Each public stage extracts the training arrays (and, for distillation, the
+# teacher targets) and runs a private body on them; ``run_experiment`` does
+# that extraction once per run (per teacher) and calls the bodies directly.
 
 def train_teacher_cls(spec: NetworkSpec, data: SplitDataset, stage: StageConfig) -> Network:
     """Scratch softmax training of the (teacher) classification network."""
-    feats, ids, _ = as_arrays(data.train)
-    net = build(spec, stage.seed)
-    net.set_normalizer(*_normalizer(feats))
+    return _train_cls(spec, _train_arrays(data), stage)
+
+
+def _train_cls(spec, arrays, stage):
+    feats, ids, _ = arrays
+    net = _fresh(spec, stage.seed, feats)
 
     def step(idx):
         with tc.Tape():
             out = net.forward(feats[idx])
             return softmax_loss(out.logits, ids[idx])
 
-    _run_training(net, stage, _index_batches(len(data.train), stage.batch_size), step)
+    _run_training(net, stage, _index_batches(len(feats), stage.batch_size), step)
     return net
 
 
@@ -222,14 +246,14 @@ def init_student_cls(spec: NetworkSpec, data: SplitDataset, stage: StageConfig) 
 
 
 def _teacher_targets(teacher: Network, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The constant teacher's logits and embedding for every training row.
+    """The constant teacher's logits and embedding for every training row, read-only.
 
-    One forward per stage, outside any tape; batches index these rows, which
-    match a per-batch forward bitwise for logits and embedding (not for the
+    One forward outside any tape; batches index these rows, which match a
+    per-batch forward bitwise for logits and embedding (not for the
     regression head, which is therefore never read from here).
     """
     out = teacher.forward(feats)
-    return out.logits.data, out.embedding.data
+    return _read_only(out.logits.data, out.embedding.data)
 
 
 def distill_student_cls(teacher: Network, data: SplitDataset, cfg: DistillConfig,
@@ -242,60 +266,37 @@ def distill_student_cls(teacher: Network, data: SplitDataset, cfg: DistillConfig
     initialization). The objective is the hard-label loss plus the
     alpha-weighted soft-target cross-entropy.
     """
-    feats, ids, _ = as_arrays(data.train)
+    arrays = _train_arrays(data)
+    return _distill_cls(_teacher_targets(teacher, arrays[0]), arrays, cfg, stage,
+                        student_spec, init_from)
+
+
+def _distill_cls(targets, arrays, cfg, stage, student_spec=None, init_from=None):
+    feats, ids, _ = arrays
     if init_from is not None:
         net = clone(init_from)
+    elif student_spec is None:
+        raise ValueError("scratch mode needs student_spec")
     else:
-        if student_spec is None:
-            raise ValueError("scratch mode needs student_spec")
-        net = build(student_spec, stage.seed)
-        net.set_normalizer(*_normalizer(feats))
-    if net.spec.embedding_dim != teacher.spec.embedding_dim \
-            or net.spec.num_classes != teacher.spec.num_classes:
+        net = _fresh(student_spec, stage.seed, feats)
+    t_logits, t_emb = targets
+    if t_emb.shape[1] != net.spec.embedding_dim or t_logits.shape[1] != net.spec.num_classes:
         raise ValueError("student and teacher must share embedding_dim and num_classes")
-    t_logits, _ = _teacher_targets(teacher, feats)
 
     def step(idx):
         with tc.Tape():
             out = net.forward(feats[idx])
             return classification_distill_loss(out.logits, t_logits[idx], ids[idx], cfg)
 
-    _run_training(net, stage, _index_batches(len(data.train), stage.batch_size), step)
+    _run_training(net, stage, _index_batches(len(feats), stage.batch_size), step)
     return net
 
 
-# Task stages --------------------------------------------------------------------
-
-def _task_step(net, task, feats, ids, kps, cfg, include_softmax):
-    """Task-only objective (no distillation terms) for teacher/pretrain stages."""
+def _task_batches(task, samples, stage: StageConfig, triplets_per_epoch: int):
     if task == ALIGNMENT:
-        def step(idx):
-            with tc.Tape():
-                out = net.forward(feats[idx])
-                return euclidean_loss(out.regression, kps[idx])
-        return step
-
-    def step(batch):
-        uniq, ia, ip, in_ = _dedup_triplet_batch(batch)
-        with tc.Tape():
-            out = net.forward(feats[uniq])
-            loss = triplet_loss(
-                tc.take_rows(out.embedding, ia),
-                tc.take_rows(out.embedding, ip),
-                tc.take_rows(out.embedding, in_),
-                cfg.lambda_margin,
-            )
-            if include_softmax:
-                loss = tc.add(loss, softmax_loss(out.logits, ids[uniq]))
-            return loss
-    return step
-
-
-def _task_batches(task, data: SplitDataset, stage: StageConfig, triplets_per_epoch: int):
-    if task == ALIGNMENT:
-        return _index_batches(len(data.train), stage.batch_size)
-    count = triplets_per_epoch if triplets_per_epoch > 0 else len(data.train)
-    return _triplet_batches(data.train, count, stage.batch_size)
+        return _index_batches(len(samples), stage.batch_size)
+    count = triplets_per_epoch if triplets_per_epoch > 0 else len(samples)
+    return _triplet_batches(samples, count, stage.batch_size)
 
 
 def train_teacher_task(teacher_cls: Network, task: str, data: SplitDataset, cfg: DistillConfig,
@@ -304,11 +305,8 @@ def train_teacher_task(teacher_cls: Network, task: str, data: SplitDataset, cfg:
     """Transfer-initialize the task teacher from the classification teacher
     (value copy; the source is left untouched) and fine-tune on the task."""
     _check_task(task)
-    feats, ids, kps = as_arrays(data.train)
-    net = clone(teacher_cls)
-    step = _task_step(net, task, feats, ids, kps, cfg, include_softmax)
-    _run_training(net, stage, _task_batches(task, data, stage, triplets_per_epoch), step)
-    return net
+    return _train_task(clone(teacher_cls), task, data.train, _train_arrays(data), cfg, stage,
+                       include_softmax, triplets_per_epoch)
 
 
 def pretrain_student_task(spec: NetworkSpec, task: str, data: SplitDataset, cfg: DistillConfig,
@@ -316,11 +314,35 @@ def pretrain_student_task(spec: NetworkSpec, task: str, data: SplitDataset, cfg:
                           triplets_per_epoch: int = 0) -> Network:
     """Fresh student trained on the task objective alone (the Pretrain start)."""
     _check_task(task)
-    feats, ids, kps = as_arrays(data.train)
-    net = build(spec, stage.seed)
-    net.set_normalizer(*_normalizer(feats))
-    step = _task_step(net, task, feats, ids, kps, cfg, include_softmax)
-    _run_training(net, stage, _task_batches(task, data, stage, triplets_per_epoch), step)
+    arrays = _train_arrays(data)
+    return _train_task(_fresh(spec, stage.seed, arrays[0]), task, data.train, arrays, cfg, stage,
+                       include_softmax, triplets_per_epoch)
+
+
+def _train_task(net, task, samples, arrays, cfg, stage, include_softmax, triplets_per_epoch):
+    """Task-only objective (no distillation terms) for teacher/pretrain stages."""
+    feats, ids, kps = arrays
+    if task == ALIGNMENT:
+        def step(idx):
+            with tc.Tape():
+                out = net.forward(feats[idx])
+                return euclidean_loss(out.regression, kps[idx])
+    else:
+        def step(batch):
+            uniq, ia, ip, in_ = _dedup_triplet_batch(batch)
+            with tc.Tape():
+                out = net.forward(feats[uniq])
+                loss = triplet_loss(
+                    tc.take_rows(out.embedding, ia),
+                    tc.take_rows(out.embedding, ip),
+                    tc.take_rows(out.embedding, in_),
+                    cfg.lambda_margin,
+                )
+                if include_softmax:
+                    loss = tc.add(loss, softmax_loss(out.logits, ids[uniq]))
+                return loss
+
+    _run_training(net, stage, _task_batches(task, samples, stage, triplets_per_epoch), step)
     return net
 
 
@@ -333,9 +355,16 @@ def distill_student_task(teacher_task: Network, init_net: Network, task: str, da
     distilled classification student); it is value-copied, never mutated.
     """
     _check_task(task)
-    feats, ids, kps = as_arrays(data.train)
+    arrays = _train_arrays(data)
+    return _distill_task(_teacher_targets(teacher_task, arrays[0]), init_net, task, data.train,
+                         arrays, cfg, stage, include_softmax, triplets_per_epoch)
+
+
+def _distill_task(targets, init_net, task, samples, arrays, cfg, stage, include_softmax,
+                  triplets_per_epoch):
+    feats, ids, kps = arrays
+    t_logits, t_emb = targets
     net = clone(init_net)
-    t_logits, t_emb = _teacher_targets(teacher_task, feats)
 
     if task == ALIGNMENT:
         def step(idx):
@@ -351,7 +380,7 @@ def distill_student_task(teacher_task: Network, init_net: Network, task: str, da
                     (out.logits, out.embedding), (t_logits[uniq], t_emb[uniq]),
                     (ia, ip, in_), cfg, include_softmax, ids[uniq])
 
-    _run_training(net, stage, _task_batches(task, data, stage, triplets_per_epoch), step)
+    _run_training(net, stage, _task_batches(task, samples, stage, triplets_per_epoch), step)
     return net
 
 
@@ -383,42 +412,48 @@ def select_targets(metric_per_config, higher_is_better: bool = True) -> tuple[in
 
 # Evaluation ----------------------------------------------------------------------
 
-def _forward_arrays(net: Network, samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    feats, _, _ = as_arrays(samples)
-    out = net.forward(feats)
-    return out.logits.data, out.embedding.data, out.regression.data
+def _outputs(net: Network, samples):
+    feats, ids, kps = as_arrays(samples)
+    return net.forward(feats), ids, kps
+
+
+def _classification_metrics(out, ids, kps, pairs) -> dict[str, float]:
+    result = {"top1": top1_accuracy(out.logits, ids)}
+    if pairs is not None:
+        result["pair_acc"] = pair_verification_accuracy(out.embedding, *pairs)
+    return result
+
+
+def _alignment_metrics(out, ids, kps, pairs=None) -> dict[str, float]:
+    return {"nrmse": nrmse(out.regression, kps, reference_distances(kps))}
+
+
+def _verification_metrics(out, ids, kps, pairs) -> dict[str, float]:
+    result = {"verif_top1": verification_top1(out.embedding, ids)}
+    if pairs is not None:
+        result["pair_acc"] = pair_verification_accuracy(out.embedding, *pairs)
+    return result
 
 
 def evaluate_classification(net: Network, samples, pairs=None) -> dict[str, float]:
-    logits, emb, _ = _forward_arrays(net, samples)
-    _, ids, _ = as_arrays(samples)
-    result = {"top1": top1_accuracy(logits, ids)}
-    if pairs is not None:
-        result["pair_acc"] = pair_verification_accuracy(emb, *pairs)
-    return result
+    return _classification_metrics(*_outputs(net, samples), pairs)
 
 
 def evaluate_alignment(net: Network, samples) -> dict[str, float]:
-    _, _, reg = _forward_arrays(net, samples)
-    _, _, kps = as_arrays(samples)
-    return {"nrmse": nrmse(reg, kps, reference_distances(kps))}
+    return _alignment_metrics(*_outputs(net, samples))
 
 
 def evaluate_verification(net: Network, samples, pairs=None) -> dict[str, float]:
-    _, emb, _ = _forward_arrays(net, samples)
-    _, ids, _ = as_arrays(samples)
-    result = {"verif_top1": verification_top1(emb, ids)}
-    if pairs is not None:
-        result["pair_acc"] = pair_verification_accuracy(emb, *pairs)
-    return result
+    return _verification_metrics(*_outputs(net, samples), pairs)
 
 
 def evaluate_all(net: Network, samples, pairs=None) -> dict[str, float]:
     """Every metric applicable to this network on these samples."""
-    result = evaluate_classification(net, samples, pairs)
-    result.update(evaluate_verification(net, samples, None))
+    outputs = _outputs(net, samples)
+    result = _classification_metrics(*outputs, pairs)
+    result.update(_verification_metrics(*outputs, None))
     if net.spec.num_keypoint_coords:
-        result.update(evaluate_alignment(net, samples))
+        result.update(_alignment_metrics(*outputs))
     return result
 
 
@@ -537,6 +572,9 @@ def run_experiment(plan: ExperimentPlan, out_dir=None, threads: int | None = Non
     threads = _resolve_threads(threads)
     data = generate(plan.generator)
     pairs = make_pairs(data.test, plan.eval_pairs, derive_seed(plan.seed, "eval_pairs"))
+    # run constants, computed once and shared read-only by every stage
+    arrays = _train_arrays(data)
+    test = _read_only(*as_arrays(data.test))
     report = MetricsReport()
     saved: dict[str, Network] = {}
 
@@ -547,21 +585,25 @@ def run_experiment(plan: ExperimentPlan, out_dir=None, threads: int | None = Non
     def seed_for(key: str) -> int:
         return derive_seed(plan.seed, key)
 
+    def evaluate(metrics, net: Network) -> dict[str, float]:
+        return metrics(net.forward(test[0]), *test[1:], pairs)
+
     # classification
-    teacher = register("teacher_cls", train_teacher_cls(
-        plan.teacher, data, plan.cls_stage.stage("scratch", seed_for("teacher_cls"))))
+    teacher = register("teacher_cls", _train_cls(
+        plan.teacher, arrays, plan.cls_stage.stage("scratch", seed_for("teacher_cls"))))
     report.add("classification", "teacher", "scratch", 0.0, 0.0,
-               **evaluate_classification(teacher, data.test, pairs))
+               **evaluate(_classification_metrics, teacher))
+    cls_targets = _teacher_targets(teacher, arrays[0])
 
     cls_students: dict[int, Network] = {}
 
     def full_init_student(d: int) -> Network:
         if d not in cls_students:
-            s_spec = plan.teacher.student(d)
-            s0 = register(f"student{d}_cls_init", init_student_cls(
-                s_spec, data, plan.cls_stage.stage("scratch", seed_for(f"student{d}_cls_init"))))
-            cls_students[d] = register(f"student{d}_cls_full_init", distill_student_cls(
-                teacher, data, plan.distill,
+            s0 = register(f"student{d}_cls_init", _train_cls(
+                plan.teacher.student(d), arrays,
+                plan.cls_stage.stage("scratch", seed_for(f"student{d}_cls_init"))))
+            cls_students[d] = register(f"student{d}_cls_full_init", _distill_cls(
+                cls_targets, arrays, plan.distill,
                 plan.cls_stage.stage("continue", seed_for(f"student{d}_cls_full_init")),
                 init_from=s0))
         return cls_students[d]
@@ -569,28 +611,27 @@ def run_experiment(plan: ExperimentPlan, out_dir=None, threads: int | None = Non
     for d in plan.cls_divisors:
         for mode in plan.cls_inits:
             if mode == "scratch":
-                net = register(f"student{d}_cls_scratch", distill_student_cls(
-                    teacher, data, plan.distill,
+                net = register(f"student{d}_cls_scratch", _distill_cls(
+                    cls_targets, arrays, plan.distill,
                     plan.cls_stage.stage("scratch", seed_for(f"student{d}_cls_scratch")),
                     student_spec=plan.teacher.student(d)))
             else:
                 net = full_init_student(d)
             report.add("classification", f"student/{d}", mode, plan.distill.alpha, 0.0,
-                       **evaluate_classification(net, data.test, pairs))
+                       **evaluate(_classification_metrics, net))
 
     # task tables
-    def evaluate_task(task: str, net: Network) -> dict[str, float]:
-        if task == ALIGNMENT:
-            return evaluate_alignment(net, data.test)
-        return evaluate_verification(net, data.test, pairs)
-
     for tp in plan.tasks:
         splan = plan.stage_plan(tp.task)
+        task_metrics = _alignment_metrics if tp.task == ALIGNMENT else _verification_metrics
         t_key = f"teacher_{tp.label}"
-        teacher_task = register(t_key, train_teacher_task(
-            teacher, tp.task, data, plan.distill, splan.stage("continue", seed_for(t_key)),
-            include_softmax=tp.include_softmax, triplets_per_epoch=splan.triplets_per_epoch))
-        report.add(tp.label, "teacher", "transfer", 0.0, 0.0, **evaluate_task(tp.task, teacher_task))
+        teacher_task = register(t_key, _train_task(
+            clone(teacher), tp.task, data.train, arrays, plan.distill,
+            splan.stage("continue", seed_for(t_key)), tp.include_softmax,
+            splan.triplets_per_epoch))
+        report.add(tp.label, "teacher", "transfer", 0.0, 0.0,
+                   **evaluate(task_metrics, teacher_task))
+        task_targets = _teacher_targets(teacher_task, arrays[0])
 
         jobs = []
         for d in tp.divisors:
@@ -599,10 +640,10 @@ def run_experiment(plan: ExperimentPlan, out_dir=None, threads: int | None = Non
             for mode in tp.inits:
                 if mode == "pretrain":
                     key = f"student{d}_{tp.label}_pretrain_base"
-                    inits[mode] = register(key, pretrain_student_task(
-                        s_spec, tp.task, data, plan.distill, splan.stage("scratch", seed_for(key)),
-                        include_softmax=tp.include_softmax,
-                        triplets_per_epoch=splan.triplets_per_epoch))
+                    stage = splan.stage("scratch", seed_for(key))
+                    inits[mode] = register(key, _train_task(
+                        _fresh(s_spec, stage.seed, arrays[0]), tp.task, data.train, arrays,
+                        plan.distill, stage, tp.include_softmax, splan.triplets_per_epoch))
                 elif mode == "distill":
                     inits[mode] = full_init_student(d)
                 else:
@@ -618,13 +659,10 @@ def run_experiment(plan: ExperimentPlan, out_dir=None, threads: int | None = Non
                     def job(key=key, cfg=cfg, stage=stage, mode=mode, d=d,
                             init_net=inits[mode], alpha=alpha, beta=beta):
                         if init_net is None:  # scratch: fresh build, combined objective
-                            feats, _, _ = as_arrays(data.train)
-                            init_net = build(plan.teacher.student(d), stage.seed)
-                            init_net.set_normalizer(*_normalizer(feats))
-                        net = distill_student_task(
-                            teacher_task, init_net, tp.task, data, cfg, stage,
-                            include_softmax=tp.include_softmax,
-                            triplets_per_epoch=splan.triplets_per_epoch)
+                            init_net = _fresh(plan.teacher.student(d), stage.seed, arrays[0])
+                        net = _distill_task(
+                            task_targets, init_net, tp.task, data.train, arrays, cfg, stage,
+                            tp.include_softmax, splan.triplets_per_epoch)
                         return key, (f"student/{d}", mode, alpha, beta), net
                     jobs.append(job)
 
@@ -635,7 +673,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None, threads: int | None = Non
             results = [j() for j in jobs]
         for key, (network, mode, alpha, beta), net in results:
             register(key, net)
-            report.add(tp.label, network, mode, alpha, beta, **evaluate_task(tp.task, net))
+            report.add(tp.label, network, mode, alpha, beta, **evaluate(task_metrics, net))
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

@@ -1,7 +1,16 @@
 """Shared fixtures plus a terminal summary that lists each acceptance
-criterion with an explicit PASS/FAIL verdict."""
-import numpy as np
-import pytest
+criterion with an explicit PASS/FAIL verdict.
+
+BLAS is pinned to one thread before numpy loads (unless the environment
+sets it): the networks here are small, a second BLAS thread buys no speed,
+and on a shared two-core host it made the wall-clock budgets of the
+acceptance checks depend on neighbouring load."""
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 
 @pytest.fixture

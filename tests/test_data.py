@@ -8,6 +8,8 @@ import pytest
 from distillforge.data import (
     GeneratorParams,
     LatentModel,
+    Sample,
+    _bounded_draws,
     as_arrays,
     generate,
     load_dataset,
@@ -126,6 +128,79 @@ def test_triplets_need_two_samples_per_identity():
     lonely = [s for s in ds.train if s.identity == 0][:1] + [s for s in ds.train if s.identity == 1]
     with pytest.raises(ValueError):
         make_triplets(lonely, 4, seed=0)
+
+
+def _reference_triplets(samples, count, seed):
+    # the scalar-draw loop make_triplets replays, kept as its oracle
+    groups = {}
+    for i, s in enumerate(samples):
+        groups.setdefault(s.identity, []).append(i)
+    groups = {k: np.asarray(v) for k, v in groups.items()}
+    rng = np.random.default_rng(seed)
+    identities = np.array([s.identity for s in samples])
+    n = len(samples)
+    anchors = np.empty(count, dtype=np.int64)
+    positives = np.empty(count, dtype=np.int64)
+    negatives = np.empty(count, dtype=np.int64)
+    for t in range(count):
+        a = int(rng.integers(n))
+        own = groups[identities[a]]
+        p = a
+        while p == a:
+            p = int(own[rng.integers(own.size)])
+        neg = a
+        while identities[neg] == identities[a]:
+            neg = int(rng.integers(n))
+        anchors[t], positives[t], negatives[t] = a, p, neg
+    return anchors, positives, negatives
+
+
+def _uneven_samples():
+    # identities of 2, 3, 9 and 40 samples, interleaved
+    sizes = {0: 2, 1: 3, 2: 9, 3: 40}
+    ids = [i for i, k in sizes.items() for _ in range(k)]
+    order = np.random.default_rng(0).permutation(len(ids))
+    return [Sample(np.zeros(1), ids[j], np.zeros(0)) for j in order]
+
+
+@pytest.mark.parametrize("samples", [generate(GeneratorParams()).train, _uneven_samples()],
+                         ids=["default", "uneven"])
+def test_triplets_match_scalar_draw_reference(samples):
+    for seed in range(50):
+        for count in (0, 1, 7, 1280):
+            got = make_triplets(samples, count, seed)
+            want = _reference_triplets(samples, count, seed)
+            for g, w in zip(got, want):
+                assert g.dtype == np.int64 and g.shape == (count,)
+                assert np.array_equal(g, w), (seed, count)
+
+
+@pytest.mark.parametrize("bound", [1, 40, 1280, 2 ** 31 + 1, 3 * 2 ** 30, 2 ** 32 - 5])
+def test_bounded_draws_replay_scalar_integers(bound):
+    # 2**31 + 1, 3 * 2**30 and 2**32 - 5 reject a large share of words
+    for seed in range(20):
+        scalar = np.random.default_rng(seed)
+        draw = _bounded_draws(np.random.default_rng(seed), chunk=7)
+        for _ in range(300):
+            assert draw(bound) == int(scalar.integers(bound))
+
+
+def test_bounded_draws_replay_mixed_bounds():
+    bounds = [1, 40, 1280, 2 ** 31 + 1, 3 * 2 ** 30, 2 ** 32 - 5]
+    pick = np.random.default_rng(3)
+    for chunk in (1, 2, 64):
+        scalar = np.random.default_rng(11)
+        draw = _bounded_draws(np.random.default_rng(11), chunk)
+        for _ in range(2000):
+            bound = bounds[int(pick.integers(len(bounds)))]
+            assert draw(bound) == int(scalar.integers(bound))
+
+
+def test_bounded_draws_reject_unreplayable_bounds():
+    draw = _bounded_draws(np.random.default_rng(0), chunk=4)
+    for bound in (0, 2 ** 32 + 1):
+        with pytest.raises(ValueError):
+            draw(bound)
 
 
 def test_pairs_structure():

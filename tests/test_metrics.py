@@ -176,6 +176,47 @@ def test_pair_accuracy_matches_threshold_enumeration(rng):
     assert got == _brute_force_pair_acc(emb, same, diff)
 
 
+def _threshold_loop_pair_acc(emb, same, diff):
+    # the per-threshold loop pair_verification_accuracy replaced, kept as its oracle
+    d_same = np.linalg.norm(emb[same[:, 0]] - emb[same[:, 1]], axis=1)
+    d_diff = np.linalg.norm(emb[diff[:, 0]] - emb[diff[:, 1]], axis=1)
+    d_all = np.sort(np.concatenate([d_same, d_diff]))
+    midpoints = (d_all[:-1] + d_all[1:]) / 2.0
+    thresholds = np.concatenate([[d_all[0] - 1.0], midpoints, [d_all[-1] + 1.0]])
+    total = d_same.size + d_diff.size
+    best = 0.0
+    for t in thresholds:
+        acc = (np.count_nonzero(d_same <= t) + np.count_nonzero(d_diff > t)) / total
+        best = max(best, acc)
+    return float(best)
+
+
+def test_pair_accuracy_matches_threshold_loop(rng):
+    for trial in range(200):
+        n = int(rng.integers(2, 30))
+        if trial % 3 == 0:  # integer points: many exactly tied distances
+            emb = rng.integers(-2, 3, size=(n, 2)).astype(np.float64)
+        else:
+            emb = rng.normal(size=(n, 3))
+        same = rng.integers(0, n, size=(int(rng.integers(1, 40)), 2))
+        diff = rng.integers(0, n, size=(int(rng.integers(1, 40)), 2))
+        assert pair_verification_accuracy(emb, same, diff) == _threshold_loop_pair_acc(emb, same, diff)
+
+
+def test_pair_accuracy_all_distances_equal():
+    emb = np.zeros((5, 3))  # every distance is 0
+    same = np.array([[0, 1], [1, 2], [2, 3]])
+    diff = np.array([[0, 4], [3, 4]])
+    got = pair_verification_accuracy(emb, same, diff)
+    assert got == _threshold_loop_pair_acc(emb, same, diff) == 0.6
+    # equal nonzero distances between unit-spaced points on a line
+    emb = np.arange(6, dtype=np.float64)[:, None]
+    same = np.array([[0, 1], [2, 3]])
+    diff = np.array([[4, 5], [1, 2], [3, 4]])
+    got = pair_verification_accuracy(emb, same, diff)
+    assert got == _threshold_loop_pair_acc(emb, same, diff) == 0.6
+
+
 def test_pair_accuracy_at_least_max_prior(rng):
     for trial in range(5):
         emb = rng.normal(size=(20, 2))

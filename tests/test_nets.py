@@ -1,9 +1,10 @@
-"""Network construction, width division, forward semantics, and parameter
-copying. The trunk is input -> hidden widths -> embedding (all rectified);
+"""Network construction, width division, forward semantics, parameter
+copying, and atomic checkpoint writes. The trunk is input -> hidden widths -> embedding (all rectified);
 logits and regression heads are affine maps off the embedding."""
 import numpy as np
 import pytest
 
+from distillforge._atomic import atomic_write
 from distillforge.nets import (
     Network,
     NetworkSpec,
@@ -175,6 +176,33 @@ def test_save_load_round_trip(tmp_path, rng):
     x = rng.normal(size=(3, 64))
     np.testing.assert_array_equal(net.forward(x).logits.data, back.forward(x).logits.data)
     np.testing.assert_array_equal(net.forward(x).regression.data, back.forward(x).regression.data)
+
+
+@pytest.mark.parametrize("mode,old,part", [("w", "old text\n", "new te"),
+                                            ("wb", b"old bytes", b"new by")])
+def test_atomic_write_failure_keeps_old_file(tmp_path, mode, old, part):
+    path = tmp_path / "artifact"
+    (path.write_text if mode == "w" else path.write_bytes)(old)
+    with pytest.raises(RuntimeError):
+        with atomic_write(path, mode) as fh:
+            fh.write(part)
+            fh.flush()
+            raise RuntimeError("writer failed midway")
+    assert (path.read_text() if mode == "w" else path.read_bytes()) == old
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+
+def test_failed_checkpoint_save_keeps_old_checkpoint(tmp_path):
+    net = build(SPEC.student(8), seed=2)
+    path = tmp_path / "net.ckpt"
+    save_network(net, path)
+    before = path.read_bytes()
+    broken = clone(net)
+    broken.parameters[-1].data = np.array(["not a number"])  # fails after the header is written
+    with pytest.raises(ValueError):
+        save_network(broken, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["net.ckpt"]
 
 
 def test_invalid_specs_rejected():

@@ -2,14 +2,18 @@
 mechanics (schedules, determinism, copy integrity), target selection, and
 the experiment driver's report grid. Everything here runs on a miniature
 benchmark so the whole file stays in the single-digit seconds."""
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import distillforge.pipeline as pipeline
 import distillforge.tensor as tc
 from distillforge.data import GeneratorParams, as_arrays, generate
 from distillforge.losses import DistillConfig, softmax_loss
 from distillforge.metrics import top1_accuracy
-from distillforge.nets import NetworkSpec, build, clone
+from distillforge.nets import Network, NetworkSpec, build, clone
 from distillforge.pipeline import (
     ALIGNMENT,
     VERIFICATION,
@@ -30,7 +34,7 @@ from distillforge.pipeline import (
     train_teacher_cls,
     train_teacher_task,
 )
-from distillforge.pipeline import _index_batches, _run_training, _teacher_targets
+from distillforge.pipeline import _index_batches, _run_training, _teacher_targets, _train_arrays
 
 GEN = GeneratorParams(num_identities=6, samples_per_identity=10, input_dim=16,
                       latent_dim=4, pose_dim=2, num_keypoints=3, seed=0)
@@ -113,6 +117,44 @@ def test_nag_clears_gradients():
     net.parameters[0].grad = np.array([1.0])
     nag_step(net, opt)
     assert net.parameters[0].grad is None
+
+
+def test_nag_matches_allocating_reference(rng):
+    # the update nag_step ran before it had scratch buffers, bit for bit
+    shapes = [(7, 5), (5,), (1,)]
+    net = type("Net", (), {})()
+    net.parameters = [tc.Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+    opt = OptimizerState.for_network(net, learning_rate=0.03, momentum=0.9)
+    theta = [p.data.copy() for p in net.parameters]
+    vel = [np.zeros(s) for s in shapes]
+    for _ in range(6):
+        grads = [rng.normal(size=s) for s in shapes]
+        for p, g in zip(net.parameters, grads):
+            p.grad = g.copy()
+        nag_step(net, opt)
+        for i, g in enumerate(grads):
+            lr_g = 0.03 * g
+            vel[i] = 0.9 * vel[i] - lr_g
+            theta[i] = theta[i] + (0.9 * vel[i] - lr_g)
+            assert net.parameters[i].data.tobytes() == theta[i].tobytes()
+            assert opt.velocities[i].tobytes() == vel[i].tobytes()
+
+
+def test_nag_step_allocates_no_arrays(rng):
+    net = type("Net", (), {})()
+    net.parameters = [tc.Tensor(rng.normal(size=(256, 256)), requires_grad=True)]
+    opt = OptimizerState.for_network(net, learning_rate=0.01)
+    grad = rng.normal(size=(256, 256))
+    net.parameters[0].grad = grad
+    nag_step(net, opt)
+    net.parameters[0].grad = grad
+    tracemalloc.start()
+    try:
+        nag_step(net, opt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < grad.nbytes // 16  # a 512 KiB temporary would show
 
 
 # ----------------------------------------------------------------- stages
@@ -330,6 +372,58 @@ def test_experiment_threaded_matches_serial():
     a = run_experiment(_tiny_plan())
     b = run_experiment(_tiny_plan(), threads=2)
     assert a.rows() == b.rows()
+
+
+def test_experiment_report_bytes_do_not_depend_on_worker_count():
+    # many concurrent jobs per table, with thread switches forced as often
+    # as the interpreter allows, share one set of teacher targets
+    plan = _tiny_plan(tasks=(
+        TaskPlan(ALIGNMENT, (2,), inits=("scratch", "pretrain", "distill")),
+        TaskPlan(VERIFICATION, (2,), inits=("scratch", "distill"), include_softmax=True),
+    ), alignment_stage=StagePlan(16, 3, scratch_lr=0.005, continue_lr=0.001))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        blobs = [run_experiment(plan, threads=n).to_json() for n in (1, 2, 5)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_experiment_runs_each_teacher_once_on_shared_read_only_targets(monkeypatch):
+    plan = _tiny_plan(tasks=(
+        TaskPlan(ALIGNMENT, (2,), inits=("pretrain", "distill")),
+        TaskPlan(VERIFICATION, (2,), inits=("distill",)),
+    ))
+    n_train = len(generate(GEN).train)
+    full_passes, targets = [], []
+    forward, teacher_targets = Network.forward, pipeline._teacher_targets
+
+    def counting_forward(self, batch):
+        if len(batch) == n_train:  # training batches are smaller; evaluation uses the test split
+            full_passes.append(id(self))
+        return forward(self, batch)
+
+    def recording_targets(teacher, feats):
+        targets.append(teacher_targets(teacher, feats))
+        return targets[-1]
+
+    monkeypatch.setattr(Network, "forward", counting_forward)
+    monkeypatch.setattr(pipeline, "_teacher_targets", recording_targets)
+    run_experiment(plan)
+    assert len(full_passes) == 1 + len(plan.tasks)
+    assert len(set(full_passes)) == len(full_passes)
+    assert len(targets) == len(full_passes)
+    for logits, embedding in targets:
+        for array in (logits, embedding):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+
+
+def test_training_arrays_are_read_only(data):
+    for array in _train_arrays(data):
+        with pytest.raises(ValueError):
+            array[0] = 0
 
 
 def test_experiment_rejects_bad_thread_env(monkeypatch):
