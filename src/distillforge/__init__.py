@@ -11,8 +11,8 @@ Everything runs on a minimal tape-based reverse-mode autodiff core
   (:mod:`distillforge.data`);
 * evaluation metrics and report tables (:mod:`distillforge.metrics`);
 * training stages, the full-initialization trick, transfer
-  initialization, target selection, and the experiment driver
-  (:mod:`distillforge.pipeline`);
+  initialization, target selection, and the stage graph that drives
+  both ``train`` and ``reproduce`` (:mod:`distillforge.pipeline`);
 * a four-command CLI: generate / train / evaluate / reproduce
   (:mod:`distillforge.cli`).
 """

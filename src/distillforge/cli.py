@@ -17,35 +17,26 @@ Stage names follow the experiment's run keys, e.g. ``teacher_cls``,
 ``student4_cls_scratch``, ``student4_cls_full_init``,
 ``teacher_alignment``, ``student8_alignment_pretrain_base``,
 ``student8_alignment_distill_a1_b1``,
-``student2_verification_joint_pretrain_a0_b1``. Artifacts written by
-``train`` are bit-identical to the corresponding ``reproduce`` outputs
-because both derive stage seeds from the same named substreams.
+``student2_verification_joint_pretrain_a0_b1``. ``train`` and ``reproduce``
+run the same stage graph (``pipeline.stage``), so a checkpoint ``train``
+writes is bit-identical to the one ``reproduce`` writes for the same seed;
+``train`` loads a stage's dependencies from ``<out>/<key>.ckpt``.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import os
-import re
 import sys
-from dataclasses import replace
 
 from ._atomic import atomic_write
-from .config import (ConfigError, describe_keys, distill_config, experiment_plan,
-                     generator_params, load_config, network_spec, stage_plan)
-from .data import as_arrays, generate, load_dataset, make_pairs, save_dataset
+from .config import ConfigError, describe_keys, experiment_plan, generator_params, load_config
+from .data import generate, load_dataset, save_dataset
 from .metrics import MetricsReport
 from .nets import load_network, save_network
-from .pipeline import (ALIGNMENT, VERIFICATION, _fresh, derive_seed,
-                       distill_student_cls, distill_student_task, evaluate_alignment,
-                       evaluate_all, evaluate_classification, evaluate_verification,
-                       init_student_cls, pretrain_student_task, run_experiment,
-                       train_teacher_cls, train_teacher_task)
+from .pipeline import Run, evaluate_all, run_experiment, run_stage, stage
 
 __all__ = ["main"]
-
-_STUDENT_RE = re.compile(r"^student(\d+)_(cls|alignment|verification_joint|verification)_(.+)$")
-_GRID_RE = re.compile(r"^(scratch|pretrain|distill)_a([0-9.eE+-]+)_b([0-9.eE+-]+)$")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,113 +107,11 @@ def _require_ckpt(out_dir: str, key: str):
     return load_network(path)
 
 
-def _parse_stage(key: str) -> dict:
-    """Decompose a run key into (kind, divisor, label, init, alpha, beta)."""
-    if key == "teacher_cls":
-        return {"kind": "teacher_cls", "label": "cls"}
-    for label in ("alignment", "verification_joint", "verification"):
-        if key == f"teacher_{label}":
-            return {"kind": "teacher_task", "label": label}
-    m = _STUDENT_RE.match(key)
-    if m:
-        d, label, rest = int(m.group(1)), m.group(2), m.group(3)
-        if d < 1:
-            raise ConfigError(f"bad stage key {key!r}: divisor must be >= 1")
-        if label == "cls":
-            if rest in ("init", "scratch", "full_init"):
-                return {"kind": f"cls_{rest}", "label": "cls", "divisor": d}
-        elif rest == "pretrain_base":
-            return {"kind": "task_pretrain_base", "label": label, "divisor": d}
-        else:
-            g = _GRID_RE.match(rest)
-            if g:
-                return {"kind": "task_grid", "label": label, "divisor": d, "init": g.group(1),
-                        "alpha": _grid_weight(key, "alpha", g.group(2)),
-                        "beta": _grid_weight(key, "beta", g.group(3))}
-    raise ConfigError(f"unknown stage key {key!r}")
-
-
-def _grid_weight(key: str, name: str, text: str) -> float:
+def _stage(plan, key: str):
     try:
-        value = float(text)
-    except ValueError:
-        raise ConfigError(f"bad stage key {key!r}: {name} {text!r} is not a number") from None
-    if not 0.0 <= value < float("inf"):
-        raise ConfigError(f"bad stage key {key!r}: {name} must be finite and nonnegative, got {text!r}")
-    return value
-
-
-def _task_of(label: str) -> str:
-    return ALIGNMENT if label == ALIGNMENT else VERIFICATION
-
-
-def _stage_section(label: str) -> str:
-    return {"cls": "cls", "alignment": "alignment",
-            "verification": "verification", "verification_joint": "verification"}[label]
-
-
-def _eval_pairs(cfg: dict, data):
-    return make_pairs(data.test, cfg["experiment.eval_pairs"], derive_seed(cfg["seed"], "eval_pairs"))
-
-
-def _metrics_for(label: str, net, data, cfg: dict) -> dict[str, float]:
-    if label == "cls":
-        return evaluate_classification(net, data.test, _eval_pairs(cfg, data))
-    if label == ALIGNMENT:
-        return evaluate_alignment(net, data.test)
-    return evaluate_verification(net, data.test, _eval_pairs(cfg, data))
-
-
-def _train_stage(key: str, cfg: dict, out_dir: str, data):
-    info = _parse_stage(key)
-    seed = derive_seed(cfg["seed"], key)
-    spec = network_spec(cfg)
-    dcfg = distill_config(cfg)
-    section = _stage_section(info["label"])
-    splan = stage_plan(cfg, section)
-    kind = info["kind"]
-
-    if kind == "teacher_cls":
-        return train_teacher_cls(spec, data, splan.stage("scratch", seed))
-    if kind == "cls_init":
-        return init_student_cls(spec.student(info["divisor"]), data, splan.stage("scratch", seed))
-    if kind == "cls_scratch":
-        teacher = _require_ckpt(out_dir, "teacher_cls")
-        return distill_student_cls(teacher, data, dcfg, splan.stage("scratch", seed),
-                                   student_spec=spec.student(info["divisor"]))
-    if kind == "cls_full_init":
-        teacher = _require_ckpt(out_dir, "teacher_cls")
-        s0 = _require_ckpt(out_dir, f"student{info['divisor']}_cls_init")
-        return distill_student_cls(teacher, data, dcfg, splan.stage("continue", seed), init_from=s0)
-
-    label, task = info["label"], _task_of(info["label"])
-    joint = label == "verification_joint"
-    triplets = splan.triplets_per_epoch
-    if kind == "teacher_task":
-        teacher = _require_ckpt(out_dir, "teacher_cls")
-        return train_teacher_task(teacher, task, data, dcfg, splan.stage("continue", seed),
-                                  include_softmax=joint, triplets_per_epoch=triplets)
-    if kind == "task_pretrain_base":
-        return pretrain_student_task(spec.student(info["divisor"]), task, data, dcfg,
-                                     splan.stage("scratch", seed), include_softmax=joint,
-                                     triplets_per_epoch=triplets)
-
-    # task grid run
-    d = info["divisor"]
-    cfg_run = replace(dcfg, alpha=info["alpha"], beta=info["beta"])
-    teacher_task = _require_ckpt(out_dir, f"teacher_{label}")
-    if info["init"] == "pretrain":
-        init_net = _require_ckpt(out_dir, f"student{d}_{label}_pretrain_base")
-        mode = "continue"
-    elif info["init"] == "distill":
-        init_net = _require_ckpt(out_dir, f"student{d}_cls_full_init")
-        mode = "continue"
-    else:  # scratch: fresh build trained on the combined objective
-        init_net = _fresh(spec.student(d), seed, as_arrays(data.train)[0])
-        mode = "scratch"
-    return distill_student_task(teacher_task, init_net, task, data, cfg_run,
-                                splan.stage(mode, seed), include_softmax=joint,
-                                triplets_per_epoch=triplets)
+        return stage(plan, key)
+    except ValueError as exc:  # the key names no stage
+        raise ConfigError(str(exc)) from exc
 
 
 def _print_metrics(metrics: dict[str, float]) -> None:
@@ -244,12 +133,13 @@ def cmd_generate(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     out_dir = cfg["out"]
-    info = _parse_stage(args.stage)  # validate the key before touching files
+    plan = experiment_plan(cfg)
+    node = _stage(plan, args.stage)  # validate the key before touching files
     data = _require_dataset(out_dir)
-    net = _train_stage(args.stage, cfg, out_dir, data)
+    nets = {dep: _require_ckpt(out_dir, dep) for dep in node.deps}
+    net, metrics = run_stage(node, Run(plan, data), nets)
     ckpt = os.path.join(out_dir, f"{args.stage}.ckpt")
     save_network(net, ckpt)
-    metrics = _metrics_for(info["label"], net, data, cfg)
     with atomic_write(os.path.join(out_dir, f"{args.stage}.metrics.json"), "w",
                       encoding="utf-8") as fh:
         fh.write(json.dumps({"stage": args.stage, "metrics": metrics}, indent=2, sort_keys=True))
@@ -262,16 +152,15 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _load_cfg(args)
     out_dir = cfg["out"]
-    data = _require_dataset(out_dir)
+    plan = experiment_plan(cfg)
+    run = Run(plan, _require_dataset(out_dir))
     if args.stage.endswith(".ckpt"):
         if not os.path.exists(args.stage):
             raise FileNotFoundError(f"checkpoint {args.stage} not found")
-        net = load_network(args.stage)
-        metrics = evaluate_all(net, data.test, _eval_pairs(cfg, data))
+        metrics = evaluate_all(load_network(args.stage), run.data.test, run.pairs)
     else:
-        info = _parse_stage(args.stage)
-        net = _require_ckpt(out_dir, args.stage)
-        metrics = _metrics_for(info["label"], net, data, cfg)
+        label = _stage(plan, args.stage).label
+        metrics = run.evaluate(label, _require_ckpt(out_dir, args.stage))
     _print_metrics(metrics)
     return 0
 

@@ -110,14 +110,23 @@ def classification_distill_loss(student_logits, teacher_logits, labels, cfg: Dis
     if student_logits.shape != teacher_logits.shape:
         raise ValueError(
             f"student and teacher logits differ in shape: {student_logits.shape} vs {teacher_logits.shape}")
-    hard = softmax_loss(student_logits, labels)
-    if cfg.alpha == 0:
-        return hard
-    soft = cross_entropy(
-        soft_predictions(student_logits, cfg.tau),
-        soft_predictions(tc.detach(teacher_logits), cfg.tau),
-    )
-    return tc.add(hard, tc.mul(soft, cfg.alpha))
+    return _weighted_sum(softmax_loss(student_logits, labels),
+                         (cfg.alpha, lambda: _soft_term(student_logits, teacher_logits, cfg.tau)))
+
+
+def _soft_term(student_logits, teacher_logits, tau: float) -> Tensor:
+    """Cross-entropy of the softened student against the softened, detached teacher."""
+    return cross_entropy(soft_predictions(student_logits, tau),
+                         soft_predictions(tc.detach(teacher_logits), tau))
+
+
+def _weighted_sum(total, *terms) -> Tensor:
+    """total + weight * term() for each (weight, term) pair, left to right; a
+    term whose weight is 0 is skipped, never computed."""
+    for weight, term in terms:
+        if weight != 0:
+            total = tc.add(total, tc.mul(term(), weight))
+    return total
 
 
 def euclidean_loss(pred, target) -> Tensor:
@@ -149,16 +158,9 @@ def alignment_distill_loss(student_outputs, teacher_outputs, targets, cfg: Disti
     """
     s_logits, s_emb, s_reg = student_outputs
     t_logits, t_emb = teacher_outputs[0], teacher_outputs[1]
-    total = euclidean_loss(s_reg, targets)
-    if cfg.alpha != 0:
-        soft = cross_entropy(
-            soft_predictions(s_logits, cfg.tau),
-            soft_predictions(tc.detach(t_logits), cfg.tau),
-        )
-        total = tc.add(total, tc.mul(soft, cfg.alpha))
-    if cfg.beta != 0:
-        total = tc.add(total, tc.mul(hidden_match_loss(s_emb, t_emb), cfg.beta))
-    return total
+    return _weighted_sum(euclidean_loss(s_reg, targets),
+                         (cfg.alpha, lambda: _soft_term(s_logits, t_logits, cfg.tau)),
+                         (cfg.beta, lambda: hidden_match_loss(s_emb, t_emb)))
 
 
 def triplet_loss(anchor_emb, positive_emb, negative_emb, margin: float) -> Tensor:
@@ -194,20 +196,11 @@ def verification_distill_loss(student_outputs, teacher_outputs, triplet_indices,
     s_logits, s_emb = tc.as_tensor(student_outputs[0]), tc.as_tensor(student_outputs[1])
     t_logits, t_emb = tc.as_tensor(teacher_outputs[0]), tc.as_tensor(teacher_outputs[1])
     a_idx, p_idx, n_idx = triplet_indices
-    total = triplet_loss(
-        tc.take_rows(s_emb, a_idx),
-        tc.take_rows(s_emb, p_idx),
-        tc.take_rows(s_emb, n_idx),
-        cfg.lambda_margin,
-    )
-    if cfg.alpha != 0:
-        soft = cross_entropy(
-            soft_predictions(s_logits, cfg.tau),
-            soft_predictions(tc.detach(t_logits), cfg.tau),
-        )
-        total = tc.add(total, tc.mul(soft, cfg.alpha))
-    if cfg.beta != 0:
-        total = tc.add(total, tc.mul(hidden_match_loss(s_emb, t_emb), cfg.beta))
+    total = _weighted_sum(
+        triplet_loss(tc.take_rows(s_emb, a_idx), tc.take_rows(s_emb, p_idx),
+                     tc.take_rows(s_emb, n_idx), cfg.lambda_margin),
+        (cfg.alpha, lambda: _soft_term(s_logits, t_logits, cfg.tau)),
+        (cfg.beta, lambda: hidden_match_loss(s_emb, t_emb)))
     if include_softmax:
         if labels is None:
             raise ValueError("include_softmax requires labels")
@@ -217,9 +210,5 @@ def verification_distill_loss(student_outputs, teacher_outputs, triplet_indices,
 
 def general_distill_loss(task_loss, soft_term, hidden_term, cfg: DistillConfig) -> Tensor:
     """task + alpha * soft + beta * hidden over already-computed scalar terms."""
-    total = tc.as_tensor(task_loss)
-    if cfg.alpha != 0:
-        total = tc.add(total, tc.mul(tc.as_tensor(soft_term), cfg.alpha))
-    if cfg.beta != 0:
-        total = tc.add(total, tc.mul(tc.as_tensor(hidden_term), cfg.beta))
-    return total
+    return _weighted_sum(tc.as_tensor(task_loss), (cfg.alpha, lambda: tc.as_tensor(soft_term)),
+                         (cfg.beta, lambda: tc.as_tensor(hidden_term)))

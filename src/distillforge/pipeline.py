@@ -16,14 +16,22 @@ continuation rate); initialized runs use the continuation rate only.
 Every stage draws its randomness from a named substream of one top-level
 seed, so any run is reproducible in isolation. Trained networks carry
 their per-step loss history in ``net.training_log``.
+
+Each stage is named by a run key (``teacher_cls``, ``student4_cls_full_init``,
+``student8_alignment_distill_a0_b1``, ...). ``stage(plan, key)`` gives its
+dependencies and training body, and ``stages(plan)`` lists a plan's stages,
+dependencies first. This one graph drives both ``run_experiment`` and the
+CLI's ``train``, so their checkpoints are the same bytes.
 """
 from __future__ import annotations
 
 import hashlib
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import re
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -53,6 +61,11 @@ __all__ = [
     "StagePlan",
     "TaskPlan",
     "ExperimentPlan",
+    "Run",
+    "Stage",
+    "stage",
+    "stages",
+    "run_stage",
     "run_experiment",
     "evaluate_classification",
     "evaluate_alignment",
@@ -219,8 +232,8 @@ def _check_task(task: str) -> None:
 
 # Stages ---------------------------------------------------------------------------
 # Each public stage extracts the training arrays (and, for distillation, the
-# teacher targets) and runs a private body on them; ``run_experiment`` does
-# that extraction once per run (per teacher) and calls the bodies directly.
+# teacher targets) and runs a private body on them; the stage graph below
+# computes them once per run (per teacher) and calls the bodies directly.
 
 def train_teacher_cls(spec: NetworkSpec, data: SplitDataset, stage: StageConfig) -> Network:
     """Scratch softmax training of the (teacher) classification network."""
@@ -459,18 +472,6 @@ def evaluate_all(net: Network, samples, pairs=None) -> dict[str, float]:
 
 # Experiment plans ------------------------------------------------------------------
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is None:
-        raw = os.environ.get("DISTILLFORGE_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"DISTILLFORGE_THREADS must be an integer, got {raw!r}") from exc
-    if threads < 1:
-        raise ValueError(f"thread cap must be >= 1, got {threads}")
-    return threads
-
-
 @dataclass(frozen=True)
 class StagePlan:
     """Stage sizing plus the two learning rates of the schedule family.
@@ -516,6 +517,9 @@ class TaskPlan:
         bad = [i for i in self.inits if i not in ("scratch", "pretrain", "distill")]
         if bad:
             raise ValueError(f"unknown task init modes {bad}")
+        if any(not 0 <= w < math.inf or float(f"{w:g}") != w for point in self.grid for w in point):
+            raise ValueError("grid weights must be finite, nonnegative and exact in a run key's "
+                             f"%g form, got {self.grid}")
 
     @property
     def label(self) -> str:
@@ -556,127 +560,224 @@ class ExperimentPlan:
         bad = [i for i in self.cls_inits if i not in ("scratch", "full_init")]
         if bad:
             raise ValueError(f"unknown classification init modes {bad}")
+        labels = [tp.label for tp in self.tasks]
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"each task table needs its own label, got {labels}")
 
     def stage_plan(self, task: str) -> StagePlan:
         return self.alignment_stage if task == ALIGNMENT else self.verification_stage
 
+    def table(self, label: str) -> TaskPlan | None:
+        """The task table with this label, if the plan has one."""
+        return next((tp for tp in self.tasks if tp.label == label), None)
 
-def run_experiment(plan: ExperimentPlan, out_dir=None, threads: int | None = None) -> MetricsReport:
+
+# Stage graph -----------------------------------------------------------------------
+
+_STAGE_KEY = re.compile(r"(?:teacher|student(\d+))_(cls|alignment|verification_joint|verification)"
+                        r"(?:_(.+))?")
+_GRID_RUN = re.compile(r"(scratch|pretrain|distill)_a([0-9.eE+-]+)_b([0-9.eE+-]+)")
+_METRICS = {"cls": _classification_metrics, ALIGNMENT: _alignment_metrics}
+
+
+class Run:
+    """The constants every stage of one run shares, each computed at most once:
+    read-only training and test arrays, the evaluation pairs, and each
+    teacher's targets, memoised by the teacher's run key."""
+
+    def __init__(self, plan: ExperimentPlan, data: SplitDataset):
+        self.plan = plan
+        self.data = data
+        self._targets: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        return _train_arrays(self.data)
+
+    @cached_property
+    def test(self) -> tuple[np.ndarray, ...]:
+        return _read_only(*as_arrays(self.data.test))
+
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        return make_pairs(self.data.test, self.plan.eval_pairs,
+                          derive_seed(self.plan.seed, "eval_pairs"))
+
+    def targets(self, key: str, teacher: Network) -> tuple[np.ndarray, np.ndarray]:
+        if key not in self._targets:
+            self._targets[key] = _teacher_targets(teacher, self.arrays[0])
+        return self._targets[key]
+
+    def evaluate(self, label: str, net: Network) -> dict[str, float]:
+        """Test-split metrics of a stage label: ``cls`` or a task table label."""
+        metrics = _METRICS.get(label, _verification_metrics)
+        return metrics(net.forward(self.test[0]), *self.test[1:], self.pairs)
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One node of the stage graph.
+
+    ``train(run, nets)`` returns the stage's network; ``nets`` maps each key
+    in ``deps`` to its trained network, which is never mutated. ``label``
+    selects the metrics (``Run.evaluate``); ``row`` is the stage's report
+    row key, or None when the plan does not report it.
+    """
+
+    key: str
+    deps: tuple[str, ...]
+    label: str
+    row: tuple | None
+    train: Callable[[Run, Mapping[str, Network]], Network] = field(compare=False, repr=False)
+
+
+def _grid_weight(key: str, text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"bad stage key {key!r}: weight {text!r} is not a finite nonnegative number")
+    return value
+
+
+def stage(plan: ExperimentPlan, key: str) -> Stage:
+    """The stage a run key names, under this plan's settings and seed.
+
+    Keys outside the plan's report (another divisor or grid point) are
+    stages too, with no report row. A key that names no stage raises
+    ValueError.
+    """
+    m = _STAGE_KEY.fullmatch(key)
+    if m is None or (m[1] is None) != (m[3] is None):  # only student keys carry a suffix
+        raise ValueError(f"unknown stage key {key!r}")
+    divisor, label, kind = m.groups()
+    seed = derive_seed(plan.seed, key)
+    task, joint = _task_of(label)
+    splan = plan.cls_stage if label == "cls" else plan.stage_plan(task)
+    top = "teacher_cls"
+    if key == top:
+        cfg = splan.stage("scratch", seed)
+        return Stage(key, (), label, ("classification", "teacher", "scratch", 0.0, 0.0),
+                     lambda run, nets: _train_cls(plan.teacher, run.arrays, cfg))
+    if divisor is None:  # a task teacher: a value copy of the classification teacher, fine-tuned
+        cfg = splan.stage("continue", seed)
+        return Stage(key, (top,), label,
+                     (label, "teacher", "transfer", 0.0, 0.0) if plan.table(label) else None,
+                     lambda run, nets: _train_task(
+                         clone(nets[top]), task, run.data.train, run.arrays, plan.distill, cfg,
+                         joint, splan.triplets_per_epoch))
+
+    d = int(divisor)
+    spec = plan.teacher.student(d)
+    if label == "cls" and kind in ("init", "scratch", "full_init"):
+        cfg = splan.stage("continue" if kind == "full_init" else "scratch", seed)
+        row = (("classification", f"student/{d}", kind, plan.distill.alpha, 0.0)
+               if d in plan.cls_divisors and kind in plan.cls_inits else None)
+        if kind == "init":
+            return Stage(key, (), label, row, lambda run, nets: _train_cls(spec, run.arrays, cfg))
+        start = f"student{d}_cls_init" if kind == "full_init" else None
+        return Stage(key, (top, start) if start else (top,), label, row,
+                     lambda run, nets: _distill_cls(
+                         run.targets(top, nets[top]), run.arrays, plan.distill, cfg,
+                         student_spec=spec, init_from=nets[start] if start else None))
+    grid = _GRID_RUN.fullmatch(kind)
+    if label == "cls" or (grid is None and kind != "pretrain_base"):
+        raise ValueError(f"unknown stage key {key!r}")
+    if grid is None:  # the pretrain base: a fresh student on the task objective alone
+        cfg = splan.stage("scratch", seed)
+        return Stage(key, (), label, None, lambda run, nets: _train_task(
+            _fresh(spec, seed, run.arrays[0]), task, run.data.train, run.arrays, plan.distill, cfg,
+            joint, splan.triplets_per_epoch))
+
+    init = grid[1]
+    alpha, beta = _grid_weight(key, grid[2]), _grid_weight(key, grid[3])
+    table = plan.table(label)
+    row = ((label, f"student/{d}", init, alpha, beta)
+           if table and d in table.divisors and init in table.inits and (alpha, beta) in table.grid
+           else None)
+    teacher = f"teacher_{label}"
+    start = {"pretrain": f"student{d}_{label}_pretrain_base",
+             "distill": f"student{d}_cls_full_init"}.get(init)
+    cfg = splan.stage("continue" if start else "scratch", seed)
+    distill = replace(plan.distill, alpha=alpha, beta=beta)
+
+    def train(run: Run, nets: Mapping[str, Network]) -> Network:
+        # a scratch run starts from a fresh build on the combined objective
+        init_net = nets[start] if start else _fresh(spec, seed, run.arrays[0])
+        return _distill_task(run.targets(teacher, nets[teacher]), init_net, task, run.data.train,
+                             run.arrays, distill, cfg, joint, splan.triplets_per_epoch)
+
+    return Stage(key, (teacher, start) if start else (teacher,), label, row, train)
+
+
+def _task_of(label: str) -> tuple[str, bool]:
+    """(task, include_softmax) of a task table label."""
+    return (VERIFICATION, True) if label == f"{VERIFICATION}_joint" else (label, False)
+
+
+def _report_keys(plan: ExperimentPlan):
+    yield "teacher_cls"
+    for d in plan.cls_divisors:
+        for init in plan.cls_inits:
+            yield f"student{d}_cls_{init}"
+    for tp in plan.tasks:
+        yield f"teacher_{tp.label}"
+        for d in tp.divisors:
+            for init in tp.inits:
+                for alpha, beta in tp.grid:
+                    yield f"student{d}_{tp.label}_{init}_a{alpha:g}_b{beta:g}"
+
+
+def stages(plan: ExperimentPlan) -> list[Stage]:
+    """The plan's report stages plus everything they depend on, each stage
+    listed once and after its dependencies."""
+    listed: dict[str, Stage] = {}
+
+    def visit(key: str) -> None:
+        if key not in listed:
+            node = stage(plan, key)
+            for dep in node.deps:
+                visit(dep)
+            listed[key] = node
+
+    for key in _report_keys(plan):
+        visit(key)
+    return list(listed.values())
+
+
+def run_stage(node: Stage, run: Run, nets: Mapping[str, Network]) -> tuple[Network, dict[str, float]]:
+    """Train one stage from its dependencies' networks and evaluate it.
+
+    Any failure, a non-finite metric included, keeps its exception type
+    and names the run key.
+    """
+    try:
+        net = node.train(run, nets)
+        metrics = run.evaluate(node.label, net)
+        for name, value in metrics.items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+    except (RuntimeError, ValueError) as exc:
+        raise type(exc)(f"stage {node.key}: {exc}") from exc
+    return net, metrics
+
+
+def run_experiment(plan: ExperimentPlan, out_dir=None) -> MetricsReport:
     """Run every stage of the plan and return the metrics table.
 
     Checkpoints land in ``out_dir`` (one ``<run-key>.ckpt`` per trained
-    network) when it is given. ``threads`` caps grid-run parallelism and
-    defaults to the DISTILLFORGE_THREADS environment variable (then 1);
-    results do not depend on the thread count.
+    network) when it is given.
     """
-    threads = _resolve_threads(threads)
-    data = generate(plan.generator)
-    pairs = make_pairs(data.test, plan.eval_pairs, derive_seed(plan.seed, "eval_pairs"))
-    # run constants, computed once and shared read-only by every stage
-    arrays = _train_arrays(data)
-    test = _read_only(*as_arrays(data.test))
+    run = Run(plan, generate(plan.generator))
     report = MetricsReport()
-    saved: dict[str, Network] = {}
-
-    def register(key: str, net: Network) -> Network:
-        saved[key] = net
-        return net
-
-    def seed_for(key: str) -> int:
-        return derive_seed(plan.seed, key)
-
-    def evaluate(metrics, net: Network) -> dict[str, float]:
-        return metrics(net.forward(test[0]), *test[1:], pairs)
-
-    # classification
-    teacher = register("teacher_cls", _train_cls(
-        plan.teacher, arrays, plan.cls_stage.stage("scratch", seed_for("teacher_cls"))))
-    report.add("classification", "teacher", "scratch", 0.0, 0.0,
-               **evaluate(_classification_metrics, teacher))
-    cls_targets = _teacher_targets(teacher, arrays[0])
-
-    cls_students: dict[int, Network] = {}
-
-    def full_init_student(d: int) -> Network:
-        if d not in cls_students:
-            s0 = register(f"student{d}_cls_init", _train_cls(
-                plan.teacher.student(d), arrays,
-                plan.cls_stage.stage("scratch", seed_for(f"student{d}_cls_init"))))
-            cls_students[d] = register(f"student{d}_cls_full_init", _distill_cls(
-                cls_targets, arrays, plan.distill,
-                plan.cls_stage.stage("continue", seed_for(f"student{d}_cls_full_init")),
-                init_from=s0))
-        return cls_students[d]
-
-    for d in plan.cls_divisors:
-        for mode in plan.cls_inits:
-            if mode == "scratch":
-                net = register(f"student{d}_cls_scratch", _distill_cls(
-                    cls_targets, arrays, plan.distill,
-                    plan.cls_stage.stage("scratch", seed_for(f"student{d}_cls_scratch")),
-                    student_spec=plan.teacher.student(d)))
-            else:
-                net = full_init_student(d)
-            report.add("classification", f"student/{d}", mode, plan.distill.alpha, 0.0,
-                       **evaluate(_classification_metrics, net))
-
-    # task tables
-    for tp in plan.tasks:
-        splan = plan.stage_plan(tp.task)
-        task_metrics = _alignment_metrics if tp.task == ALIGNMENT else _verification_metrics
-        t_key = f"teacher_{tp.label}"
-        teacher_task = register(t_key, _train_task(
-            clone(teacher), tp.task, data.train, arrays, plan.distill,
-            splan.stage("continue", seed_for(t_key)), tp.include_softmax,
-            splan.triplets_per_epoch))
-        report.add(tp.label, "teacher", "transfer", 0.0, 0.0,
-                   **evaluate(task_metrics, teacher_task))
-        task_targets = _teacher_targets(teacher_task, arrays[0])
-
-        jobs = []
-        for d in tp.divisors:
-            s_spec = plan.teacher.student(d)
-            inits: dict[str, Network | None] = {}
-            for mode in tp.inits:
-                if mode == "pretrain":
-                    key = f"student{d}_{tp.label}_pretrain_base"
-                    stage = splan.stage("scratch", seed_for(key))
-                    inits[mode] = register(key, _train_task(
-                        _fresh(s_spec, stage.seed, arrays[0]), tp.task, data.train, arrays,
-                        plan.distill, stage, tp.include_softmax, splan.triplets_per_epoch))
-                elif mode == "distill":
-                    inits[mode] = full_init_student(d)
-                else:
-                    inits[mode] = None
-
-            for mode in tp.inits:
-                for alpha, beta in tp.grid:
-                    key = f"student{d}_{tp.label}_{mode}_a{alpha:g}_b{beta:g}"
-                    cfg = replace(plan.distill, alpha=alpha, beta=beta)
-                    stage_mode = "scratch" if mode == "scratch" else "continue"
-                    stage = splan.stage(stage_mode, seed_for(key))
-
-                    def job(key=key, cfg=cfg, stage=stage, mode=mode, d=d,
-                            init_net=inits[mode], alpha=alpha, beta=beta):
-                        if init_net is None:  # scratch: fresh build, combined objective
-                            init_net = _fresh(plan.teacher.student(d), stage.seed, arrays[0])
-                        net = _distill_task(
-                            task_targets, init_net, tp.task, data.train, arrays, cfg, stage,
-                            tp.include_softmax, splan.triplets_per_epoch)
-                        return key, (f"student/{d}", mode, alpha, beta), net
-                    jobs.append(job)
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(lambda j: j(), jobs))
-        else:
-            results = [j() for j in jobs]
-        for key, (network, mode, alpha, beta), net in results:
-            register(key, net)
-            report.add(tp.label, network, mode, alpha, beta, **evaluate(task_metrics, net))
-
+    nets: dict[str, Network] = {}
+    for node in stages(plan):
+        nets[node.key], metrics = run_stage(node, run, nets)
+        if node.row is not None:
+            report.add(*node.row, **metrics)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        for key, net in saved.items():
+        for key, net in nets.items():
             save_network(net, os.path.join(out_dir, f"{key}.ckpt"))
     return report

@@ -162,6 +162,56 @@ def test_train_chain_through_full_init(tmp_path, capsys):
         assert (tmp_path / "run" / f"{stage}.ckpt").exists()
 
 
+def _dependency_rank(key: str) -> int:
+    """Position of a run key's kind in the stage chain: every stage ranks
+    after the stages whose checkpoints it loads."""
+    for rank, kind in enumerate((r"teacher_cls", r"student\d+_cls_init", r"student\d+_cls_\w+",
+                                 r"teacher_\w+", r"student\d+_\w+_pretrain_base")):
+        if re.fullmatch(kind, key):
+            return rank
+    return 5  # task grid runs
+
+
+def test_train_checkpoints_match_reproduce_bytes(tmp_path, capsys):
+    sets = _sets("experiment.verification_modes=single,joint")
+    code, _, err = _run(capsys, "reproduce", "--seed", "3", "--out", str(tmp_path / "r"), *sets)
+    assert code == 0, err
+    reproduced = tmp_path / "r" / "checkpoints"
+    keys = sorted((p.stem for p in reproduced.glob("*.ckpt")), key=lambda k: (_dependency_rank(k), k))
+    assert len(keys) == 28
+
+    out_dir = tmp_path / "t"
+    assert _run(capsys, "generate", "--seed", "3", "--out", str(out_dir), *sets)[0] == 0
+    for key in keys:
+        code, _, err = _run(capsys, "train", key, "--seed", "3", "--out", str(out_dir), *sets)
+        assert code == 0, f"{key}: {err}"
+    mismatched = [key for key in keys
+                  if (out_dir / f"{key}.ckpt").read_bytes() != (reproduced / f"{key}.ckpt").read_bytes()]
+    assert mismatched == []
+
+    # keys outside the configured plan (divisor 3, grid point (0.5, 2)) still train
+    for key in ("student3_cls_scratch", "student2_alignment_distill_a0.5_b2"):
+        code, _, err = _run(capsys, "train", key, "--seed", "3", "--out", str(out_dir), *sets)
+        assert code == 0, f"{key}: {err}"
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_stage_failure_names_the_run_key(tmp_path, capsys):
+    # a scratch rate of 1e6 wrecks the classification teacher; the first stage
+    # with a non-finite metric is the alignment teacher fine-tuned from it
+    sets = _sets("cls.scratch_lr=1e6")
+    message = "error: stage teacher_alignment: nrmse must be finite, got inf"
+    code, _, err = _run(capsys, "reproduce", "--out", str(tmp_path / "r"), *sets)
+    assert code == 2 and message in err
+
+    out_dir = str(tmp_path / "t")
+    assert _run(capsys, "generate", "--out", out_dir, *sets)[0] == 0
+    assert _run(capsys, "train", "teacher_cls", "--out", out_dir, *sets)[0] == 0
+    code, _, err = _run(capsys, "train", "teacher_alignment", "--out", out_dir, *sets)
+    assert code == 2 and message in err
+    assert not (tmp_path / "t" / "teacher_alignment.ckpt").exists()
+
+
 def test_missing_dataset_is_runtime_error(tmp_path, capsys):
     code, _, err = _run(capsys, "train", "teacher_cls", "--out", str(tmp_path / "empty"),
                         *_sets())

@@ -2,7 +2,6 @@
 mechanics (schedules, determinism, copy integrity), target selection, and
 the experiment driver's report grid. Everything here runs on a miniature
 benchmark so the whole file stays in the single-digit seconds."""
-import sys
 import tracemalloc
 
 import numpy as np
@@ -13,12 +12,13 @@ import distillforge.tensor as tc
 from distillforge.data import GeneratorParams, as_arrays, generate
 from distillforge.losses import DistillConfig, softmax_loss
 from distillforge.metrics import top1_accuracy
-from distillforge.nets import Network, NetworkSpec, build, clone
+from distillforge.nets import Network, NetworkSpec, build, clone, load_network, save_network
 from distillforge.pipeline import (
     ALIGNMENT,
     VERIFICATION,
     ExperimentPlan,
     OptimizerState,
+    Run,
     StageConfig,
     StagePlan,
     TaskPlan,
@@ -30,7 +30,10 @@ from distillforge.pipeline import (
     nag_step,
     pretrain_student_task,
     run_experiment,
+    run_stage,
     select_targets,
+    stage,
+    stages,
     train_teacher_cls,
     train_teacher_task,
 )
@@ -368,26 +371,62 @@ def test_experiment_empty_divisors_reports_teachers_only():
     assert networks == {"teacher"}
 
 
-def test_experiment_threaded_matches_serial():
-    a = run_experiment(_tiny_plan())
-    b = run_experiment(_tiny_plan(), threads=2)
-    assert a.rows() == b.rows()
-
-
-def test_experiment_report_bytes_do_not_depend_on_worker_count():
-    # many concurrent jobs per table, with thread switches forced as often
-    # as the interpreter allows, share one set of teacher targets
+def test_experiment_checkpoints_match_stages_trained_alone(tmp_path):
+    # scratch and pretrain task inits beside the distilled one, and a joint
+    # verification table: every kind of stage and dependency
     plan = _tiny_plan(tasks=(
         TaskPlan(ALIGNMENT, (2,), inits=("scratch", "pretrain", "distill")),
         TaskPlan(VERIFICATION, (2,), inits=("scratch", "distill"), include_softmax=True),
     ), alignment_stage=StagePlan(16, 3, scratch_lr=0.005, continue_lr=0.001))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        blobs = [run_experiment(plan, threads=n).to_json() for n in (1, 2, 5)]
-    finally:
-        sys.setswitchinterval(interval)
-    assert blobs[0] == blobs[1] == blobs[2]
+    run_experiment(plan, tmp_path / "run")
+    data = generate(plan.generator)
+    for node in stages(plan):
+        nets = {dep: load_network(tmp_path / "run" / f"{dep}.ckpt") for dep in node.deps}
+        net, _ = run_stage(node, Run(plan, data), nets)
+        save_network(net, tmp_path / "alone.ckpt")
+        assert ((tmp_path / "alone.ckpt").read_bytes()
+                == (tmp_path / "run" / f"{node.key}.ckpt").read_bytes()), node.key
+
+
+def test_stage_graph_of_default_plan():
+    plan = ExperimentPlan()
+    listed = stages(plan)
+    expected = {"teacher_cls"}
+    expected |= {f"student{d}_cls_{kind}" for d in (2, 4, 8) for kind in ("init", "scratch", "full_init")}
+    for label, d in (("alignment", 8), ("verification", 2), ("verification_joint", 2)):
+        expected |= {f"teacher_{label}", f"student{d}_{label}_pretrain_base"}
+        expected |= {f"student{d}_{label}_{init}_a{a}_b{b}"
+                     for init in ("pretrain", "distill") for a, b in ((0, 0), (0, 1), (1, 0))}
+    keys = [node.key for node in listed]
+    assert len(keys) == 34 and set(keys) == expected
+    done = set()
+    for node in listed:
+        assert set(node.deps) <= done, f"{node.key} is listed before a dependency"
+        done.add(node.key)
+        assert stage(plan, node.key) == node
+    rows = [node.row for node in listed if node.row is not None]
+    assert len(rows) == len(set(rows)) == 28  # 1 + 3 * 2 classification rows, 3 tables of 7
+
+
+def test_stage_resolves_keys_outside_the_plan_and_rejects_unknown_keys():
+    plan = ExperimentPlan()
+    node = stage(plan, "student3_cls_scratch")
+    assert (node.deps, node.label, node.row) == (("teacher_cls",), "cls", None)
+    node = stage(plan, "student2_alignment_distill_a0.5_b2")
+    assert node.deps == ("teacher_alignment", "student2_cls_full_init") and node.row is None
+    assert stage(plan, "student8_alignment_distill_a0_b1").row == ("alignment", "student/8", "distill",
+                                                                   0.0, 1.0)
+    for key in ("teacher_cls_scratch", "student2_cls", "student2_cls_pretrain_base",
+                "student2_alignment_init", "student2_alignment_distill_a1e_b0"):
+        with pytest.raises(ValueError, match=key):
+            stage(plan, key)
+
+
+def test_plan_rejects_ambiguous_run_keys():
+    with pytest.raises(ValueError, match="label"):
+        _tiny_plan(tasks=(TaskPlan(ALIGNMENT, (2,)), TaskPlan(ALIGNMENT, (4,))))
+    with pytest.raises(ValueError, match="grid weights"):
+        TaskPlan(ALIGNMENT, (2,), grid=((0.1234567, 0.0),))
 
 
 def test_experiment_runs_each_teacher_once_on_shared_read_only_targets(monkeypatch):
@@ -424,12 +463,6 @@ def test_training_arrays_are_read_only(data):
     for array in _train_arrays(data):
         with pytest.raises(ValueError):
             array[0] = 0
-
-
-def test_experiment_rejects_bad_thread_env(monkeypatch):
-    monkeypatch.setenv("DISTILLFORGE_THREADS", "many")
-    with pytest.raises(ValueError):
-        run_experiment(_tiny_plan())
 
 
 # ------------------------------------------------------------- evaluation
