@@ -21,6 +21,10 @@ Stage names follow the experiment's run keys, e.g. ``teacher_cls``,
 run the same stage graph (``pipeline.stage``), so a checkpoint ``train``
 writes is bit-identical to the one ``reproduce`` writes for the same seed;
 ``train`` loads a stage's dependencies from ``<out>/<key>.ckpt``.
+
+``reproduce`` runs the stages on ``DISTILLFORGE_THREADS`` worker processes
+(a positive integer, default 1: in-process); its output bytes do not depend
+on that count. The other subcommands ignore the variable.
 """
 from __future__ import annotations
 
@@ -165,13 +169,28 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _workers() -> int:
+    """The worker-process count ``DISTILLFORGE_THREADS`` asks for (default 1)."""
+    text = os.environ.get("DISTILLFORGE_THREADS", "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"DISTILLFORGE_THREADS must be a positive integer, got {text!r}")
+    return workers
+
+
 def cmd_reproduce(args) -> int:
     cfg = _load_cfg(args)
     out_dir = cfg["out"]
-    os.makedirs(out_dir, exist_ok=True)
     plan = experiment_plan(cfg)
-    save_dataset(generate(plan.generator), os.path.join(out_dir, "dataset.txt"))
-    report = run_experiment(plan, out_dir=os.path.join(out_dir, "checkpoints"))
+    workers = _workers()
+    os.makedirs(out_dir, exist_ok=True)
+    data = generate(plan.generator)
+    save_dataset(data, os.path.join(out_dir, "dataset.txt"))
+    report = run_experiment(plan, out_dir=os.path.join(out_dir, "checkpoints"), workers=workers,
+                            data=data)
     report_path = os.path.join(out_dir, "report.json")
     with atomic_write(report_path, "w", encoding="utf-8") as fh:
         fh.write(report.to_json())

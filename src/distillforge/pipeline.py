@@ -22,6 +22,11 @@ Each stage is named by a run key (``teacher_cls``, ``student4_cls_full_init``,
 dependencies and training body, and ``stages(plan)`` lists a plan's stages,
 dependencies first. This one graph drives both ``run_experiment`` and the
 CLI's ``train``, so their checkpoints are the same bytes.
+
+``run_experiment(plan, workers=N)`` walks the graph on N forked worker
+processes: a stage is submitted as soon as its dependencies have finished,
+and the report and checkpoints come out in ``stages(plan)`` order, so their
+bytes do not depend on N.
 """
 from __future__ import annotations
 
@@ -763,21 +768,91 @@ def run_stage(node: Stage, run: Run, nets: Mapping[str, Network]) -> tuple[Netwo
     return net, metrics
 
 
-def run_experiment(plan: ExperimentPlan, out_dir=None) -> MetricsReport:
+def run_experiment(plan: ExperimentPlan, out_dir=None, workers: int = 1,
+                   data: SplitDataset | None = None) -> MetricsReport:
     """Run every stage of the plan and return the metrics table.
 
-    Checkpoints land in ``out_dir`` (one ``<run-key>.ckpt`` per trained
-    network) when it is given.
+    ``data`` is the plan's dataset (drawn from ``plan.generator`` when not
+    given). With ``workers`` above 1 the stages run on that many worker
+    processes (at most one per stage); the report and checkpoints are the
+    same bytes for any worker count. Checkpoints land in ``out_dir`` (one
+    ``<run-key>.ckpt`` per trained network) when it is given.
     """
-    run = Run(plan, generate(plan.generator))
-    report = MetricsReport()
+    if workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers}")
+    run = Run(plan, generate(plan.generator) if data is None else data)
+    listed = stages(plan)
     nets: dict[str, Network] = {}
-    for node in stages(plan):
-        nets[node.key], metrics = run_stage(node, run, nets)
+    metrics: dict[str, dict[str, float]] = {}
+    workers = min(workers, len(listed))
+    if workers == 1:
+        for node in listed:
+            nets[node.key], metrics[node.key] = run_stage(node, run, nets)
+    else:
+        _walk(listed, run, workers, nets, metrics)
+    report = MetricsReport()
+    for node in listed:
         if node.row is not None:
-            report.add(*node.row, **metrics)
+            report.add(*node.row, **metrics[node.key])
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        for key, net in nets.items():
-            save_network(net, os.path.join(out_dir, f"{key}.ckpt"))
+        for node in listed:
+            save_network(nets[node.key], os.path.join(out_dir, f"{node.key}.ckpt"))
     return report
+
+
+# The run a pool worker serves; set once per worker process by ``_adopt``.
+_worker_run: Run | None = None
+
+
+def _adopt(run: Run) -> None:
+    global _worker_run
+    _worker_run = run
+
+
+def _run_adopted(key: str, nets: Mapping[str, Network]) -> tuple[Network, dict[str, float]]:
+    return run_stage(stage(_worker_run.plan, key), _worker_run, nets)
+
+
+def _walk(listed: list[Stage], run: Run, workers: int, nets: dict, metrics: dict) -> None:
+    """Run the stages on a process pool, each once its dependencies are done.
+
+    Workers are forked, so they inherit ``run`` (dataset, arrays) without
+    pickling it and without re-importing numpy and this package, which a
+    spawned worker must do first; forking also means the caller should run
+    no other threads. Only a stage's dependency networks and its result
+    cross the process boundary. On the first failure the stages not yet
+    started are cancelled and the pool is shut down; the failure raised is
+    the one of the earliest listed stage among those that ran.
+    """
+    # imported here, not at the top: these modules add about 25 ms to the
+    # start-up of every CLI command, and only a pool needs them
+    import multiprocessing
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
+
+    waiting, running = list(listed), {}
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_adopt, initargs=(run,))
+    try:
+        while waiting or running:
+            for node in [n for n in waiting if all(dep in nets for dep in n.deps)]:
+                waiting.remove(node)
+                deps = {dep: nets[dep] for dep in node.deps}
+                running[pool.submit(_run_adopted, node.key, deps)] = node
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            if any(future.exception() is not None for future in done):
+                break
+            for future in done:
+                node = running.pop(future)
+                nets[node.key], metrics[node.key] = future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+    failed = [future for future in running
+              if not future.cancelled() and future.exception() is not None]
+    if failed:
+        exc = min(failed, key=lambda future: listed.index(running[future])).exception()
+        if isinstance(exc, BrokenProcessPool):
+            raise RuntimeError("a worker process died while running stages "
+                               f"{', '.join(node.key for node in running.values())}") from exc
+        raise exc

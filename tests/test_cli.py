@@ -1,11 +1,15 @@
 """Config parsing and the command-line front end, run in-process via
 ``cli.main``. A miniature benchmark (6 identities, 16-dim inputs, one
 epoch per phase) keeps every command under a second."""
+import hashlib
 import json
+import multiprocessing
 import re
+from pathlib import Path
 
 import pytest
 
+import distillforge.pipeline as pipeline
 from distillforge import cli
 from distillforge.config import (ConfigError, DEFAULTS, apply_set, default_config,
                                  describe_keys, load_config)
@@ -196,13 +200,16 @@ def test_train_checkpoints_match_reproduce_bytes(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-def test_stage_failure_names_the_run_key(tmp_path, capsys):
+def test_stage_failure_names_the_run_key(tmp_path, capsys, monkeypatch):
     # a scratch rate of 1e6 wrecks the classification teacher; the first stage
     # with a non-finite metric is the alignment teacher fine-tuned from it
     sets = _sets("cls.scratch_lr=1e6")
     message = "error: stage teacher_alignment: nrmse must be finite, got inf"
-    code, _, err = _run(capsys, "reproduce", "--out", str(tmp_path / "r"), *sets)
-    assert code == 2 and message in err
+    for workers in ("1", "2"):
+        monkeypatch.setenv("DISTILLFORGE_THREADS", workers)
+        code, _, err = _run(capsys, "reproduce", "--out", str(tmp_path / f"r{workers}"), *sets)
+        assert code == 2 and message in err
+        assert multiprocessing.active_children() == []
 
     out_dir = str(tmp_path / "t")
     assert _run(capsys, "generate", "--out", out_dir, *sets)[0] == 0
@@ -281,3 +288,48 @@ def test_reproduce_writes_reports_and_is_deterministic(tmp_path, capsys):
             assert row["network"] in text
             for value in row["metrics"].values():
                 assert f"{value:.12g}" in text  # text tables carry full precision
+
+
+def test_reproduce_draws_the_dataset_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting(generate):
+        def wrapper(params):
+            calls.append(params)
+            return generate(params)
+        return wrapper
+
+    monkeypatch.setattr(cli, "generate", counting(cli.generate))
+    monkeypatch.setattr(pipeline, "generate", counting(pipeline.generate))
+    code, _, err = _run(capsys, "reproduce", "--out", str(tmp_path), *_sets())
+    assert code == 0, err
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "two", ""])
+def test_reproduce_rejects_a_bad_worker_count(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("DISTILLFORGE_THREADS", value)
+    code, _, err = _run(capsys, "reproduce", "--out", str(tmp_path), *_sets())
+    assert code == 1
+    assert "DISTILLFORGE_THREADS" in err
+
+
+def test_train_and_evaluate_ignore_the_worker_count(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DISTILLFORGE_THREADS", "two")
+    out_dir = str(tmp_path)
+    assert _run(capsys, "generate", "--out", out_dir, *_sets())[0] == 0
+    assert _run(capsys, "train", "teacher_cls", "--out", out_dir, *_sets())[0] == 0
+    assert _run(capsys, "evaluate", "teacher_cls", "--out", out_dir, *_sets())[0] == 0
+
+
+def test_reproduce_on_two_workers_matches_recorded_digest(tmp_path, capsys, monkeypatch):
+    # the serial run is pinned by test_11 in the release gate; this one
+    # pins the same bytes for the benchmark's two-worker workload
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "perfbench" / "digests.json", encoding="utf-8") as fh:
+        expected = json.load(fh)["reproduce"]["0"]["report.json"]
+    monkeypatch.setenv("DISTILLFORGE_THREADS", "2")
+    code, _, err = _run(capsys, "reproduce", "--seed", "0", "--config",
+                        str(root / "perfbench" / "configs" / "grid.cfg"), "--out", str(tmp_path))
+    assert code == 0, err
+    assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == expected

@@ -2,6 +2,9 @@
 mechanics (schedules, determinism, copy integrity), target selection, and
 the experiment driver's report grid. Everything here runs on a miniature
 benchmark so the whole file stays in the single-digit seconds."""
+import concurrent.futures
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -371,13 +374,17 @@ def test_experiment_empty_divisors_reports_teachers_only():
     assert networks == {"teacher"}
 
 
-def test_experiment_checkpoints_match_stages_trained_alone(tmp_path):
+def _rich_plan():
     # scratch and pretrain task inits beside the distilled one, and a joint
     # verification table: every kind of stage and dependency
-    plan = _tiny_plan(tasks=(
+    return _tiny_plan(tasks=(
         TaskPlan(ALIGNMENT, (2,), inits=("scratch", "pretrain", "distill")),
         TaskPlan(VERIFICATION, (2,), inits=("scratch", "distill"), include_softmax=True),
     ), alignment_stage=StagePlan(16, 3, scratch_lr=0.005, continue_lr=0.001))
+
+
+def test_experiment_checkpoints_match_stages_trained_alone(tmp_path):
+    plan = _rich_plan()
     run_experiment(plan, tmp_path / "run")
     data = generate(plan.generator)
     for node in stages(plan):
@@ -386,6 +393,54 @@ def test_experiment_checkpoints_match_stages_trained_alone(tmp_path):
         save_network(net, tmp_path / "alone.ckpt")
         assert ((tmp_path / "alone.ckpt").read_bytes()
                 == (tmp_path / "run" / f"{node.key}.ckpt").read_bytes()), node.key
+
+
+def test_experiment_bytes_do_not_depend_on_worker_count(tmp_path):
+    plan = _rich_plan()
+    reports = {workers: run_experiment(plan, tmp_path / str(workers), workers=workers).to_json()
+               for workers in (1, 2, 5)}
+    assert reports[2] == reports[1] and reports[5] == reports[1]
+    for node in stages(plan):
+        serial = (tmp_path / "1" / f"{node.key}.ckpt").read_bytes()
+        for workers in (2, 5):
+            assert (tmp_path / str(workers) / f"{node.key}.ckpt").read_bytes() == serial, node.key
+    assert multiprocessing.active_children() == []
+
+
+def test_experiment_caps_workers_at_the_stage_count(monkeypatch):
+    plan = _tiny_plan(cls_divisors=(), tasks=(TaskPlan(ALIGNMENT, ()),))
+    n_stages = len(stages(plan))
+    sizes = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            assert max_workers == n_stages == 2  # checked before any worker starts
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    assert run_experiment(plan, workers=64).to_json() == run_experiment(plan).to_json()
+    assert sizes == [2]
+    with pytest.raises(ValueError, match="workers"):
+        run_experiment(plan, workers=0)
+
+
+def test_pool_failures_name_the_stage_and_leave_no_worker(monkeypatch):
+    plan = _tiny_plan()
+
+    def fail(*args):
+        raise ValueError("boom")
+
+    # workers are forked after the patch, so they run the patched task body
+    monkeypatch.setattr(pipeline, "_train_task", fail)
+    with pytest.raises(ValueError, match="^stage teacher_alignment: boom$"):
+        run_experiment(plan, workers=2)
+    assert multiprocessing.active_children() == []
+
+    monkeypatch.setattr(pipeline, "_train_task", lambda *args: os._exit(3))
+    with pytest.raises(RuntimeError, match="worker process died while running stages .*teacher_alignment"):
+        run_experiment(plan, workers=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_stage_graph_of_default_plan():
