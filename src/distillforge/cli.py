@@ -22,9 +22,9 @@ run the same stage graph (``pipeline.stage``), so a checkpoint ``train``
 writes is bit-identical to the one ``reproduce`` writes for the same seed;
 ``train`` loads a stage's dependencies from ``<out>/<key>.ckpt``.
 
-``reproduce`` runs the stages on ``DISTILLFORGE_THREADS`` worker processes
-(a positive integer, default 1: in-process); its output bytes do not depend
-on that count. The other subcommands ignore the variable.
+``reproduce`` runs the stages on one forked worker process per CPU it may
+use when BLAS runs one thread, and in-process otherwise; its output bytes
+are the same either way.
 """
 from __future__ import annotations
 
@@ -170,27 +170,29 @@ def cmd_evaluate(args) -> int:
 
 
 def _workers() -> int:
-    """The worker-process count ``DISTILLFORGE_THREADS`` asks for (default 1)."""
-    text = os.environ.get("DISTILLFORGE_THREADS", "1")
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(f"DISTILLFORGE_THREADS must be a positive integer, got {text!r}")
-    return workers
+    """Worker processes for ``reproduce``: one per usable CPU when OpenBLAS
+    runs one thread, else 1. Forked workers whose OpenBLAS keeps a thread per
+    CPU fight over the cores: on 2 vCPUs the scaled grid took 5.5-18.6 s on
+    two such workers against 3.0 s in one process."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    # OpenBLAS takes the first of these variables that is a positive integer
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        text = os.environ.get(var, "").strip()
+        if text.isdigit() and int(text) > 0:
+            return len(os.sched_getaffinity(0)) if int(text) == 1 else 1
+    return 1
 
 
 def cmd_reproduce(args) -> int:
     cfg = _load_cfg(args)
     out_dir = cfg["out"]
     plan = experiment_plan(cfg)
-    workers = _workers()
     os.makedirs(out_dir, exist_ok=True)
     data = generate(plan.generator)
     save_dataset(data, os.path.join(out_dir, "dataset.txt"))
-    report = run_experiment(plan, out_dir=os.path.join(out_dir, "checkpoints"), workers=workers,
-                            data=data)
+    report = run_experiment(plan, out_dir=os.path.join(out_dir, "checkpoints"),
+                            workers=_workers(), data=data)
     report_path = os.path.join(out_dir, "report.json")
     with atomic_write(report_path, "w", encoding="utf-8") as fh:
         fh.write(report.to_json())

@@ -21,9 +21,6 @@ __all__ = [
 ]
 
 
-_TOP1_BLOCK = 16  # rows per block of verification_top1's distance search
-
-
 def _as_array(x) -> np.ndarray:
     return np.asarray(getattr(x, "data", x), dtype=np.float64)
 
@@ -86,15 +83,11 @@ def verification_top1(embeddings, identities) -> float:
     if n < 2:
         raise ValueError("verification_top1: need at least two samples")
     hits = 0
-    # a block's squared distances are the same float operations as one row's
-    # at a time; small blocks keep the reused difference buffer in cache
-    buf = np.empty((min(_TOP1_BLOCK, n), *emb.shape))
-    for start in range(0, n, _TOP1_BLOCK):
-        rows = np.arange(start, min(start + _TOP1_BLOCK, n))
-        diff = np.subtract(emb, emb[rows, None, :], out=buf[:rows.size])
-        d2 = np.einsum("bij,bij->bi", diff, diff)
-        d2[np.arange(rows.size), rows] = np.inf
-        hits += int(np.count_nonzero(ids[d2.argmin(axis=1)] == ids[rows]))
+    for i in range(n):
+        diff = emb - emb[i]
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        d2[i] = np.inf
+        hits += ids[int(d2.argmin())] == ids[i]
     return float(hits / n)
 
 

@@ -26,7 +26,8 @@ CLI's ``train``, so their checkpoints are the same bytes.
 ``run_experiment(plan, workers=N)`` walks the graph on N forked worker
 processes: a stage is submitted as soon as its dependencies have finished,
 and the report and checkpoints come out in ``stages(plan)`` order, so their
-bytes do not depend on N.
+bytes do not depend on N. A run whose ``run_stage`` has been wrapped (a span
+tracer, say) walks in-process, where the wrapper can see every stage.
 """
 from __future__ import annotations
 
@@ -774,8 +775,9 @@ def run_experiment(plan: ExperimentPlan, out_dir=None, workers: int = 1,
 
     ``data`` is the plan's dataset (drawn from ``plan.generator`` when not
     given). With ``workers`` above 1 the stages run on that many worker
-    processes (at most one per stage); the report and checkpoints are the
-    same bytes for any worker count. Checkpoints land in ``out_dir`` (one
+    processes (at most one per stage), unless ``run_stage`` carries a
+    wrapper's ``__wrapped__``; the report and checkpoints are the same bytes
+    for any worker count. Checkpoints land in ``out_dir`` (one
     ``<run-key>.ckpt`` per trained network) when it is given.
     """
     if workers < 1:
@@ -785,7 +787,8 @@ def run_experiment(plan: ExperimentPlan, out_dir=None, workers: int = 1,
     nets: dict[str, Network] = {}
     metrics: dict[str, dict[str, float]] = {}
     workers = min(workers, len(listed))
-    if workers == 1:
+    # what a wrapper records in a forked worker never reaches this process
+    if workers == 1 or hasattr(run_stage, "__wrapped__"):
         for node in listed:
             nets[node.key], metrics[node.key] = run_stage(node, run, nets)
     else:
@@ -817,13 +820,14 @@ def _run_adopted(key: str, nets: Mapping[str, Network]) -> tuple[Network, dict[s
 def _walk(listed: list[Stage], run: Run, workers: int, nets: dict, metrics: dict) -> None:
     """Run the stages on a process pool, each once its dependencies are done.
 
-    Workers are forked, so they inherit ``run`` (dataset, arrays) without
-    pickling it and without re-importing numpy and this package, which a
-    spawned worker must do first; forking also means the caller should run
-    no other threads. Only a stage's dependency networks and its result
-    cross the process boundary. On the first failure the stages not yet
-    started are cancelled and the pool is shut down; the failure raised is
-    the one of the earliest listed stage among those that ran.
+    Workers are forked, so they share ``run``'s dataset, arrays and
+    evaluation pairs, computed here first, without pickling them and without
+    re-importing numpy and this package, which a spawned worker must do
+    first; forking also means the caller should run no other threads. Only
+    a stage's dependency networks and its result cross the process
+    boundary. On the first failure the stages not yet started are cancelled
+    and the pool is shut down; the failure raised is the one of the earliest
+    listed stage among those that ran.
     """
     # imported here, not at the top: these modules add about 25 ms to the
     # start-up of every CLI command, and only a pool needs them
@@ -831,6 +835,7 @@ def _walk(listed: list[Stage], run: Run, workers: int, nets: dict, metrics: dict
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
     from concurrent.futures.process import BrokenProcessPool
 
+    run.arrays, run.test, run.pairs  # computed once, before the fork
     waiting, running = list(listed), {}
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                initializer=_adopt, initargs=(run,))

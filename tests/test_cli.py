@@ -4,6 +4,7 @@ epoch per phase) keeps every command under a second."""
 import hashlib
 import json
 import multiprocessing
+import os
 import re
 from pathlib import Path
 
@@ -205,8 +206,8 @@ def test_stage_failure_names_the_run_key(tmp_path, capsys, monkeypatch):
     # with a non-finite metric is the alignment teacher fine-tuned from it
     sets = _sets("cls.scratch_lr=1e6")
     message = "error: stage teacher_alignment: nrmse must be finite, got inf"
-    for workers in ("1", "2"):
-        monkeypatch.setenv("DISTILLFORGE_THREADS", workers)
+    for workers in (1, 2):
+        monkeypatch.setattr(cli, "_workers", lambda: workers)
         code, _, err = _run(capsys, "reproduce", "--out", str(tmp_path / f"r{workers}"), *sets)
         assert code == 2 and message in err
         assert multiprocessing.active_children() == []
@@ -306,30 +307,41 @@ def test_reproduce_draws_the_dataset_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("value", ["0", "-1", "two", ""])
-def test_reproduce_rejects_a_bad_worker_count(tmp_path, capsys, monkeypatch, value):
-    monkeypatch.setenv("DISTILLFORGE_THREADS", value)
-    code, _, err = _run(capsys, "reproduce", "--out", str(tmp_path), *_sets())
-    assert code == 1
-    assert "DISTILLFORGE_THREADS" in err
+@pytest.mark.parametrize("env, workers", [
+    ({}, 1),  # OpenBLAS keeps a thread per CPU
+    ({"OPENBLAS_NUM_THREADS": "1"}, 3),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 3),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+    ({"GOTO_NUM_THREADS": "one", "OMP_NUM_THREADS": "1"}, 3),
+])
+def test_reproduce_runs_a_worker_per_cpu_only_on_one_blas_thread(monkeypatch, env, workers):
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert cli._workers() == workers
 
 
-def test_train_and_evaluate_ignore_the_worker_count(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("DISTILLFORGE_THREADS", "two")
-    out_dir = str(tmp_path)
-    assert _run(capsys, "generate", "--out", out_dir, *_sets())[0] == 0
-    assert _run(capsys, "train", "teacher_cls", "--out", out_dir, *_sets())[0] == 0
-    assert _run(capsys, "evaluate", "teacher_cls", "--out", out_dir, *_sets())[0] == 0
-
-
-def test_reproduce_on_two_workers_matches_recorded_digest(tmp_path, capsys, monkeypatch):
-    # the serial run is pinned by test_11 in the release gate; this one
-    # pins the same bytes for the benchmark's two-worker workload
+@pytest.mark.parametrize("workers", [1, 2])
+def test_reproduce_matches_recorded_digest_on_any_worker_count(tmp_path, capsys, monkeypatch,
+                                                               workers):
+    # test_11 in the release gate runs the worker count of the host; this
+    # pins the same bytes for the in-process walk and for the pool
     root = Path(__file__).resolve().parents[1]
     with open(root / "perfbench" / "digests.json", encoding="utf-8") as fh:
         expected = json.load(fh)["reproduce"]["0"]["report.json"]
-    monkeypatch.setenv("DISTILLFORGE_THREADS", "2")
+    monkeypatch.setattr(cli, "_workers", lambda: workers)
+    walks, walk = [], pipeline._walk
+
+    def recording(listed, run, n, *rest):
+        walks.append(n)
+        return walk(listed, run, n, *rest)
+
+    monkeypatch.setattr(pipeline, "_walk", recording)
     code, _, err = _run(capsys, "reproduce", "--seed", "0", "--config",
                         str(root / "perfbench" / "configs" / "grid.cfg"), "--out", str(tmp_path))
     assert code == 0, err
+    assert walks == ([workers] if workers > 1 else [])
     assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == expected

@@ -132,39 +132,6 @@ def test_verification_top1_two_samples_same_identity():
     assert verification_top1(np.array([[0.0], [9.0]]), np.array([4, 4])) == 1.0
 
 
-def _row_loop_top1(emb, ids):
-    """One einsum row at a time: the search the blocked version replaced."""
-    n = len(ids)
-    hits = 0
-    for i in range(n):
-        diff = emb - emb[i]
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        d2[i] = np.inf
-        hits += ids[int(d2.argmin())] == ids[i]
-    return float(hits / n)
-
-
-def test_verification_top1_blocks_match_the_row_loop(rng):
-    # the plan's test-split size and embedding widths, block edges and n = 2;
-    # duplicated rows and integer points make exactly tied distances
-    for n, dim in ((320, 16), (320, 4), (60, 4), (33, 8), (17, 3), (16, 3), (15, 3), (2, 16)):
-        for n_ids in (3, 32):
-            ids = rng.integers(0, n_ids, size=n)
-            emb = rng.normal(size=(n, dim))
-            tied = np.repeat(emb[:(n + 1) // 2], 2, axis=0)[:n]
-            points = rng.integers(-2, 3, size=(n, dim)).astype(np.float64)
-            for case in (emb, tied, points):
-                assert verification_top1(case, ids) == _row_loop_top1(case, ids), (n, dim)
-    # each anchor's two neighbours sit at one distance in exact arithmetic
-    # (mirrored offsets), so rounding in another summation order flips hits
-    for dim in (4, 16):
-        anchors, offsets = rng.normal(size=(40, dim)) * 10, rng.normal(size=(40, dim))
-        emb = np.stack([anchors, anchors + offsets, anchors + offsets[:, ::-1]], axis=1)
-        ids = np.stack([np.arange(40), np.arange(40), -1 - np.arange(40)], axis=1)
-        emb, ids = emb.reshape(120, dim), ids.ravel()
-        assert verification_top1(emb, ids) == _row_loop_top1(emb, ids), dim
-
-
 def test_verification_top1_isometry_invariance(rng):
     emb = rng.normal(size=(30, 5))
     ids = rng.integers(0, 5, size=30)

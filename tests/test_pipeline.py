@@ -3,6 +3,7 @@ mechanics (schedules, determinism, copy integrity), target selection, and
 the experiment driver's report grid. Everything here runs on a miniature
 benchmark so the whole file stays in the single-digit seconds."""
 import concurrent.futures
+import functools
 import multiprocessing
 import os
 import tracemalloc
@@ -441,6 +442,40 @@ def test_pool_failures_name_the_stage_and_leave_no_worker(monkeypatch):
     with pytest.raises(RuntimeError, match="worker process died while running stages .*teacher_alignment"):
         run_experiment(plan, workers=2)
     assert multiprocessing.active_children() == []
+
+
+
+def test_pool_workers_share_the_run_constants(tmp_path, monkeypatch):
+    # the training arrays and evaluation pairs are computed once, before the
+    # fork; a file collects the calls of every process
+    log = tmp_path / "calls"
+    for name in ("_train_arrays", "make_pairs"):
+        def logged(*args, _inner=getattr(pipeline, name), _name=name):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{_name} {os.getpid()}\n")
+            return _inner(*args)
+
+        monkeypatch.setattr(pipeline, name, logged)
+    run_experiment(_tiny_plan(), workers=2)
+    assert log.read_text().splitlines() == [f"_train_arrays {os.getpid()}",
+                                            f"make_pairs {os.getpid()}"]
+
+
+def test_wrapped_run_stage_walks_in_process(monkeypatch):
+    # a tracer's wrapper keeps its records in the process it runs in, so a
+    # wrapped run_stage must see every stage here, not in a pool worker
+    plan = _tiny_plan()
+    seen = []
+    inner = pipeline.run_stage
+
+    @functools.wraps(inner)
+    def traced(node, run, nets):
+        seen.append((os.getpid(), node.key))
+        return inner(node, run, nets)
+
+    monkeypatch.setattr(pipeline, "run_stage", traced)
+    run_experiment(plan, workers=2)
+    assert seen == [(os.getpid(), node.key) for node in stages(plan)]
 
 
 def test_stage_graph_of_default_plan():
