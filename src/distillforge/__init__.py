@@ -17,15 +17,15 @@ Everything runs on a minimal tape-based reverse-mode autodiff core
   (:mod:`distillforge.cli`).
 """
 
-from .data import (GeneratorParams, LatentModel, Sample, SplitDataset, as_arrays, generate,
-                   load_dataset, make_pairs, make_triplets, save_dataset)
+from .data import (GeneratorParams, LatentModel, Split, SplitDataset, generate, load_dataset,
+                   make_pairs, make_triplets, save_dataset)
 from .losses import (DistillConfig, alignment_distill_loss, classification_distill_loss,
                      cross_entropy, euclidean_loss, general_distill_loss, hidden_match_loss,
                      soft_predictions, softmax_loss, triplet_loss, verification_distill_loss)
 from .metrics import (MetricsReport, nrmse, pair_verification_accuracy, reference_distances,
                       top1_accuracy, verification_top1)
-from .nets import (Network, NetworkOutputs, NetworkSpec, build, clone, copy_parameters,
-                   load_network, num_parameters, save_network)
+from .nets import (Network, NetworkOutputs, NetworkSpec, build, clone, load_network,
+                   num_parameters, save_network)
 from .pipeline import (ExperimentPlan, OptimizerState, StageConfig, StagePlan, TaskPlan,
                        derive_seed, distill_student_cls, distill_student_task,
                        evaluate_alignment, evaluate_classification, evaluate_verification,
@@ -41,9 +41,9 @@ __all__ = [
     "classification_distill_loss", "euclidean_loss", "hidden_match_loss",
     "alignment_distill_loss", "triplet_loss", "verification_distill_loss",
     "general_distill_loss",
-    "NetworkSpec", "NetworkOutputs", "Network", "build", "copy_parameters", "clone",
+    "NetworkSpec", "NetworkOutputs", "Network", "build", "clone",
     "num_parameters", "save_network", "load_network",
-    "GeneratorParams", "Sample", "SplitDataset", "LatentModel", "generate", "as_arrays",
+    "GeneratorParams", "Split", "SplitDataset", "LatentModel", "generate",
     "make_triplets", "make_pairs", "save_dataset", "load_dataset",
     "top1_accuracy", "reference_distances", "nrmse", "verification_top1",
     "pair_verification_accuracy", "MetricsReport",

@@ -38,7 +38,7 @@ from .config import ConfigError, describe_keys, experiment_plan, generator_param
 from .data import generate, load_dataset, save_dataset
 from .metrics import MetricsReport
 from .nets import load_network, save_network
-from .pipeline import Run, evaluate_all, run_experiment, run_stage, stage
+from .pipeline import ALIGNMENT, VERIFICATION, Run, run_experiment, run_stage, stage
 
 __all__ = ["main"]
 
@@ -161,7 +161,10 @@ def cmd_evaluate(args) -> int:
     if args.stage.endswith(".ckpt"):
         if not os.path.exists(args.stage):
             raise FileNotFoundError(f"checkpoint {args.stage} not found")
-        metrics = evaluate_all(load_network(args.stage), run.data.test, run.pairs)
+        net = load_network(args.stage)
+        metrics = {**run.evaluate("cls", net), **run.evaluate(VERIFICATION, net)}
+        if net.spec.num_keypoint_coords:
+            metrics.update(run.evaluate(ALIGNMENT, net))
     else:
         label = _stage(plan, args.stage).label
         metrics = run.evaluate(label, _require_ckpt(out_dir, args.stage))

@@ -10,13 +10,13 @@ a fixed template displaced mostly by pose and only weakly by identity:
 
 Projection matrices are scaled by 1/sqrt(source dim) so the scale knobs
 are directly comparable. The train/test split is 80/20 within every
-identity.
+identity (``GeneratorParams.split_sizes``). Each split is one read-only
+``Split`` of columns, one row per sample; triplets and pairs index its rows.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -24,11 +24,10 @@ from ._atomic import atomic_write
 
 __all__ = [
     "GeneratorParams",
-    "Sample",
+    "Split",
     "SplitDataset",
     "LatentModel",
     "generate",
-    "as_arrays",
     "make_triplets",
     "make_pairs",
     "save_dataset",
@@ -71,31 +70,43 @@ class GeneratorParams:
     def num_keypoint_coords(self) -> int:
         return 2 * self.num_keypoints
 
+    @property
+    def split_sizes(self) -> tuple[int, int]:
+        """(train, test) samples per identity: 80/20, at least one train sample."""
+        n_train = max(1, int(round(0.8 * self.samples_per_identity)))
+        return n_train, self.samples_per_identity - n_train
 
-@dataclass(eq=False)
-class Sample:
+
+@dataclass(frozen=True, eq=False)
+class Split:
+    """One split, one row per sample: ``features`` [N,D] float64, ``ids`` [N]
+    int64 and ``keypoints`` [N,KC] float64. The arrays are C-contiguous and
+    made read-only when the split is built, so every stage of a run, forked
+    workers included, shares them unchanged."""
+
     features: np.ndarray
-    identity: int
+    ids: np.ndarray
     keypoints: np.ndarray
 
-    def __eq__(self, other):
-        if not isinstance(other, Sample):
-            return NotImplemented
-        return (self.identity == other.identity
-                and np.array_equal(self.features, other.features)
-                and np.array_equal(self.keypoints, other.keypoints))
+    def __post_init__(self):
+        for name, dtype in (("features", np.float64), ("ids", np.int64), ("keypoints", np.float64)):
+            array = np.ascontiguousarray(getattr(self, name), dtype=dtype)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        if (self.ids.ndim != 1 or self.features.ndim != 2 or self.keypoints.ndim != 2
+                or not len(self.features) == len(self.keypoints) == len(self.ids)):
+            raise ValueError("a split needs [N,D] features, [N] ids and [N,KC] keypoints, got "
+                             f"{self.features.shape}, {self.ids.shape} and {self.keypoints.shape}")
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 @dataclass
 class SplitDataset:
-    train: list[Sample]
-    test: list[Sample]
+    train: Split
+    test: Split
     generator: GeneratorParams | None = None
-
-    def __eq__(self, other):
-        if not isinstance(other, SplitDataset):
-            return NotImplemented
-        return self.train == other.train and self.test == other.test
 
 
 class LatentModel:
@@ -127,45 +138,35 @@ class LatentModel:
 
 
 def generate(params: GeneratorParams) -> SplitDataset:
-    """Draw the benchmark deterministically from params.seed."""
+    """Draw the benchmark deterministically from params.seed. Both splits
+    list the identities in order, each in one random order of its draws."""
     rng = np.random.default_rng(params.seed)
     model = LatentModel(params, rng)
-    n_per = params.samples_per_identity
-    train: list[Sample] = []
-    test: list[Sample] = []
-    for identity in range(params.num_identities):
+    k, n_per = params.num_identities, params.samples_per_identity
+    d, kc = params.input_dim, params.num_keypoint_coords
+    feats, kps = np.empty((k, n_per, d)), np.empty((k, n_per, kc))
+    rows = np.empty((k, n_per), dtype=np.int64)
+    for identity in range(k):
         z = rng.normal(size=params.latent_dim)
-        samples = []
-        for _ in range(n_per):
+        for j in range(n_per):
             pose = rng.normal(size=params.pose_dim)
-            feats = model.features(z, pose) + params.noise_std * rng.normal(size=params.input_dim)
-            kps = model.keypoints(z, pose) + params.noise_std * rng.normal(size=params.num_keypoint_coords)
-            samples.append(Sample(feats, identity, kps))
-        order = rng.permutation(n_per)
-        n_train = max(1, int(round(0.8 * n_per)))
-        for j in order[:n_train]:
-            train.append(samples[j])
-        for j in order[n_train:]:
-            test.append(samples[j])
-    return SplitDataset(train, test, params)
+            feats[identity, j] = model.features(z, pose) + params.noise_std * rng.normal(size=d)
+            kps[identity, j] = model.keypoints(z, pose) + params.noise_std * rng.normal(size=kc)
+        rows[identity] = identity * n_per + rng.permutation(n_per)
+    feats, kps = feats.reshape(k * n_per, d), kps.reshape(k * n_per, kc)
+    ids = np.repeat(np.arange(k, dtype=np.int64), n_per)
+    n_train, _ = params.split_sizes
+    train, test = rows[:, :n_train].ravel(), rows[:, n_train:].ravel()
+    return SplitDataset(Split(feats[train], ids[train], kps[train]),
+                        Split(feats[test], ids[test], kps[test]), params)
 
 
-def as_arrays(samples: Iterable[Sample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(features [N,D], identities [N], keypoints [N,KC]) for a sample list."""
-    samples = list(samples)
-    if not samples:
-        raise ValueError("empty sample list")
-    feats = np.stack([s.features for s in samples])
-    ids = np.array([s.identity for s in samples], dtype=np.int64)
-    kps = np.stack([s.keypoints for s in samples])
-    return feats, ids, kps
-
-
-def _ids_by_identity(samples: list[Sample]) -> dict[int, np.ndarray]:
+def _ids_by_identity(ids: np.ndarray) -> dict[int, list[int]]:
+    """Row indices per identity, identities in order of first appearance."""
     groups: dict[int, list[int]] = {}
-    for i, s in enumerate(samples):
-        groups.setdefault(s.identity, []).append(i)
-    return {k: np.asarray(v) for k, v in groups.items()}
+    for i, identity in enumerate(ids.tolist()):
+        groups.setdefault(identity, []).append(i)
+    return groups
 
 
 def _bounded_draws(rng: np.random.Generator, chunk: int):
@@ -201,30 +202,29 @@ def _bounded_draws(rng: np.random.Generator, chunk: int):
     return draw
 
 
-def make_triplets(samples: list[Sample], count: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Uniform (anchor, positive, negative) index triples over ``samples``.
+def make_triplets(split: Split, count: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Uniform (anchor, positive, negative) row-index triples over ``split``.
 
     Anchor and positive share an identity and differ as samples; the
     negative comes from a different identity.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
-    groups = _ids_by_identity(samples)
+    groups = _ids_by_identity(split.ids)
     if len(groups) < 2:
         raise ValueError("triplets need at least two identities")
     for identity, idx in groups.items():
-        if idx.size < 2:
+        if len(idx) < 2:
             raise ValueError(f"identity {identity} has fewer than 2 samples; cannot form positives")
     # the draws replay the scalar rng.integers calls of this seed; a triple
     # takes about three words, so one bulk draw nearly always suffices
     draw = _bounded_draws(np.random.default_rng(seed), 4 * count + 16)
-    identities = [s.identity for s in samples]
-    members = {identity: idx.tolist() for identity, idx in groups.items()}
-    n = len(samples)
+    identities = split.ids.tolist()
+    n = len(split)
     triples = []
     for _ in range(count):
         a = draw(n)
-        own = members[identities[a]]
+        own = groups[identities[a]]
         p = a
         while p == a:
             p = own[draw(len(own))]
@@ -236,59 +236,56 @@ def make_triplets(samples: list[Sample], count: int, seed: int) -> tuple[np.ndar
     return anchors, positives, negatives
 
 
-def make_pairs(samples: list[Sample], count_per_class: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs for pair verification: ``count_per_class`` same-identity
-    pairs and as many different-identity pairs, shapes (count, 2)."""
+def make_pairs(split: Split, count_per_class: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-index pairs for pair verification: ``count_per_class``
+    same-identity pairs and as many different-identity pairs, shapes (count, 2)."""
     if count_per_class < 1:
         raise ValueError("count_per_class must be positive")
-    groups = _ids_by_identity(samples)
+    groups = _ids_by_identity(split.ids)
     if len(groups) < 2:
         raise ValueError("pairs need at least two identities")
-    multi = [idx for idx in groups.values() if idx.size >= 2]
+    multi = [idx for idx in groups.values() if len(idx) >= 2]
     if not multi:
         raise ValueError("no identity has 2 samples; cannot form same-identity pairs")
     rng = np.random.default_rng(seed)
-    identities = np.array([s.identity for s in samples])
-    n = len(samples)
+    n = len(split)
     same = np.empty((count_per_class, 2), dtype=np.int64)
     diff = np.empty((count_per_class, 2), dtype=np.int64)
     for t in range(count_per_class):
         idx = multi[int(rng.integers(len(multi)))]
-        i = int(idx[rng.integers(idx.size)])
+        i = idx[rng.integers(len(idx))]
         j = i
         while j == i:
-            j = int(idx[rng.integers(idx.size)])
+            j = idx[rng.integers(len(idx))]
         same[t] = (i, j)
         i = int(rng.integers(n))
         j = i
-        while identities[j] == identities[i]:
+        while split.ids[j] == split.ids[i]:
             j = int(rng.integers(n))
         diff[t] = (i, j)
     return same, diff
 
 
 def save_dataset(ds: SplitDataset, path) -> None:
-    """Plain-text container; floats print with shortest round-trip repr."""
-    rows = [("train", s) for s in ds.train] + [("test", s) for s in ds.test]
-    if not rows:
+    """Plain-text container: a header line, then one line per row (split
+    flag, identity, features, keypoints), train rows first; floats print
+    with shortest round-trip repr."""
+    n = len(ds.train) + len(ds.test)
+    if not n:
         raise ValueError("refusing to save an empty dataset")
-    input_dim = rows[0][1].features.size
-    kc = rows[0][1].keypoints.size
-    lines = [f"{_FORMAT_NAME} {_FORMAT_VERSION} {len(rows)} {input_dim} {kc}"]
-    for flag, s in rows:
-        feats = " ".join(repr(float(v)) for v in s.features)
-        kps = " ".join(repr(float(v)) for v in s.keypoints)
-        line = f"{flag} {s.identity} {feats}"
-        if kc:
-            line += f" {kps}"
-        lines.append(line)
+    input_dim, kc = ds.train.features.shape[1], ds.train.keypoints.shape[1]
+    lines = [f"{_FORMAT_NAME} {_FORMAT_VERSION} {n} {input_dim} {kc}"]
+    for flag, split in (("train", ds.train), ("test", ds.test)):
+        lines += [" ".join([flag, str(identity), *map(repr, feats.tolist()), *map(repr, kps.tolist())])
+                  for identity, feats, kps in zip(split.ids.tolist(), split.features, split.keypoints)]
     with atomic_write(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_dataset(path) -> SplitDataset:
     """Inverse of save_dataset; the generator parameters are not stored, so
-    the loaded dataset's ``generator`` is None."""
+    the loaded dataset's ``generator`` is None. A file that is malformed or
+    truncated, or that leaves a split without rows, raises ValueError."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 5 or header[0] != _FORMAT_NAME or header[1] != _FORMAT_VERSION:
@@ -298,24 +295,35 @@ def load_dataset(path) -> SplitDataset:
             n, input_dim, kc = (int(tok) for tok in header[2:])
         except ValueError as exc:
             raise ValueError(f"{path}:1: non-integer header counts") from exc
-        train: list[Sample] = []
-        test: list[Sample] = []
+        is_train: list[bool] = []
+        ids: list[int] = []
+        rows: list[np.ndarray] = []
         for lineno, raw in enumerate(fh, start=2):
             if not raw.strip():
                 continue
+            if not raw.endswith("\n"):  # save_dataset ends every line
+                raise ValueError(f"{path}:{lineno}: truncated line")
             tok = raw.split()
             if len(tok) != 2 + input_dim + kc:
                 raise ValueError(f"{path}:{lineno}: expected {2 + input_dim + kc} fields, got {len(tok)}")
-            flag = tok[0]
-            if flag not in ("train", "test"):
-                raise ValueError(f"{path}:{lineno}: unknown split flag {flag!r}")
+            if tok[0] not in ("train", "test"):
+                raise ValueError(f"{path}:{lineno}: unknown split flag {tok[0]!r}")
             try:
-                identity = int(tok[1])
-                values = np.array([float(v) for v in tok[2:]])
+                ids.append(int(tok[1]))
+                rows.append(np.fromiter(map(float, tok[2:]), np.float64, len(tok) - 2))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: unparseable number: {exc}") from exc
-            sample = Sample(values[:input_dim], identity, values[input_dim:])
-            (train if flag == "train" else test).append(sample)
-    if len(train) + len(test) != n:
-        raise ValueError(f"{path}: header declares {n} samples, file holds {len(train) + len(test)}")
-    return SplitDataset(train, test, None)
+            if not 0 <= ids[-1] < 2 ** 31:
+                raise ValueError(f"{path}:{lineno}: identity {ids[-1]} out of range")
+            is_train.append(tok[0] == "train")
+    if len(ids) != n:
+        raise ValueError(f"{path}: header declares {n} samples, file holds {len(ids)}")
+    is_train = np.array(is_train, dtype=bool)
+    for flag, take in (("train", is_train), ("test", ~is_train)):
+        if not take.any():
+            raise ValueError(f"{path}: no {flag} rows")
+    table, ids = np.stack(rows), np.array(ids)
+    if not np.isfinite(table).all():
+        raise ValueError(f"{path}: non-finite value in data row {np.isfinite(table).all(1).argmin() + 1}")
+    return SplitDataset(*(Split(table[take, :input_dim], ids[take], table[take, input_dim:])
+                          for take in (is_train, ~is_train)))

@@ -26,7 +26,6 @@ __all__ = [
     "NetworkOutputs",
     "Network",
     "build",
-    "copy_parameters",
     "clone",
     "save_network",
     "load_network",
@@ -154,21 +153,8 @@ def build(spec: NetworkSpec, seed: int) -> Network:
     return Network(spec, params, np.zeros(spec.input_dim), np.ones(spec.input_dim))
 
 
-def copy_parameters(src: Network, dst: Network) -> None:
-    """Value-copy src's parameters (and normalizer) into dst, in place.
-
-    After the copy the two networks compute identical outputs but share no
-    storage; training one leaves the other untouched.
-    """
-    if src.spec != dst.spec:
-        raise ValueError(f"incompatible specs: {src.spec} vs {dst.spec}")
-    for p_src, p_dst in zip(src.parameters, dst.parameters):
-        p_dst.data[...] = p_src.data
-    dst.norm_mean = src.norm_mean.copy()
-    dst.norm_std = src.norm_std.copy()
-
-
 def clone(src: Network) -> Network:
+    """A value copy: identical outputs, no storage shared with ``src``."""
     params = [Tensor(p.data.copy(), requires_grad=True) for p in src.parameters]
     return Network(src.spec, params, src.norm_mean.copy(), src.norm_std.copy())
 

@@ -17,6 +17,9 @@ Every stage draws its randomness from a named substream of one top-level
 seed, so any run is reproducible in isolation. Trained networks carry
 their per-step loss history in ``net.training_log``.
 
+Every stage trains on the dataset's training split and is scored on its
+test split, both read-only ``data.Split`` columns that all stages share.
+
 Each stage is named by a run key (``teacher_cls``, ``student4_cls_full_init``,
 ``student8_alignment_distill_a0_b1``, ...). ``stage(plan, key)`` gives its
 dependencies and training body, and ``stages(plan)`` lists a plan's stages,
@@ -42,7 +45,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import tensor as tc
-from .data import GeneratorParams, SplitDataset, as_arrays, generate, make_pairs, make_triplets
+from .data import GeneratorParams, Split, SplitDataset, generate, make_pairs, make_triplets
 from .losses import (DistillConfig, alignment_distill_loss, classification_distill_loss,
                      euclidean_loss, softmax_loss, triplet_loss, verification_distill_loss)
 from .metrics import (MetricsReport, nrmse, pair_verification_accuracy, reference_distances,
@@ -76,7 +79,6 @@ __all__ = [
     "evaluate_classification",
     "evaluate_alignment",
     "evaluate_verification",
-    "evaluate_all",
 ]
 
 ALIGNMENT = "alignment"
@@ -195,33 +197,11 @@ def _index_batches(n: int, batch_size: int):
     return make_epoch
 
 
-def _triplet_batches(samples, count: int, batch_size: int):
-    def make_epoch(rng):
-        # fresh uniformly drawn triplets every epoch
-        a, p, n_ = make_triplets(samples, count, int(rng.integers(2 ** 62)))
-        for start in range(0, count, batch_size):
-            sl = slice(start, start + batch_size)
-            yield a[sl], p[sl], n_[sl]
-    return make_epoch
-
-
 def _dedup_triplet_batch(batch):
     a, p, n_ = batch
     k = a.size
     uniq, inv = np.unique(np.concatenate([a, p, n_]), return_inverse=True)
     return uniq, inv[:k], inv[k:2 * k], inv[2 * k:]
-
-
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
-
-
-def _train_arrays(data: SplitDataset) -> tuple[np.ndarray, ...]:
-    """(features, identities, keypoints) of the training split, read-only so
-    that every stage of a run, concurrent grid jobs included, shares them."""
-    return _read_only(*as_arrays(data.train))
 
 
 def _fresh(spec: NetworkSpec, seed: int, feats: np.ndarray) -> Network:
@@ -237,17 +217,12 @@ def _check_task(task: str) -> None:
 
 
 # Stages ---------------------------------------------------------------------------
-# Each public stage extracts the training arrays (and, for distillation, the
-# teacher targets) and runs a private body on them; the stage graph below
-# computes them once per run (per teacher) and calls the bodies directly.
+# The distillation bodies take the teacher targets: the public stages compute
+# them, the stage graph memoises them once per teacher (``Run.targets``).
 
 def train_teacher_cls(spec: NetworkSpec, data: SplitDataset, stage: StageConfig) -> Network:
     """Scratch softmax training of the (teacher) classification network."""
-    return _train_cls(spec, _train_arrays(data), stage)
-
-
-def _train_cls(spec, arrays, stage):
-    feats, ids, _ = arrays
+    feats, ids = data.train.features, data.train.ids
     net = _fresh(spec, stage.seed, feats)
 
     def step(idx):
@@ -272,7 +247,9 @@ def _teacher_targets(teacher: Network, feats: np.ndarray) -> tuple[np.ndarray, n
     regression head, which is therefore never read from here).
     """
     out = teacher.forward(feats)
-    return _read_only(out.logits.data, out.embedding.data)
+    for array in (out.logits.data, out.embedding.data):
+        array.setflags(write=False)
+    return out.logits.data, out.embedding.data
 
 
 def distill_student_cls(teacher: Network, data: SplitDataset, cfg: DistillConfig,
@@ -285,13 +262,12 @@ def distill_student_cls(teacher: Network, data: SplitDataset, cfg: DistillConfig
     initialization). The objective is the hard-label loss plus the
     alpha-weighted soft-target cross-entropy.
     """
-    arrays = _train_arrays(data)
-    return _distill_cls(_teacher_targets(teacher, arrays[0]), arrays, cfg, stage,
+    return _distill_cls(_teacher_targets(teacher, data.train.features), data.train, cfg, stage,
                         student_spec, init_from)
 
 
-def _distill_cls(targets, arrays, cfg, stage, student_spec=None, init_from=None):
-    feats, ids, _ = arrays
+def _distill_cls(targets, train: Split, cfg, stage, student_spec=None, init_from=None):
+    feats, ids = train.features, train.ids
     if init_from is not None:
         net = clone(init_from)
     elif student_spec is None:
@@ -311,11 +287,19 @@ def _distill_cls(targets, arrays, cfg, stage, student_spec=None, init_from=None)
     return net
 
 
-def _task_batches(task, samples, stage: StageConfig, triplets_per_epoch: int):
+def _task_batches(task, train: Split, stage: StageConfig, triplets_per_epoch: int):
+    _check_task(task)
     if task == ALIGNMENT:
-        return _index_batches(len(samples), stage.batch_size)
-    count = triplets_per_epoch if triplets_per_epoch > 0 else len(samples)
-    return _triplet_batches(samples, count, stage.batch_size)
+        return _index_batches(len(train), stage.batch_size)
+    count = triplets_per_epoch if triplets_per_epoch > 0 else len(train)
+
+    def make_epoch(rng):
+        # fresh uniformly drawn triplets every epoch
+        a, p, n_ = make_triplets(train, count, int(rng.integers(2 ** 62)))
+        for start in range(0, count, stage.batch_size):
+            sl = slice(start, start + stage.batch_size)
+            yield a[sl], p[sl], n_[sl]
+    return make_epoch
 
 
 def train_teacher_task(teacher_cls: Network, task: str, data: SplitDataset, cfg: DistillConfig,
@@ -323,24 +307,21 @@ def train_teacher_task(teacher_cls: Network, task: str, data: SplitDataset, cfg:
                        triplets_per_epoch: int = 0) -> Network:
     """Transfer-initialize the task teacher from the classification teacher
     (value copy; the source is left untouched) and fine-tune on the task."""
-    _check_task(task)
-    return _train_task(clone(teacher_cls), task, data.train, _train_arrays(data), cfg, stage,
-                       include_softmax, triplets_per_epoch)
+    return _train_task(clone(teacher_cls), task, data.train, cfg, stage, include_softmax,
+                       triplets_per_epoch)
 
 
 def pretrain_student_task(spec: NetworkSpec, task: str, data: SplitDataset, cfg: DistillConfig,
                           stage: StageConfig, include_softmax: bool = False,
                           triplets_per_epoch: int = 0) -> Network:
     """Fresh student trained on the task objective alone (the Pretrain start)."""
-    _check_task(task)
-    arrays = _train_arrays(data)
-    return _train_task(_fresh(spec, stage.seed, arrays[0]), task, data.train, arrays, cfg, stage,
+    return _train_task(_fresh(spec, stage.seed, data.train.features), task, data.train, cfg, stage,
                        include_softmax, triplets_per_epoch)
 
 
-def _train_task(net, task, samples, arrays, cfg, stage, include_softmax, triplets_per_epoch):
+def _train_task(net, task, train: Split, cfg, stage, include_softmax, triplets_per_epoch):
     """Task-only objective (no distillation terms) for teacher/pretrain stages."""
-    feats, ids, kps = arrays
+    feats, ids, kps = train.features, train.ids, train.keypoints
     if task == ALIGNMENT:
         def step(idx):
             with tc.Tape():
@@ -361,7 +342,7 @@ def _train_task(net, task, samples, arrays, cfg, stage, include_softmax, triplet
                     loss = tc.add(loss, softmax_loss(out.logits, ids[uniq]))
                 return loss
 
-    _run_training(net, stage, _task_batches(task, samples, stage, triplets_per_epoch), step)
+    _run_training(net, stage, _task_batches(task, train, stage, triplets_per_epoch), step)
     return net
 
 
@@ -373,15 +354,13 @@ def distill_student_task(teacher_task: Network, init_net: Network, task: str, da
     ``init_net`` is the starting point (task-pretrained student or the
     distilled classification student); it is value-copied, never mutated.
     """
-    _check_task(task)
-    arrays = _train_arrays(data)
-    return _distill_task(_teacher_targets(teacher_task, arrays[0]), init_net, task, data.train,
-                         arrays, cfg, stage, include_softmax, triplets_per_epoch)
+    return _distill_task(_teacher_targets(teacher_task, data.train.features), init_net, task,
+                         data.train, cfg, stage, include_softmax, triplets_per_epoch)
 
 
-def _distill_task(targets, init_net, task, samples, arrays, cfg, stage, include_softmax,
+def _distill_task(targets, init_net, task, train: Split, cfg, stage, include_softmax,
                   triplets_per_epoch):
-    feats, ids, kps = arrays
+    feats, ids, kps = train.features, train.ids, train.keypoints
     t_logits, t_emb = targets
     net = clone(init_net)
 
@@ -399,7 +378,7 @@ def _distill_task(targets, init_net, task, samples, arrays, cfg, stage, include_
                     (out.logits, out.embedding), (t_logits[uniq], t_emb[uniq]),
                     (ia, ip, in_), cfg, include_softmax, ids[uniq])
 
-    _run_training(net, stage, _task_batches(task, samples, stage, triplets_per_epoch), step)
+    _run_training(net, stage, _task_batches(task, train, stage, triplets_per_epoch), step)
     return net
 
 
@@ -431,48 +410,24 @@ def select_targets(metric_per_config, higher_is_better: bool = True) -> tuple[in
 
 # Evaluation ----------------------------------------------------------------------
 
-def _outputs(net: Network, samples):
-    feats, ids, kps = as_arrays(samples)
-    return net.forward(feats), ids, kps
-
-
-def _classification_metrics(out, ids, kps, pairs) -> dict[str, float]:
-    result = {"top1": top1_accuracy(out.logits, ids)}
+def evaluate_classification(net: Network, split: Split, pairs=None) -> dict[str, float]:
+    out = net.forward(split.features)
+    result = {"top1": top1_accuracy(out.logits, split.ids)}
     if pairs is not None:
         result["pair_acc"] = pair_verification_accuracy(out.embedding, *pairs)
     return result
 
 
-def _alignment_metrics(out, ids, kps, pairs=None) -> dict[str, float]:
-    return {"nrmse": nrmse(out.regression, kps, reference_distances(kps))}
+def evaluate_alignment(net: Network, split: Split) -> dict[str, float]:
+    kps = split.keypoints
+    return {"nrmse": nrmse(net.forward(split.features).regression, kps, reference_distances(kps))}
 
 
-def _verification_metrics(out, ids, kps, pairs) -> dict[str, float]:
-    result = {"verif_top1": verification_top1(out.embedding, ids)}
+def evaluate_verification(net: Network, split: Split, pairs=None) -> dict[str, float]:
+    out = net.forward(split.features)
+    result = {"verif_top1": verification_top1(out.embedding, split.ids)}
     if pairs is not None:
         result["pair_acc"] = pair_verification_accuracy(out.embedding, *pairs)
-    return result
-
-
-def evaluate_classification(net: Network, samples, pairs=None) -> dict[str, float]:
-    return _classification_metrics(*_outputs(net, samples), pairs)
-
-
-def evaluate_alignment(net: Network, samples) -> dict[str, float]:
-    return _alignment_metrics(*_outputs(net, samples))
-
-
-def evaluate_verification(net: Network, samples, pairs=None) -> dict[str, float]:
-    return _verification_metrics(*_outputs(net, samples), pairs)
-
-
-def evaluate_all(net: Network, samples, pairs=None) -> dict[str, float]:
-    """Every metric applicable to this network on these samples."""
-    outputs = _outputs(net, samples)
-    result = _classification_metrics(*outputs, pairs)
-    result.update(_verification_metrics(*outputs, None))
-    if net.spec.num_keypoint_coords:
-        result.update(_alignment_metrics(*outputs))
     return result
 
 
@@ -563,6 +518,10 @@ class ExperimentPlan:
             raise ValueError(f"num_identities {gen.num_identities} != num_classes {teacher.num_classes}")
         if gen.num_keypoint_coords != teacher.num_keypoint_coords:
             raise ValueError("generator and teacher disagree on keypoint coordinate count")
+        n_test = gen.split_sizes[1]
+        if n_test < 2:  # evaluation pairs need two test samples of one identity
+            raise ValueError(f"samples_per_identity {gen.samples_per_identity} leaves {n_test} test "
+                             "samples per identity; evaluation needs at least 2")
         bad = [i for i in self.cls_inits if i not in ("scratch", "full_init")]
         if bad:
             raise ValueError(f"unknown classification init modes {bad}")
@@ -583,26 +542,17 @@ class ExperimentPlan:
 _STAGE_KEY = re.compile(r"(?:teacher|student(\d+))_(cls|alignment|verification_joint|verification)"
                         r"(?:_(.+))?")
 _GRID_RUN = re.compile(r"(scratch|pretrain|distill)_a([0-9.eE+-]+)_b([0-9.eE+-]+)")
-_METRICS = {"cls": _classification_metrics, ALIGNMENT: _alignment_metrics}
 
 
 class Run:
-    """The constants every stage of one run shares, each computed at most once:
-    read-only training and test arrays, the evaluation pairs, and each
-    teacher's targets, memoised by the teacher's run key."""
+    """The constants every stage of one run shares: the dataset, whose splits
+    are read-only, and, each computed at most once, the evaluation pairs and
+    each teacher's targets, memoised by the teacher's run key."""
 
     def __init__(self, plan: ExperimentPlan, data: SplitDataset):
         self.plan = plan
         self.data = data
         self._targets: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-
-    @cached_property
-    def arrays(self) -> tuple[np.ndarray, ...]:
-        return _train_arrays(self.data)
-
-    @cached_property
-    def test(self) -> tuple[np.ndarray, ...]:
-        return _read_only(*as_arrays(self.data.test))
 
     @cached_property
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -611,13 +561,15 @@ class Run:
 
     def targets(self, key: str, teacher: Network) -> tuple[np.ndarray, np.ndarray]:
         if key not in self._targets:
-            self._targets[key] = _teacher_targets(teacher, self.arrays[0])
+            self._targets[key] = _teacher_targets(teacher, self.data.train.features)
         return self._targets[key]
 
     def evaluate(self, label: str, net: Network) -> dict[str, float]:
         """Test-split metrics of a stage label: ``cls`` or a task table label."""
-        metrics = _METRICS.get(label, _verification_metrics)
-        return metrics(net.forward(self.test[0]), *self.test[1:], self.pairs)
+        if label == ALIGNMENT:
+            return evaluate_alignment(net, self.data.test)
+        evaluate = evaluate_classification if label == "cls" else evaluate_verification
+        return evaluate(net, self.data.test, self.pairs)
 
 
 @dataclass(frozen=True)
@@ -665,14 +617,14 @@ def stage(plan: ExperimentPlan, key: str) -> Stage:
     if key == top:
         cfg = splan.stage("scratch", seed)
         return Stage(key, (), label, ("classification", "teacher", "scratch", 0.0, 0.0),
-                     lambda run, nets: _train_cls(plan.teacher, run.arrays, cfg))
+                     lambda run, nets: train_teacher_cls(plan.teacher, run.data, cfg))
     if divisor is None:  # a task teacher: a value copy of the classification teacher, fine-tuned
         cfg = splan.stage("continue", seed)
         return Stage(key, (top,), label,
                      (label, "teacher", "transfer", 0.0, 0.0) if plan.table(label) else None,
-                     lambda run, nets: _train_task(
-                         clone(nets[top]), task, run.data.train, run.arrays, plan.distill, cfg,
-                         joint, splan.triplets_per_epoch))
+                     lambda run, nets: train_teacher_task(
+                         nets[top], task, run.data, plan.distill, cfg, joint,
+                         splan.triplets_per_epoch))
 
     d = int(divisor)
     spec = plan.teacher.student(d)
@@ -681,20 +633,19 @@ def stage(plan: ExperimentPlan, key: str) -> Stage:
         row = (("classification", f"student/{d}", kind, plan.distill.alpha, 0.0)
                if d in plan.cls_divisors and kind in plan.cls_inits else None)
         if kind == "init":
-            return Stage(key, (), label, row, lambda run, nets: _train_cls(spec, run.arrays, cfg))
+            return Stage(key, (), label, row, lambda run, nets: init_student_cls(spec, run.data, cfg))
         start = f"student{d}_cls_init" if kind == "full_init" else None
         return Stage(key, (top, start) if start else (top,), label, row,
                      lambda run, nets: _distill_cls(
-                         run.targets(top, nets[top]), run.arrays, plan.distill, cfg,
+                         run.targets(top, nets[top]), run.data.train, plan.distill, cfg,
                          student_spec=spec, init_from=nets[start] if start else None))
     grid = _GRID_RUN.fullmatch(kind)
     if label == "cls" or (grid is None and kind != "pretrain_base"):
         raise ValueError(f"unknown stage key {key!r}")
     if grid is None:  # the pretrain base: a fresh student on the task objective alone
         cfg = splan.stage("scratch", seed)
-        return Stage(key, (), label, None, lambda run, nets: _train_task(
-            _fresh(spec, seed, run.arrays[0]), task, run.data.train, run.arrays, plan.distill, cfg,
-            joint, splan.triplets_per_epoch))
+        return Stage(key, (), label, None, lambda run, nets: pretrain_student_task(
+            spec, task, run.data, plan.distill, cfg, joint, splan.triplets_per_epoch))
 
     init = grid[1]
     alpha, beta = _grid_weight(key, grid[2]), _grid_weight(key, grid[3])
@@ -710,9 +661,9 @@ def stage(plan: ExperimentPlan, key: str) -> Stage:
 
     def train(run: Run, nets: Mapping[str, Network]) -> Network:
         # a scratch run starts from a fresh build on the combined objective
-        init_net = nets[start] if start else _fresh(spec, seed, run.arrays[0])
+        init_net = nets[start] if start else _fresh(spec, seed, run.data.train.features)
         return _distill_task(run.targets(teacher, nets[teacher]), init_net, task, run.data.train,
-                             run.arrays, distill, cfg, joint, splan.triplets_per_epoch)
+                             distill, cfg, joint, splan.triplets_per_epoch)
 
     return Stage(key, (teacher, start) if start else (teacher,), label, row, train)
 
@@ -820,8 +771,8 @@ def _run_adopted(key: str, nets: Mapping[str, Network]) -> tuple[Network, dict[s
 def _walk(listed: list[Stage], run: Run, workers: int, nets: dict, metrics: dict) -> None:
     """Run the stages on a process pool, each once its dependencies are done.
 
-    Workers are forked, so they share ``run``'s dataset, arrays and
-    evaluation pairs, computed here first, without pickling them and without
+    Workers are forked, so they share ``run``'s dataset and evaluation pairs,
+    computed here first, without pickling them and without
     re-importing numpy and this package, which a spawned worker must do
     first; forking also means the caller should run no other threads. Only
     a stage's dependency networks and its result cross the process
@@ -835,7 +786,7 @@ def _walk(listed: list[Stage], run: Run, workers: int, nets: dict, metrics: dict
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
     from concurrent.futures.process import BrokenProcessPool
 
-    run.arrays, run.test, run.pairs  # computed once, before the fork
+    run.pairs  # computed once, before the fork
     waiting, running = list(listed), {}
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                initializer=_adopt, initargs=(run,))

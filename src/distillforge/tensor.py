@@ -163,6 +163,8 @@ def backward(loss: Tensor) -> None:
         if g is None:
             continue
         fn(g)
+    # the records and their tensors' _tape form a cycle: break it to free the graph now
+    tape._entries.clear()
 
 
 def _maybe_record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:

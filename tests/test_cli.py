@@ -8,12 +8,14 @@ import os
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import distillforge.pipeline as pipeline
 from distillforge import cli
 from distillforge.config import (ConfigError, DEFAULTS, apply_set, default_config,
-                                 describe_keys, load_config)
+                                 describe_keys, experiment_plan, load_config)
+from distillforge.data import load_dataset
 
 TINY = [
     "data.num_identities=6", "data.samples_per_identity=10", "data.input_dim=16",
@@ -218,6 +220,78 @@ def test_stage_failure_names_the_run_key(tmp_path, capsys, monkeypatch):
     code, _, err = _run(capsys, "train", "teacher_alignment", "--out", out_dir, *sets)
     assert code == 2 and message in err
     assert not (tmp_path / "t" / "teacher_alignment.ckpt").exists()
+
+
+def test_plan_needs_two_test_samples_per_identity(tmp_path, capsys):
+    # the 80/20 split leaves 0 or 1 test samples per identity at 2 to 7
+    # samples; generate still writes such a dataset, nothing else runs on it
+    for per_identity, n_test in ((2, 0), (5, 1)):
+        sets = _sets(f"data.samples_per_identity={per_identity}")
+        out_dir = tmp_path / str(per_identity)
+        assert _run(capsys, "generate", "--out", str(out_dir), *sets)[0] == 0
+        for command in (["reproduce"], ["train", "teacher_cls"]):
+            code, _, err = _run(capsys, *command, "--out", str(out_dir), *sets)
+            assert code == 1, err
+            assert err == (f"error: samples_per_identity {per_identity} leaves {n_test} test "
+                           "samples per identity; evaluation needs at least 2\n")
+        assert sorted(p.name for p in out_dir.iterdir()) == ["dataset.txt"]
+    with pytest.raises(ConfigError, match="samples_per_identity 7 leaves 1 test samples"):
+        experiment_plan(load_config(None, [*TINY, "data.samples_per_identity=7"]))
+    assert experiment_plan(load_config(None, [*TINY, "data.samples_per_identity=8"])).generator.split_sizes == (6, 2)
+
+
+def _corrupt(text: str, kind: str, rng) -> str:
+    """``text``, a saved dataset, with one corruption of ``kind`` at a place
+    drawn from ``rng``."""
+    header, *rows = text.splitlines(keepends=True)
+    if kind == "empty file":
+        return ""
+    if kind == "truncated last line":  # cut anywhere after the flag, newline included
+        return text[:len(text) - int(rng.integers(1, len(rows[-1]) - len("train")))]
+    if kind == "every row test":
+        return header + "".join("test" + row[row.index(" "):] for row in rows)
+    if kind == "header count off by one":
+        head = header.split()
+        at = int(rng.integers(2, 5))
+        head[at] = str(int(head[at]) + int(rng.choice([-1, 1])))
+        return " ".join(head) + "\n" + "".join(rows)
+    at = int(rng.integers(len(rows)))
+    tok = rows[at].split()
+    if kind == "field dropped":
+        del tok[int(rng.integers(len(tok)))]
+    elif kind == "field added":
+        tok.insert(int(rng.integers(len(tok) + 1)), repr(float(rng.normal())))
+    elif kind == "identity out of range":
+        tok[1] = str(rng.choice(["-1", "99999999999999999999"]))
+    elif kind == "non-numeric token":
+        tok[int(rng.integers(1, len(tok)))] = str(rng.choice(["x", "1.0.0", "--1", "0x1p3", "1,5"]))
+    elif kind == "non-finite value":
+        tok[int(rng.integers(2, len(tok)))] = str(rng.choice(["nan", "inf", "-inf", "1e999"]))
+    else:  # unknown split flag
+        tok[0] = str(rng.choice(["valid", "Train", "tset", "-"]))
+    rows[at] = " ".join(tok) + "\n"
+    return header + "".join(rows)
+
+
+def test_corrupt_dataset_fails_cleanly(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    assert _run(capsys, "generate", "--out", str(out_dir), *_sets())[0] == 0
+    assert _run(capsys, "train", "teacher_cls", "--out", str(out_dir), *_sets())[0] == 0
+    path = out_dir / "dataset.txt"
+    pristine = path.read_text()
+    rng = np.random.default_rng(2024)
+    for kind in ("field dropped", "field added", "non-numeric token", "non-finite value",
+                 "identity out of range", "unknown split flag", "header count off by one",
+                 "truncated last line", "empty file", "every row test"):
+        for _ in range(5):
+            path.write_text(_corrupt(pristine, kind, rng))
+            with pytest.raises(ValueError):
+                load_dataset(path)
+            code, out, err = _run(capsys, "evaluate", "teacher_cls", "--out", str(out_dir), *_sets())
+            assert code in (1, 2) and out == "", kind
+            assert len(err.splitlines()) == 1 and err.startswith("error: "), (kind, err)
+    path.write_text(pristine)
+    assert _run(capsys, "evaluate", "teacher_cls", "--out", str(out_dir), *_sets())[0] == 0
 
 
 def test_missing_dataset_is_runtime_error(tmp_path, capsys):

@@ -8,9 +8,8 @@ import pytest
 from distillforge.data import (
     GeneratorParams,
     LatentModel,
-    Sample,
+    Split,
     _bounded_draws,
-    as_arrays,
     generate,
     load_dataset,
     make_pairs,
@@ -22,52 +21,71 @@ from distillforge.data import (
 SMALL = GeneratorParams(num_identities=6, samples_per_identity=10, seed=5)
 
 
+def _columns(split):
+    return split.features, split.ids, split.keypoints
+
+
 def test_generate_deterministic():
     a = generate(SMALL)
     b = generate(SMALL)
-    fa, ia, ka = as_arrays(a.train)
-    fb, ib, kb = as_arrays(b.train)
-    assert np.array_equal(fa, fb) and np.array_equal(ia, ib) and np.array_equal(ka, kb)
+    for part in ("train", "test"):
+        for x, y in zip(_columns(getattr(a, part)), _columns(getattr(b, part))):
+            assert np.array_equal(x, y)
 
 
 def test_generate_seed_changes_data():
     a = generate(SMALL)
     b = generate(GeneratorParams(num_identities=6, samples_per_identity=10, seed=6))
-    fa, _, _ = as_arrays(a.train)
-    fb, _, _ = as_arrays(b.train)
-    assert not np.array_equal(fa, fb)
+    assert not np.array_equal(a.train.features, b.train.features)
 
 
 def test_split_ratio_per_identity():
     ds = generate(SMALL)
-    train_counts = collections.Counter(s.identity for s in ds.train)
-    test_counts = collections.Counter(s.identity for s in ds.test)
+    train_counts = collections.Counter(ds.train.ids.tolist())
+    test_counts = collections.Counter(ds.test.ids.tolist())
     for i in range(SMALL.num_identities):
         assert train_counts[i] == 8
         assert test_counts[i] == 2
+    assert SMALL.split_sizes == (8, 2)
+
+
+def test_split_sizes_match_generated_rows():
+    for n, sizes in ((1, (1, 0)), (2, (2, 0)), (5, (4, 1)), (7, (6, 1)), (8, (6, 2)), (50, (40, 10))):
+        params = GeneratorParams(num_identities=3, samples_per_identity=n, seed=1)
+        ds = generate(params)
+        assert params.split_sizes == sizes
+        assert (len(ds.train), len(ds.test)) == (3 * sizes[0], 3 * sizes[1])
 
 
 def test_split_disjoint():
     ds = generate(SMALL)
-    train_keys = {s.features.tobytes() for s in ds.train}
-    test_keys = {s.features.tobytes() for s in ds.test}
+    train_keys = {row.tobytes() for row in ds.train.features}
+    test_keys = {row.tobytes() for row in ds.test.features}
     assert not train_keys & test_keys
 
 
 def test_sample_shapes_and_ranges():
     ds = generate(SMALL)
-    for s in ds.train + ds.test:
-        assert s.features.shape == (SMALL.input_dim,)
-        assert 0 <= s.identity < SMALL.num_identities
-        assert s.keypoints.shape == (2 * SMALL.num_keypoints,)
-        assert len(s.keypoints) % 2 == 0
+    for split in (ds.train, ds.test):
+        n = len(split)
+        assert split.features.shape == (n, SMALL.input_dim) and split.features.dtype == np.float64
+        assert split.ids.shape == (n,) and split.ids.dtype == np.int64
+        assert split.keypoints.shape == (n, 2 * SMALL.num_keypoints)
+        assert np.all((split.ids >= 0) & (split.ids < SMALL.num_identities))
+
+
+def test_split_rejects_mismatched_columns():
+    with pytest.raises(ValueError):
+        Split(np.zeros((3, 2)), np.zeros(2, dtype=np.int64), np.zeros((3, 0)))
+    with pytest.raises(ValueError):
+        Split(np.zeros(3), np.zeros(3, dtype=np.int64), np.zeros((3, 0)))
 
 
 def test_nearest_centroid_beats_chance():
     # raw-feature identity signal, checked with a brute-force centroid oracle
     ds = generate(GeneratorParams())
-    feats, ids, _ = as_arrays(ds.train)
-    tf, ti, _ = as_arrays(ds.test)
+    feats, ids, _ = _columns(ds.train)
+    tf, ti, _ = _columns(ds.test)
     centroids = np.stack([feats[ids == i].mean(axis=0) for i in range(32)])
     d2 = ((tf[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     top1 = float((d2.argmin(axis=1) == ti).mean())
@@ -107,7 +125,7 @@ def test_generator_params_validation():
 def test_triplets_satisfy_identity_constraints():
     ds = generate(SMALL)
     anchors, positives, negatives = make_triplets(ds.train, 200, seed=3)
-    _, ids, _ = as_arrays(ds.train)
+    ids = ds.train.ids
     assert len(anchors) == 200
     assert np.all(anchors != positives)
     assert np.array_equal(ids[anchors], ids[positives])
@@ -125,20 +143,22 @@ def test_triplets_empty_and_deterministic():
 
 def test_triplets_need_two_samples_per_identity():
     ds = generate(GeneratorParams(num_identities=2, samples_per_identity=5, seed=0))
-    lonely = [s for s in ds.train if s.identity == 0][:1] + [s for s in ds.train if s.identity == 1]
+    ids = ds.train.ids
+    rows = np.concatenate([np.flatnonzero(ids == 0)[:1], np.flatnonzero(ids == 1)])
+    lonely = Split(ds.train.features[rows], ids[rows], ds.train.keypoints[rows])
     with pytest.raises(ValueError):
         make_triplets(lonely, 4, seed=0)
 
 
-def _reference_triplets(samples, count, seed):
+def _reference_triplets(split, count, seed):
     # the scalar-draw loop make_triplets replays, kept as its oracle
+    identities = split.ids
     groups = {}
-    for i, s in enumerate(samples):
-        groups.setdefault(s.identity, []).append(i)
+    for i, identity in enumerate(identities):
+        groups.setdefault(int(identity), []).append(i)
     groups = {k: np.asarray(v) for k, v in groups.items()}
     rng = np.random.default_rng(seed)
-    identities = np.array([s.identity for s in samples])
-    n = len(samples)
+    n = len(identities)
     anchors = np.empty(count, dtype=np.int64)
     positives = np.empty(count, dtype=np.int64)
     negatives = np.empty(count, dtype=np.int64)
@@ -158,9 +178,9 @@ def _reference_triplets(samples, count, seed):
 def _uneven_samples():
     # identities of 2, 3, 9 and 40 samples, interleaved
     sizes = {0: 2, 1: 3, 2: 9, 3: 40}
-    ids = [i for i, k in sizes.items() for _ in range(k)]
-    order = np.random.default_rng(0).permutation(len(ids))
-    return [Sample(np.zeros(1), ids[j], np.zeros(0)) for j in order]
+    ids = np.array([i for i, k in sizes.items() for _ in range(k)])
+    ids = ids[np.random.default_rng(0).permutation(len(ids))]
+    return Split(np.zeros((len(ids), 1)), ids, np.zeros((len(ids), 0)))
 
 
 @pytest.mark.parametrize("samples", [generate(GeneratorParams()).train, _uneven_samples()],
@@ -206,7 +226,7 @@ def test_bounded_draws_reject_unreplayable_bounds():
 def test_pairs_structure():
     ds = generate(SMALL)
     same, diff = make_pairs(ds.test, 30, seed=2)
-    _, ids, _ = as_arrays(ds.test)
+    ids = ds.test.ids
     assert same.shape == (30, 2) and diff.shape == (30, 2)
     assert np.array_equal(ids[same[:, 0]], ids[same[:, 1]])
     assert np.all(ids[diff[:, 0]] != ids[diff[:, 1]])
@@ -221,12 +241,9 @@ def test_save_load_round_trip(tmp_path):
     back = load_dataset(path)
     assert back.generator is None  # the file stores samples, not parameters
     for part in ("train", "test"):
-        orig, loaded = getattr(ds, part), getattr(back, part)
-        assert len(orig) == len(loaded)
-        for a, b in zip(orig, loaded):
-            assert a.identity == b.identity
-            np.testing.assert_array_equal(a.features, b.features)
-            np.testing.assert_array_equal(a.keypoints, b.keypoints)
+        for orig, loaded in zip(_columns(getattr(ds, part)), _columns(getattr(back, part))):
+            assert orig.dtype == loaded.dtype and loaded.flags.c_contiguous
+            np.testing.assert_array_equal(orig, loaded)
 
 
 def test_save_is_byte_deterministic(tmp_path):
@@ -242,3 +259,15 @@ def test_load_rejects_bad_header(tmp_path):
     path.write_text("not a dataset\n")
     with pytest.raises(ValueError):
         load_dataset(path)
+
+
+def test_save_load_save_is_byte_identical(tmp_path):
+    first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+    save_dataset(generate(SMALL), first)
+    back = load_dataset(first)
+    save_dataset(back, second)
+    assert first.read_bytes() == second.read_bytes()
+    for split in (back.train, back.test):
+        for array in _columns(split):
+            with pytest.raises(ValueError):
+                array[0] = 0

@@ -1,5 +1,5 @@
-"""Network construction, width division, forward semantics, parameter
-copying, and atomic checkpoint writes. The trunk is input -> hidden widths -> embedding (all rectified);
+"""Network construction, width division, forward semantics, cloning,
+and atomic checkpoint writes. The trunk is input -> hidden widths -> embedding (all rectified);
 logits and regression heads are affine maps off the embedding."""
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from distillforge.nets import (
     NetworkSpec,
     build,
     clone,
-    copy_parameters,
     load_network,
     num_parameters,
     save_network,
@@ -112,31 +111,6 @@ def test_heads_depend_on_input_only_through_embedding(rng):
     wl, bl, wr, br = (p.data for p in net.parameters[-4:])
     np.testing.assert_allclose(out.logits.data, emb @ wl + bl, atol=1e-12)
     np.testing.assert_allclose(out.regression.data, emb @ wr + br, atol=1e-12)
-
-
-def test_copy_parameters_identical_outputs(rng):
-    src = build(SPEC.student(2), seed=7)
-    dst = build(SPEC.student(2), seed=8)
-    src.set_normalizer(rng.normal(size=64), np.abs(rng.normal(size=64)) + 0.5)
-    copy_parameters(src, dst)
-    x = rng.normal(size=(4, 64))
-    np.testing.assert_array_equal(src.forward(x).logits.data, dst.forward(x).logits.data)
-
-
-def test_copy_then_mutate_dst_leaves_src_unchanged(rng):
-    src = build(SPEC.student(2), seed=7)
-    dst = build(SPEC.student(2), seed=8)
-    copy_parameters(src, dst)
-    before = [p.data.copy() for p in src.parameters]
-    for p in dst.parameters:
-        p.data += 1.0
-    for p, b in zip(src.parameters, before):
-        assert np.array_equal(p.data, b)
-
-
-def test_copy_between_different_divisors_rejected():
-    with pytest.raises(ValueError):
-        copy_parameters(build(SPEC.student(2), seed=0), build(SPEC.student(4), seed=0))
 
 
 def test_clone_is_deep(rng):

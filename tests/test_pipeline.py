@@ -13,7 +13,7 @@ import pytest
 
 import distillforge.pipeline as pipeline
 import distillforge.tensor as tc
-from distillforge.data import GeneratorParams, as_arrays, generate
+from distillforge.data import GeneratorParams, generate
 from distillforge.losses import DistillConfig, softmax_loss
 from distillforge.metrics import top1_accuracy
 from distillforge.nets import Network, NetworkSpec, build, clone, load_network, save_network
@@ -41,7 +41,7 @@ from distillforge.pipeline import (
     train_teacher_cls,
     train_teacher_task,
 )
-from distillforge.pipeline import _index_batches, _run_training, _teacher_targets, _train_arrays
+from distillforge.pipeline import _index_batches, _run_training, _teacher_targets
 
 GEN = GeneratorParams(num_identities=6, samples_per_identity=10, input_dim=16,
                       latent_dim=4, pose_dim=2, num_keypoints=3, seed=0)
@@ -190,7 +190,7 @@ def test_zero_epoch_stage_leaves_network_unchanged(data):
     stage = StageConfig(batch_size=16, lr_schedule=((0.1, 0),), seed=3)
     net = train_teacher_cls(SPEC, data, stage)
     fresh = build(SPEC, seed=3)
-    feats, _, _ = as_arrays(data.train)
+    feats = data.train.features
     fresh.set_normalizer(feats.mean(axis=0), feats.std(axis=0))
     for p, q in zip(net.parameters, fresh.parameters):
         assert np.array_equal(p.data, q.data)
@@ -198,7 +198,7 @@ def test_zero_epoch_stage_leaves_network_unchanged(data):
 
 def test_teacher_trains_above_threshold(data):
     net = train_teacher_cls(SPEC, data, _stage(epochs=20, lr=0.02))
-    feats, ids, _ = as_arrays(data.train)
+    feats, ids = data.train.features, data.train.ids
     assert top1_accuracy(net.forward(feats).logits.data, ids) > 0.9
 
 
@@ -281,7 +281,7 @@ def test_teacher_cache_rows_match_per_batch_forward(rng):
 
 def test_non_finite_loss_fails_before_backward(data):
     net = build(SPEC, seed=0)
-    feats, ids, _ = as_arrays(data.train)
+    feats, ids = data.train.features, data.train.ids
     n_batches = -(-len(data.train) // 16)
     fail_at = 2 * n_batches + 2  # phase 2, its second epoch, second step
     calls = []
@@ -446,19 +446,33 @@ def test_pool_failures_name_the_stage_and_leave_no_worker(monkeypatch):
 
 
 def test_pool_workers_share_the_run_constants(tmp_path, monkeypatch):
-    # the training arrays and evaluation pairs are computed once, before the
-    # fork; a file collects the calls of every process
+    # the evaluation pairs are computed once, before the fork, and the workers
+    # train on the parent's training arrays, not on copies; a file collects
+    # the calls of every process
     log = tmp_path / "calls"
-    for name in ("_train_arrays", "make_pairs"):
-        def logged(*args, _inner=getattr(pipeline, name), _name=name):
-            with open(log, "a", encoding="utf-8") as fh:
-                fh.write(f"{_name} {os.getpid()}\n")
-            return _inner(*args)
+    pairs, fresh = pipeline.make_pairs, pipeline._fresh
 
-        monkeypatch.setattr(pipeline, name, logged)
-    run_experiment(_tiny_plan(), workers=2)
-    assert log.read_text().splitlines() == [f"_train_arrays {os.getpid()}",
-                                            f"make_pairs {os.getpid()}"]
+    def logged_pairs(*args):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"make_pairs {os.getpid()}\n")
+        return pairs(*args)
+
+    def logged_fresh(spec, seed, feats):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"_fresh {os.getpid()} {feats.__array_interface__['data'][0]}\n")
+        return fresh(spec, seed, feats)
+
+    monkeypatch.setattr(pipeline, "make_pairs", logged_pairs)
+    monkeypatch.setattr(pipeline, "_fresh", logged_fresh)
+    plan = _tiny_plan()
+    data = generate(plan.generator)
+    run_experiment(plan, workers=2, data=data)
+    calls = [line.split() for line in log.read_text().splitlines()]
+    assert [call for call in calls if call[0] == "make_pairs"] == [["make_pairs", str(os.getpid())]]
+    fresh_calls = [call for call in calls if call[0] == "_fresh"]
+    assert fresh_calls and all(pid != str(os.getpid()) for _, pid, _ in fresh_calls)
+    address = str(data.train.features.__array_interface__["data"][0])
+    assert {addr for _, _, addr in fresh_calls} == {address}
 
 
 def test_wrapped_run_stage_walks_in_process(monkeypatch):
@@ -550,15 +564,16 @@ def test_experiment_runs_each_teacher_once_on_shared_read_only_targets(monkeypat
 
 
 def test_training_arrays_are_read_only(data):
-    for array in _train_arrays(data):
-        with pytest.raises(ValueError):
-            array[0] = 0
+    for split in (data.train, data.test):
+        for array in (split.features, split.ids, split.keypoints):
+            assert array.flags.c_contiguous
+            with pytest.raises(ValueError):
+                array[0] = 0
 
 
 # ------------------------------------------------------------- evaluation
 
 def test_evaluate_classification_consistent_with_metrics(data):
     net = train_teacher_cls(SPEC, data, _stage(epochs=2))
-    feats, ids, _ = as_arrays(data.test)
     got = evaluate_classification(net, data.test)
-    assert got["top1"] == top1_accuracy(net.forward(feats).logits.data, ids)
+    assert got["top1"] == top1_accuracy(net.forward(data.test.features).logits.data, data.test.ids)

@@ -108,6 +108,20 @@ def test_backward_softmax_cross_entropy_closed_form(rng):
     np.testing.assert_allclose(a.grad, sm - onehot, atol=1e-10)
 
 
+def test_backward_releases_the_graph():
+    # recorded tensors point back at their tape; a spent tape that kept its
+    # records would hold the whole graph until the cyclic collector ran
+    x = tc.Tensor(np.array([3.0, 4.0]), requires_grad=True)
+    with tc.Tape() as tape:
+        loss = tc.tsum(tc.mul(x, x))
+    assert len(tape) == 2
+    tc.backward(loss)
+    assert len(tape) == 0
+    np.testing.assert_array_equal(x.grad, [6.0, 8.0])
+    with pytest.raises(RuntimeError, match="already consumed"):
+        tc.backward(loss)
+
+
 def test_backward_outside_tape_rejected():
     x = tc.Tensor(np.array([1.0]), requires_grad=True)
     y = tc.tsum(x)
