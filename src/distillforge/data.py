@@ -106,7 +106,6 @@ class Split:
 class SplitDataset:
     train: Split
     test: Split
-    generator: GeneratorParams | None = None
 
 
 class LatentModel:
@@ -158,7 +157,7 @@ def generate(params: GeneratorParams) -> SplitDataset:
     n_train, _ = params.split_sizes
     train, test = rows[:, :n_train].ravel(), rows[:, n_train:].ravel()
     return SplitDataset(Split(feats[train], ids[train], kps[train]),
-                        Split(feats[test], ids[test], kps[test]), params)
+                        Split(feats[test], ids[test], kps[test]))
 
 
 def _ids_by_identity(ids: np.ndarray) -> dict[int, list[int]]:
@@ -283,9 +282,8 @@ def save_dataset(ds: SplitDataset, path) -> None:
 
 
 def load_dataset(path) -> SplitDataset:
-    """Inverse of save_dataset; the generator parameters are not stored, so
-    the loaded dataset's ``generator`` is None. A file that is malformed or
-    truncated, or that leaves a split without rows, raises ValueError."""
+    """Inverse of save_dataset. A file that is malformed or truncated, or
+    that leaves a split without rows, raises ValueError."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 5 or header[0] != _FORMAT_NAME or header[1] != _FORMAT_VERSION:

@@ -97,7 +97,7 @@ def softmax_loss(logits, labels) -> Tensor:
     """Hard-label cross-entropy on softmax probabilities."""
     logits = tc.as_tensor(logits)
     onehot = _one_hot(labels, logits.shape[1])
-    return cross_entropy(tc.softmax_rows(logits), Tensor(onehot))
+    return tc.softmax_cross_entropy(logits, onehot, 1.0, LOG_EPS)
 
 
 def classification_distill_loss(student_logits, teacher_logits, labels, cfg: DistillConfig) -> Tensor:
@@ -116,8 +116,8 @@ def classification_distill_loss(student_logits, teacher_logits, labels, cfg: Dis
 
 def _soft_term(student_logits, teacher_logits, tau: float) -> Tensor:
     """Cross-entropy of the softened student against the softened, detached teacher."""
-    return cross_entropy(soft_predictions(student_logits, tau),
-                         soft_predictions(tc.detach(teacher_logits), tau))
+    return tc.softmax_cross_entropy(student_logits, soft_predictions(tc.detach(teacher_logits), tau),
+                                     tau, LOG_EPS)
 
 
 def _weighted_sum(total, *terms) -> Tensor:
@@ -131,22 +131,12 @@ def _weighted_sum(total, *terms) -> Tensor:
 
 def euclidean_loss(pred, target) -> Tensor:
     """Mean over the batch of the squared Euclidean error per row."""
-    pred, target = tc.as_tensor(pred), tc.as_tensor(target)
-    if pred.shape != target.shape or pred.data.ndim != 2:
-        raise ValueError(f"euclidean_loss: need matching 2-D shapes, got {pred.shape} and {target.shape}")
-    d = tc.sub(pred, target)
-    return tc.div_scalar(tc.tsum(tc.mul(d, d)), pred.shape[0])
+    return tc.squared_error_mean(pred, target)
 
 
 def hidden_match_loss(student_emb, teacher_emb) -> Tensor:
     """Mean squared distance between student and (constant) teacher embeddings."""
-    student_emb = tc.as_tensor(student_emb)
-    teacher_emb = tc.detach(teacher_emb)
-    if student_emb.shape != teacher_emb.shape or student_emb.data.ndim != 2:
-        raise ValueError(
-            f"hidden_match_loss: need matching 2-D shapes, got {student_emb.shape} and {teacher_emb.shape}")
-    d = tc.sub(student_emb, teacher_emb)
-    return tc.div_scalar(tc.tsum(tc.mul(d, d)), student_emb.shape[0])
+    return tc.squared_error_mean(student_emb, tc.detach(teacher_emb))
 
 
 def alignment_distill_loss(student_outputs, teacher_outputs, targets, cfg: DistillConfig) -> Tensor:
@@ -197,8 +187,7 @@ def verification_distill_loss(student_outputs, teacher_outputs, triplet_indices,
     t_logits, t_emb = tc.as_tensor(teacher_outputs[0]), tc.as_tensor(teacher_outputs[1])
     a_idx, p_idx, n_idx = triplet_indices
     total = _weighted_sum(
-        triplet_loss(tc.take_rows(s_emb, a_idx), tc.take_rows(s_emb, p_idx),
-                     tc.take_rows(s_emb, n_idx), cfg.lambda_margin),
+        tc.triplet_hinge(s_emb, a_idx, p_idx, n_idx, cfg.lambda_margin),
         (cfg.alpha, lambda: _soft_term(s_logits, t_logits, cfg.tau)),
         (cfg.beta, lambda: hidden_match_loss(s_emb, t_emb)))
     if include_softmax:

@@ -47,7 +47,7 @@ import numpy as np
 from . import tensor as tc
 from .data import GeneratorParams, Split, SplitDataset, generate, make_pairs, make_triplets
 from .losses import (DistillConfig, alignment_distill_loss, classification_distill_loss,
-                     euclidean_loss, softmax_loss, triplet_loss, verification_distill_loss)
+                     euclidean_loss, softmax_loss, verification_distill_loss)
 from .metrics import (MetricsReport, nrmse, pair_verification_accuracy, reference_distances,
                       top1_accuracy, verification_top1)
 from .nets import Network, NetworkSpec, build, clone, save_network
@@ -122,38 +122,69 @@ class StageConfig:
 
 
 class OptimizerState:
-    """Nesterov-style momentum state: one velocity buffer per parameter, plus
-    two scratch buffers per parameter so that a step allocates nothing."""
+    """Nesterov-style momentum over flat buffers.
 
-    def __init__(self, learning_rate: float, momentum: float, velocities: list[np.ndarray]):
+    Building the state moves the parameters' values into one contiguous
+    buffer, ``params``, and leaves each ``p.data`` a view into it; the
+    gradient and velocity buffers, ``grad`` and ``velocity``, share that
+    layout (``grads`` and ``velocities`` hold the per-parameter views). A
+    step is then six whole-array ufunc calls, through two scratch buffers,
+    so that it allocates nothing.
+    """
+
+    def __init__(self, parameters, learning_rate: float, momentum: float = 0.9):
+        self.parameters = list(parameters)
         self.learning_rate = float(learning_rate)
         self.momentum = float(momentum)
-        self.velocities = velocities
-        self.scratch = [(np.empty_like(v), np.empty_like(v)) for v in velocities]
+        n = sum(p.data.size for p in self.parameters)
+        self.params, self.grad, self.velocity = np.empty(n), np.zeros(n), np.zeros(n)
+        self.scratch = (np.empty(n), np.empty(n))
+        self.grads, self.velocities = [], []
+        start = 0
+        for p in self.parameters:
+            end = start + p.data.size
+            view = self.params[start:end].reshape(p.data.shape)
+            view[...] = p.data
+            p.data = view
+            self.grads.append(self.grad[start:end].reshape(view.shape))
+            self.velocities.append(self.velocity[start:end].reshape(view.shape))
+            start = end
 
     @classmethod
     def for_network(cls, net, learning_rate: float, momentum: float = 0.9) -> "OptimizerState":
-        return cls(learning_rate, momentum, [np.zeros_like(p.data) for p in net.parameters])
+        return cls(net.parameters, learning_rate, momentum)
+
+    def zero_grad(self) -> None:
+        """Zero the gradient buffer and give each parameter its view of it, so
+        backward accumulates in place; bitwise the same as accumulating into
+        no gradient, since 0.0 + g is g + 0.0."""
+        self.grad.fill(0.0)
+        for p, view in zip(self.parameters, self.grads):
+            p.grad = view
 
 
 def nag_step(net, opt: OptimizerState) -> None:
     """v <- mu*v - lr*g; theta <- theta + mu*v - lr*g; gradients are cleared.
 
-    Updates run in place, through the state's scratch buffers; the gradient
-    arrays themselves are left unmodified.
+    A gradient that is not the parameter's view of ``opt.grad`` is copied
+    into it first; the gradient arrays themselves are left unmodified.
     """
-    if len(opt.velocities) != len(net.parameters):
+    if net.parameters != opt.parameters:
         raise ValueError("optimizer state does not match the network's parameter list")
+    for p, view in zip(opt.parameters, opt.grads):
+        if p.grad is not view:
+            if p.grad is None:
+                raise RuntimeError("nag_step: a parameter has no gradient; run backward first")
+            view[...] = p.grad
     mu, lr = opt.momentum, opt.learning_rate
-    for p, v, (lr_g, update) in zip(net.parameters, opt.velocities, opt.scratch):
-        if p.grad is None:
-            raise RuntimeError("nag_step: a parameter has no gradient; run backward first")
-        np.multiply(p.grad, lr, out=lr_g)
-        v *= mu
-        v -= lr_g
-        np.multiply(v, mu, out=update)
-        update -= lr_g
-        p.data += update
+    lr_g, update = opt.scratch
+    np.multiply(opt.grad, lr, out=lr_g)
+    opt.velocity *= mu
+    opt.velocity -= lr_g
+    np.multiply(opt.velocity, mu, out=update)
+    update -= lr_g
+    opt.params += update
+    for p in opt.parameters:
         p.grad = None
 
 
@@ -177,11 +208,9 @@ def _run_training(net, stage: StageConfig, make_epoch, step_fn) -> TrainingLog:
                     raise RuntimeError(
                         f"non-finite training loss {value} in learning-rate phase {phase} "
                         f"(lr {lr:g}), epoch {epoch}, step {step}")
+                # heads untouched by this objective keep a genuinely zero gradient
+                opt.zero_grad()
                 tc.backward(loss)
-                # heads untouched by this objective have a genuinely zero gradient
-                for p in net.parameters:
-                    if p.grad is None:
-                        p.grad = np.zeros_like(p.data)
                 nag_step(net, opt)
                 log.step_lrs.append(lr)
                 log.step_losses.append(value)
@@ -332,12 +361,7 @@ def _train_task(net, task, train: Split, cfg, stage, include_softmax, triplets_p
             uniq, ia, ip, in_ = _dedup_triplet_batch(batch)
             with tc.Tape():
                 out = net.forward(feats[uniq])
-                loss = triplet_loss(
-                    tc.take_rows(out.embedding, ia),
-                    tc.take_rows(out.embedding, ip),
-                    tc.take_rows(out.embedding, in_),
-                    cfg.lambda_margin,
-                )
+                loss = tc.triplet_hinge(out.embedding, ia, ip, in_, cfg.lambda_margin)
                 if include_softmax:
                     loss = tc.add(loss, softmax_loss(out.logits, ids[uniq]))
                 return loss

@@ -46,6 +46,9 @@ __all__ = [
     "mean",
     "take_rows",
     "clamped_cross_entropy",
+    "softmax_cross_entropy",
+    "squared_error_mean",
+    "triplet_hinge",
     "grad_check",
     "GradCheckResult",
 ]
@@ -365,16 +368,24 @@ def softmax_rows(a) -> Tensor:
     ad = a.data
     if ad.ndim != 2:
         raise ValueError(f"softmax_rows: expected a 2-D tensor, got shape {ad.shape}")
-    shifted = ad - ad.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
+    y = _softmax(ad)
     out = Tensor(y)
 
     def backward_fn(g: np.ndarray) -> None:
         if a.requires_grad:
-            _accumulate(a, y * (g - (g * y).sum(axis=1, keepdims=True)))
+            _accumulate(a, _softmax_grad(y, g))
 
     return _maybe_record(out, (a,), backward_fn)
+
+
+def _softmax(x: np.ndarray) -> np.ndarray:
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient reaching softmax_rows' input from g at its output y."""
+    return y * (g - (g * y).sum(axis=1, keepdims=True))
 
 
 # Reductions -------------------------------------------------------------------
@@ -420,16 +431,21 @@ def mean(a) -> Tensor:
     return _maybe_record(out, (a,), backward_fn)
 
 
+def _row_indices(indices, n_rows: int, op: str) -> np.ndarray:
+    idx = np.asarray(indices)
+    if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
+        raise ValueError(f"{op}: indices must be a 1-D integer array")
+    if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
+        raise IndexError(f"{op}: index out of range for {n_rows} rows")
+    return idx
+
+
 def take_rows(a, indices) -> Tensor:
     """Gather rows of a 2-D tensor; duplicate indices accumulate in backward."""
     a = as_tensor(a)
-    idx = np.asarray(indices)
     if a.data.ndim != 2:
         raise ValueError(f"take_rows: expected a 2-D tensor, got shape {a.shape}")
-    if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
-        raise ValueError("take_rows: indices must be a 1-D integer array")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
-        raise IndexError(f"take_rows: index out of range for {a.data.shape[0]} rows")
+    idx = _row_indices(indices, a.data.shape[0], "take_rows")
     out = Tensor(a.data[idx])
 
     def backward_fn(g: np.ndarray) -> None:
@@ -470,6 +486,106 @@ def clamped_cross_entropy(pred, target, floor: float) -> Tensor:
             _accumulate(pred, g * td / clamped * (pd > floor))
 
     return _maybe_record(out, (pred, target), backward_fn)
+
+
+# Fused objective terms ----------------------------------------------------------
+# Each is one tape entry that runs its unfused chain's float operations in the
+# chain's order. The chain also adds 0.0 to every gradient it first stores in
+# an intermediate tensor, which only turns -0.0 into +0.0; a zero's sign never
+# changes a nonzero result of these operations, and the accumulation into the
+# inputs' gradients makes every zero +0.0, so values and gradients match the
+# chain bitwise.
+
+def softmax_cross_entropy(logits, target, tau: float, floor: float) -> Tensor:
+    """Batch mean of -sum_k target_k * ln(max(p_k, floor)) with p = softmax(logits / tau),
+    as one tape entry.
+
+    The target is a constant: no gradient reaches it. Values and gradients
+    are bitwise those of the unfused chain
+    clamped_cross_entropy(softmax_rows(div_scalar(logits, tau)), detach(target), floor),
+    and at tau = 1 (x / 1 is x) those of clamped_cross_entropy(softmax_rows(logits), ...).
+    """
+    logits = as_tensor(logits)
+    ld, q = logits.data, as_tensor(target).data
+    if ld.shape != q.shape or ld.ndim != 2:
+        raise ValueError(f"softmax_cross_entropy: need matching 2-D shapes, got {ld.shape} and {q.shape}")
+    tau, floor = float(tau), float(floor)
+    if not (tau > 0.0 and floor > 0.0):
+        raise ValueError(f"softmax_cross_entropy: tau and floor must be positive, got {tau} and {floor}")
+    p = _softmax(ld / tau)
+    scale = -1.0 / ld.shape[0]
+    clamped = np.maximum(p, floor)
+    out = Tensor((q * np.log(clamped)).sum() * scale)
+
+    def backward_fn(g: np.ndarray) -> None:
+        g = g * scale * q / clamped * (p > floor)
+        _accumulate(logits, _softmax_grad(p, g) / tau)
+
+    return _maybe_record(out, (logits,), backward_fn)
+
+
+def squared_error_mean(pred, target) -> Tensor:
+    """sum((pred - target) ** 2) / rows for 2-D operands, as one tape entry.
+
+    Values and gradients are bitwise those of the unfused chain
+    div_scalar(tsum(mul(d, d)), rows) with d = sub(pred, target).
+    """
+    pred, target = as_tensor(pred), as_tensor(target)
+    pd, td = pred.data, target.data
+    if pd.shape != td.shape or pd.ndim != 2 or not pd.shape[0]:
+        raise ValueError(f"squared_error_mean: need matching non-empty 2-D shapes, got {pd.shape} "
+                         f"and {td.shape}")
+    rows = float(pd.shape[0])
+    d = pd - td
+    out = Tensor((d * d).sum() / rows)
+
+    def backward_fn(g: np.ndarray) -> None:
+        gd = g / rows * d
+        gd += gd  # mul(d, d): the same gradient reaches both operands
+        if pred.requires_grad:
+            _accumulate(pred, gd)
+        if target.requires_grad:
+            _accumulate(target, -gd)
+
+    return _maybe_record(out, (pred, target), backward_fn)
+
+
+def triplet_hinge(emb, anchor, positive, negative, margin: float) -> Tensor:
+    """Mean over triplets of max(0, |a - p|^2 - |a - n|^2 + margin), where a, p
+    and n are the rows of ``emb`` the three index arrays pick, as one tape entry.
+
+    Values and gradients are bitwise those of the unfused chain
+    mean(relu(add(sub(s_ap, s_an), margin))) with s_ap = sum_rows(mul(d, d))
+    for d = sub(take_rows(emb, anchor), take_rows(emb, positive)), and s_an
+    likewise: the gathered rows' gradients reach ``emb`` in that chain's
+    reverse-tape order (negative, positive, anchor), each summed into a
+    zeroed buffer first, so duplicate indices accumulate the same way.
+    """
+    emb = as_tensor(emb)
+    ed = emb.data
+    if ed.ndim != 2:
+        raise ValueError(f"triplet_hinge: expected a 2-D tensor, got shape {ed.shape}")
+    ia, ip, in_ = (_row_indices(i, ed.shape[0], "triplet_hinge") for i in (anchor, positive, negative))
+    if not ia.shape == ip.shape == in_.shape or not ia.size:
+        raise ValueError("triplet_hinge: need one or more triplets, with as many positives and "
+                         f"negatives as anchors, got {ia.size}, {ip.size} and {in_.size}")
+    a = ed[ia]
+    d_ap, d_an = a - ed[ip], a - ed[in_]
+    z = (d_ap * d_ap).sum(axis=1) - (d_an * d_an).sum(axis=1) + float(margin)
+    out = Tensor(np.maximum(z, 0.0).mean())
+
+    def backward_fn(g: np.ndarray) -> None:
+        h = (g / z.size * (z > 0.0))[:, None]  # subgradient 0 at the kink
+        g_ap, g_an = h * d_ap, -h * d_an
+        g_ap += g_ap  # each squared difference reaches both of its factors
+        g_an += g_an
+        acc = np.empty_like(ed)
+        for idx, rows in ((in_, -g_an), (ip, -g_ap), (ia, g_an + g_ap)):
+            acc.fill(0.0)
+            np.add.at(acc, idx, rows)
+            _accumulate(emb, acc)
+
+    return _maybe_record(out, (emb,), backward_fn)
 
 
 # Gradient checking ------------------------------------------------------------

@@ -30,7 +30,6 @@ from distillforge.losses import (DistillConfig, alignment_distill_loss,
                                  triplet_loss, verification_distill_loss)
 from distillforge.metrics import (nrmse, pair_verification_accuracy,
                                   verification_top1)
-from distillforge.nets import NetworkSpec
 from distillforge.pipeline import (ALIGNMENT, VERIFICATION, ExperimentPlan,
                                    OptimizerState, TaskPlan, nag_step,
                                    run_experiment, select_targets)

@@ -9,6 +9,7 @@ from distillforge.data import (
     GeneratorParams,
     LatentModel,
     Split,
+    SplitDataset,
     _bounded_draws,
     generate,
     load_dataset,
@@ -239,7 +240,6 @@ def test_save_load_round_trip(tmp_path):
     path = tmp_path / "data.txt"
     save_dataset(ds, path)
     back = load_dataset(path)
-    assert back.generator is None  # the file stores samples, not parameters
     for part in ("train", "test"):
         for orig, loaded in zip(_columns(getattr(ds, part)), _columns(getattr(back, part))):
             assert orig.dtype == loaded.dtype and loaded.flags.c_contiguous
@@ -252,6 +252,32 @@ def test_save_is_byte_deterministic(tmp_path):
     save_dataset(ds, p1)
     save_dataset(ds, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _per_value_lines(ds):
+    # the container's row format, spelled out: one shortest round-trip repr
+    # per value, joined by spaces
+    n, d, kc = len(ds.train) + len(ds.test), ds.train.features.shape[1], ds.train.keypoints.shape[1]
+    lines = [f"distillforge-dataset v1 {n} {d} {kc}"]
+    for flag, split in (("train", ds.train), ("test", ds.test)):
+        lines += [" ".join([flag, str(identity), *map(repr, feats.tolist()), *map(repr, kps.tolist())])
+                  for identity, feats, kps in zip(split.ids.tolist(), split.features, split.keypoints)]
+    return "\n".join(lines) + "\n"
+
+
+def test_save_matches_per_value_format(tmp_path, rng):
+    edges = np.array([-0.0, 0.0, 1e16, -1e16, 1e-5, 5e-324, -5e-324, 1e22, 0.1, -2.5, 1.0, 123456789.0])
+    feats = rng.choice(edges, size=(7, 5)) * rng.choice([1.0, -1.0, 0.5], size=(7, 5))
+    feats[0] = edges[:5]
+    kps = rng.choice(edges, size=(7, 3))
+    kps[0] = edges[5:8]
+    odd = Split(feats[:4], np.array([0, 3, 1, 2**31 - 1]), kps[:4])
+    ds = SplitDataset(odd, Split(feats[4:], np.array([0, 0, 9]), kps[4:]))
+    no_kps = SplitDataset(*(Split(s.features, s.ids, s.keypoints[:, :0]) for s in (ds.train, ds.test)))
+    for case in (ds, no_kps, generate(SMALL)):
+        path = tmp_path / "d.txt"
+        save_dataset(case, path)
+        assert path.read_text() == _per_value_lines(case)
 
 
 def test_load_rejects_bad_header(tmp_path):

@@ -6,7 +6,6 @@ import pytest
 
 from distillforge._atomic import atomic_write
 from distillforge.nets import (
-    Network,
     NetworkSpec,
     build,
     clone,

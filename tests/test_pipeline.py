@@ -4,6 +4,7 @@ the experiment driver's report grid. Everything here runs on a miniature
 benchmark so the whole file stays in the single-digit seconds."""
 import concurrent.futures
 import functools
+import hashlib
 import multiprocessing
 import os
 import tracemalloc
@@ -16,7 +17,7 @@ import distillforge.tensor as tc
 from distillforge.data import GeneratorParams, generate
 from distillforge.losses import DistillConfig, softmax_loss
 from distillforge.metrics import top1_accuracy
-from distillforge.nets import Network, NetworkSpec, build, clone, load_network, save_network
+from distillforge.nets import Network, NetworkSpec, build, load_network, save_network
 from distillforge.pipeline import (
     ALIGNMENT,
     VERIFICATION,
@@ -114,8 +115,9 @@ def test_nag_requires_gradients():
 def test_nag_rejects_mismatched_state():
     net = _OneParamNet(1.0)
     net.parameters[0].grad = np.array([1.0])
-    with pytest.raises(ValueError):
-        nag_step(net, OptimizerState(0.1, 0.9, velocities=[]))
+    for other in ([], _OneParamNet(1.0).parameters, net.parameters * 2):
+        with pytest.raises(ValueError):
+            nag_step(net, OptimizerState(other, 0.1, 0.9))
 
 
 def test_nag_clears_gradients():
@@ -159,9 +161,44 @@ def test_nag_step_allocates_no_arrays(rng):
     try:
         nag_step(net, opt)
         _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        opt.zero_grad()  # the training loop's path: the gradient is already in the flat buffer
+        net.parameters[0].grad += grad
+        nag_step(net, opt)
+        _, peak_flat = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < grad.nbytes // 16  # a 512 KiB temporary would show
+    assert max(peak, peak_flat) < grad.nbytes // 16  # a 512 KiB temporary would show
+
+
+def test_nag_over_flat_buffers_matches_per_parameter_update(rng):
+    # the training loop's path: backward accumulates into the zeroed views
+    # zero_grad hands out and the step runs over whole buffers; the reference
+    # backpropagates into fresh gradients, gives the untouched head zeros and
+    # runs the update per parameter, as training did before flat buffers
+    net, ref = build(SPEC, seed=1), build(SPEC, seed=1)
+    opt = OptimizerState.for_network(net, learning_rate=0.03, momentum=0.9)
+    assert all(p.data.base is opt.params for p in net.parameters)
+    vel = [np.zeros_like(p.data) for p in ref.parameters]
+    x, labels = rng.normal(size=(9, 16)), rng.integers(0, 6, size=9)
+    for _ in range(5):
+        opt.zero_grad()
+        with tc.Tape():
+            loss = softmax_loss(net.forward(x).logits, labels)
+        tc.backward(loss)
+        nag_step(net, opt)
+        with tc.Tape():
+            loss = softmax_loss(ref.forward(x).logits, labels)
+        tc.backward(loss)
+        for p, v in zip(ref.parameters, vel):
+            g = np.zeros_like(p.data) if p.grad is None else p.grad
+            lr_g = 0.03 * g
+            v[...] = 0.9 * v - lr_g
+            p.data = p.data + (0.9 * v - lr_g)
+            p.grad = None
+        for p, q, v, w in zip(net.parameters, ref.parameters, opt.velocities, vel):
+            assert p.data.tobytes() == q.data.tobytes() and v.tobytes() == w.tobytes()
+            assert p.grad is None
 
 
 # ----------------------------------------------------------------- stages
@@ -394,6 +431,60 @@ def test_experiment_checkpoints_match_stages_trained_alone(tmp_path):
         save_network(net, tmp_path / "alone.ckpt")
         assert ((tmp_path / "alone.ckpt").read_bytes()
                 == (tmp_path / "run" / f"{node.key}.ckpt").read_bytes()), node.key
+
+
+# sha256 of every checkpoint of _digest_plan(), recorded with per-parameter
+# optimizer arrays and the unfused objective chains
+CHECKPOINT_SHA256 = {
+    "student2_alignment_distill_a0_b0": "044ae8bb4b7c5a11d63ab9056e98312880cf468f92a45c2d5ee35aeabd32eb04",
+    "student2_alignment_distill_a0_b1": "da041c068137f52caccffbca781c23739263f0926ba0f9df7410239939d4e7e4",
+    "student2_alignment_distill_a1_b0": "aa0097c90e5d892d4fc2f75794b2488d94bb92cab53fc60d8932fb45cda0d68f",
+    "student2_alignment_pretrain_a0_b0": "f20ac7fb9a2c8df56fa60a8f2ecd9cb3143a8d4ab453d7fbcc08bba80e63ec76",
+    "student2_alignment_pretrain_a0_b1": "46dd0e9b66e2a7344121882c0480a7505af8862c6533c31cf4d4e4bc7e192c90",
+    "student2_alignment_pretrain_a1_b0": "bec3b4bf13b2e234db62c8bddd6c90f5aa517fee782b47b040d32f7d26d51c0b",
+    "student2_alignment_pretrain_base": "74afc93e95d8621c02a2ef5cd5594f65d78e7e606fbdd9e4cd2021d0fc8b890e",
+    "student2_alignment_scratch_a0_b0": "10f3430fcb536f35c78c9f5e5750d3d1051e86611da0f6a40b5c9635d63f9661",
+    "student2_alignment_scratch_a0_b1": "198ba4d6b1885313b5f19ed08f73bc73515a3d5a48b09a44829f23704bf58c02",
+    "student2_alignment_scratch_a1_b0": "9ec1b8476d2e19df0ebd07173a6a5b6bbd8caf07d78b0b8953477c37d408ed45",
+    "student2_cls_full_init": "a199de1f96b544a033bdc96d570c7de09ba90a13afd5c27517d18bd5bc34f4a8",
+    "student2_cls_init": "57090b7ae6ae3d184d24272370f2184d38b91e1c6dfc583e42c0c631b82f5622",
+    "student2_cls_scratch": "49d0cf4bfb9ea4c67bc46c919a703ca73164d73c8835b34aea5306d72a02912d",
+    "student2_verification_distill_a0_b0": "92f3ef24f979949a4e1ee075619124d9014e46f963dedcc967c5bc2a88d90621",
+    "student2_verification_distill_a0_b1": "b2b9b02f852f5d0e4cf04b6cbeb076afa0e47dccc3b5d272b0d36c46123e2d42",
+    "student2_verification_distill_a1_b0": "00e30308971656a482c982de13f81343881ad1e756796ac3313aa63421993e9f",
+    "student2_verification_joint_scratch_a0_b0": "7bdfab100d85068789a8b9a4464061cd76a7f546928d6627c92afd65730bc085",
+    "student2_verification_joint_scratch_a0_b1": "67ccf67cdde6345dbf02dcd280bb41064086a8e3b4e4e06c4148add806762817",
+    "student2_verification_joint_scratch_a1_b0": "ff7279b6a496adc82fb127f133f4bba730afbdee245cb6e2e475b5a387e7094c",
+    "student2_verification_pretrain_a0_b0": "6031cc9570f1fbe745310e61d5d09482ccf97ce64bed682679b01de0d9d72cad",
+    "student2_verification_pretrain_a0_b1": "21e79b021b4d8944b706dd66777dd2b9095c91cd3baae48a1aa11986386edd7f",
+    "student2_verification_pretrain_a1_b0": "4292c13aa75f9852edda1dc5364005eaeaf2afe559f9e0fd617f098f8e857c65",
+    "student2_verification_pretrain_base": "5ef7328c4aae91bcc5801456353727a0c41be1a9be3c32ef1729b6a1a56c1b58",
+    "teacher_alignment": "00aa12eecd137af09173048ca7b3fca7868c39736334c3e191cd10b8088f5059",
+    "teacher_cls": "fc25e19b2c6c983cb64dc2cb79dabd5a13eac81a70e6b8d2561768cb62a5b7e2",
+    "teacher_verification": "e31b9348e9157890d628eca9d63ef4d7744321009a836121308d75866870f279",
+    "teacher_verification_joint": "ababb4319f771cd04c7942aadf1998a38ab7c1d3e01bb375731b4857ed677456",
+}
+
+
+def _digest_plan():
+    # both verification tables and every task init, so each objective and
+    # each fused op takes part
+    return _tiny_plan(
+        cls_inits=("scratch", "full_init"),
+        tasks=(TaskPlan(ALIGNMENT, (2,), inits=("scratch", "pretrain", "distill")),
+               TaskPlan(VERIFICATION, (2,), inits=("pretrain", "distill")),
+               TaskPlan(VERIFICATION, (2,), inits=("scratch",), include_softmax=True)),
+        cls_stage=StagePlan(16, 2),
+        alignment_stage=StagePlan(16, 3, scratch_lr=0.005, continue_lr=0.001),
+        verification_stage=StagePlan(16, 2, scratch_lr=0.005, continue_lr=0.001))
+
+
+def test_checkpoints_match_recorded_digests(tmp_path):
+    plan = _digest_plan()
+    run_experiment(plan, tmp_path)
+    assert sorted(node.key for node in stages(plan)) == sorted(CHECKPOINT_SHA256)
+    for key, expected in CHECKPOINT_SHA256.items():
+        assert hashlib.sha256((tmp_path / f"{key}.ckpt").read_bytes()).hexdigest() == expected, key
 
 
 def test_experiment_bytes_do_not_depend_on_worker_count(tmp_path):

@@ -377,3 +377,142 @@ def test_first_accumulation_is_positive_zero():
     tc.backward(loss)
     # relu's backward yields -1 * 0 = -0.0 at the negative input; zeros + g is +0.0
     assert _same_bits(x.grad, np.array([-1.0, 0.0]))
+
+
+def _unfused_soft(x, t, tau, floor):
+    # at tau 1 the chain has no division, as in losses.softmax_loss before fusing
+    p = tc.softmax_rows(x if tau == 1.0 else tc.div_scalar(x, tau))
+    return _unfused_ce(p, tc.detach(t), floor)
+
+
+def test_softmax_cross_entropy_matches_unfused_bitwise(rng):
+    floor = 1e-12
+    for trial in range(60):
+        m, n = (int(v) for v in rng.integers(1, 8, size=2))
+        tau = (1.0, 3.0, 7.5)[trial % 3]
+        # a large spread drives predictions under the floor and softened
+        # targets to exact zeros; one-hot targets are the hard-label case
+        logits = rng.normal(size=(m, n)) * rng.choice([1.0, 200.0])
+        soft = tc.softmax_rows(rng.normal(size=(m, n)) * rng.choice([1.0, 5000.0]) / tau).data
+        onehot = np.eye(n)[rng.integers(0, n, size=m)]
+
+        def with_hard_term(ce):
+            # the logits also feed a hard-label term: two accumulations, in tape order
+            def build(x, t):
+                hard = _unfused_ce(tc.softmax_rows(x), onehot, floor)
+                return tc.add(hard, tc.mul(ce(x, t, tau, floor), 0.7))
+            return build
+
+        def alone(ce):
+            return lambda x, t: ce(x, t, tau, floor)
+
+        for build in (with_hard_term, alone):
+            for target in (soft, onehot):
+                for mask in ([True, False], [True, True]):
+                    _assert_bitwise(build(tc.softmax_cross_entropy), build(_unfused_soft),
+                                    [logits, target], mask)
+
+
+def test_softmax_cross_entropy_rejects_bad_input():
+    for args in ((np.ones((2, 3)), np.ones((3, 2)), 3.0), (np.ones(3), np.ones(3), 3.0),
+                 (np.ones((2, 3)), np.ones((2, 3)), 0.0)):
+        with pytest.raises(ValueError):
+            tc.softmax_cross_entropy(*args, 1e-12)
+
+
+def test_grad_check_softmax_cross_entropy(rng):
+    for _ in range(5):
+        m, n = (int(v) for v in rng.integers(1, 6, size=2))
+        target = tc.softmax_rows(rng.normal(size=(m, n))).data
+        tau = float(rng.uniform(1.0, 4.0))
+        f = lambda t: tc.softmax_cross_entropy(t, target, tau, 1e-12)
+        assert tc.grad_check(f, rng.normal(size=(m, n)) * 2.0).passed
+
+
+def _unfused_squared_error(p, t):
+    d = tc.sub(p, t)
+    return tc.div_scalar(tc.tsum(tc.mul(d, d)), p.shape[0])
+
+
+def test_squared_error_mean_matches_unfused_bitwise(rng):
+    for _ in range(60):
+        m, n = (int(v) for v in rng.integers(1, 8, size=2))
+        pred, target = rng.normal(size=(m, n)), rng.normal(size=(m, n))
+        same = rng.random((m, n)) < 0.3
+        target[same] = pred[same]          # exact-zero differences
+        c = rng.normal(size=(m, n))
+
+        def shared(sq):
+            # pred also feeds a second term, recorded before the squared error
+            return lambda p, t: tc.add(tc.tsum(tc.mul(p, c)), tc.mul(sq(p, t), 1.5))
+
+        for build in (shared, lambda sq: sq):
+            for mask in ([True, False], [True, True], [False, True]):
+                _assert_bitwise(build(tc.squared_error_mean), build(_unfused_squared_error),
+                                [pred, target], mask)
+
+
+def test_squared_error_mean_rejects_bad_input():
+    for a, b in ((np.ones((2, 3)), np.ones((3, 2))), (np.ones(3), np.ones(3)),
+                 (np.ones((0, 3)), np.ones((0, 3)))):
+        with pytest.raises(ValueError):
+            tc.squared_error_mean(a, b)
+
+
+def test_grad_check_squared_error_mean(rng):
+    for _ in range(5):
+        m, n = (int(v) for v in rng.integers(1, 6, size=2))
+        pred, target = rng.normal(size=(m, n)), rng.normal(size=(m, n))
+        assert tc.grad_check(lambda t: tc.squared_error_mean(t, target), pred).passed
+        assert tc.grad_check(lambda t: tc.squared_error_mean(pred, t), target).passed
+
+
+def _unfused_triplet(e, ia, ip, in_, margin):
+    a, p, n = tc.take_rows(e, ia), tc.take_rows(e, ip), tc.take_rows(e, in_)
+    d_ap, d_an = tc.sub(a, p), tc.sub(a, n)
+    s_ap, s_an = tc.sum_rows(tc.mul(d_ap, d_ap)), tc.sum_rows(tc.mul(d_an, d_an))
+    return tc.mean(tc.relu(tc.add(tc.sub(s_ap, s_an), float(margin))))
+
+
+def test_triplet_hinge_matches_unfused_bitwise(rng):
+    for trial in range(60):
+        rows, dim, k = (int(v) for v in rng.integers(1, 9, size=3))
+        emb = rng.normal(size=(rows, dim))
+        emb[rng.random(rows) < 0.2] = 0.0
+        ia, ip, in_ = (rng.integers(0, rows, size=k) for _ in range(3))  # duplicates included
+        ip[: k // 3] = in_[: k // 3]       # equal distances: the hinge sits at margin
+        margin = (0.0, 0.4, 2.0)[trial % 3]  # margin 0 puts those triplets on the kink
+        c = rng.normal(size=(rows, dim))
+
+        def shared(hinge):
+            # the embedding also feeds terms recorded before and after the hinge
+            def build(e):
+                before = tc.tsum(tc.mul(e, c))
+                loss = tc.add(before, hinge(e, ia, ip, in_, margin))
+                return tc.add(loss, tc.mul(tc.tsum(tc.mul(e, e)), 0.25))
+            return build
+
+        for build in (shared, lambda hinge: lambda e: hinge(e, ia, ip, in_, margin)):
+            _assert_bitwise(build(tc.triplet_hinge), build(_unfused_triplet), [emb], [True])
+
+
+def test_triplet_hinge_rejects_bad_input():
+    emb = np.ones((4, 2))
+    good = np.array([0, 1])
+    for ia, ip, in_ in ((good, good, np.array([0])), (good, good, np.array([0, 4])),
+                        (good, good, np.array([0.0, 1.0])), (good[:0], good[:0], good[:0])):
+        with pytest.raises((ValueError, IndexError)):
+            tc.triplet_hinge(emb, ia, ip, in_, 0.4)
+    with pytest.raises(ValueError):
+        tc.triplet_hinge(np.ones(4), good, good, good, 0.4)
+
+
+def test_grad_check_triplet_hinge(rng):
+    for _ in range(5):
+        rows, dim, k = (int(v) for v in rng.integers(2, 7, size=3))
+        ia, ip, in_ = (rng.integers(0, rows, size=k) for _ in range(3))
+        emb = rng.normal(size=(rows, dim))
+        z = lambda e: ((e[ia] - e[ip]) ** 2).sum(axis=1) - ((e[ia] - e[in_]) ** 2).sum(axis=1) + 0.4
+        while np.any(np.abs(z(emb)) < 1e-3):  # away from the hinge's kink
+            emb = rng.normal(size=(rows, dim))
+        assert tc.grad_check(lambda t: tc.triplet_hinge(t, ia, ip, in_, 0.4), emb).passed
