@@ -133,7 +133,7 @@ def load_config(path=None, sets=()) -> dict:
         try:
             with open(path, encoding="utf-8") as fh:
                 lines = fh.readlines()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         for lineno, line in enumerate(lines, start=1):
             line = line.strip()

@@ -17,6 +17,14 @@ task_term + alpha * soft_term + beta * hidden_term, with terms skipped
 exactly (not multiplied by zero) when their weight is 0, so e.g. the
 classification objective at alpha=0 is bit-identical to the plain softmax
 loss.
+
+Each combined objective has one body (``classification_objective``,
+``alignment_objective``, ``verification_objective``) over constant target
+rows: one-hot labels (``one_hot``) and the softened teacher
+(``soft_targets``, None at alpha=0). The public losses build the rows from
+their arguments; a training stage builds them once per stage, as tables
+whose rows are bitwise the per-batch rows, and runs only the network heads
+its objective reads, since an unread head gets no gradient.
 """
 from __future__ import annotations
 
@@ -82,7 +90,8 @@ def cross_entropy(pred, target) -> Tensor:
     return tc.clamped_cross_entropy(pred, target, LOG_EPS)
 
 
-def _one_hot(labels, num_classes: int) -> np.ndarray:
+def one_hot(labels, num_classes: int) -> np.ndarray:
+    """Rows of the identity matrix picked by integer labels."""
     labels = np.asarray(labels)
     if labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
         raise ValueError("labels must be a 1-D integer array")
@@ -93,11 +102,16 @@ def _one_hot(labels, num_classes: int) -> np.ndarray:
     return out
 
 
+def soft_targets(teacher_logits, cfg: DistillConfig) -> np.ndarray | None:
+    """The detached teacher's softened targets softmax(logits / tau), or None
+    when alpha is 0 and no soft term reads them."""
+    return soft_predictions(tc.detach(teacher_logits), cfg.tau).data if cfg.alpha != 0 else None
+
+
 def softmax_loss(logits, labels) -> Tensor:
     """Hard-label cross-entropy on softmax probabilities."""
     logits = tc.as_tensor(logits)
-    onehot = _one_hot(labels, logits.shape[1])
-    return tc.softmax_cross_entropy(logits, onehot, 1.0, LOG_EPS)
+    return _hard_term(logits, one_hot(labels, logits.shape[1]))
 
 
 def classification_distill_loss(student_logits, teacher_logits, labels, cfg: DistillConfig) -> Tensor:
@@ -110,14 +124,22 @@ def classification_distill_loss(student_logits, teacher_logits, labels, cfg: Dis
     if student_logits.shape != teacher_logits.shape:
         raise ValueError(
             f"student and teacher logits differ in shape: {student_logits.shape} vs {teacher_logits.shape}")
-    return _weighted_sum(softmax_loss(student_logits, labels),
-                         (cfg.alpha, lambda: _soft_term(student_logits, teacher_logits, cfg.tau)))
+    return classification_objective(student_logits, one_hot(labels, student_logits.shape[1]),
+                                    soft_targets(teacher_logits, cfg), cfg)
 
 
-def _soft_term(student_logits, teacher_logits, tau: float) -> Tensor:
-    """Cross-entropy of the softened student against the softened, detached teacher."""
-    return tc.softmax_cross_entropy(student_logits, soft_predictions(tc.detach(teacher_logits), tau),
-                                     tau, LOG_EPS)
+def classification_objective(logits, onehot, soft, cfg: DistillConfig) -> Tensor:
+    """hard + alpha * soft, from one-hot label rows and softened teacher rows."""
+    return _weighted_sum(_hard_term(logits, onehot), (cfg.alpha, lambda: _soft_term(logits, soft, cfg.tau)))
+
+
+def _hard_term(logits, onehot) -> Tensor:
+    return tc.softmax_cross_entropy(logits, onehot, 1.0, LOG_EPS)
+
+
+def _soft_term(student_logits, soft, tau: float) -> Tensor:
+    """Cross-entropy of the softened student against the softened teacher rows."""
+    return tc.softmax_cross_entropy(student_logits, soft, tau, LOG_EPS)
 
 
 def _weighted_sum(total, *terms) -> Tensor:
@@ -147,10 +169,15 @@ def alignment_distill_loss(student_outputs, teacher_outputs, targets, cfg: Disti
     alpha == beta == 0 this is exactly euclidean_loss(regression, targets).
     """
     s_logits, s_emb, s_reg = student_outputs
-    t_logits, t_emb = teacher_outputs[0], teacher_outputs[1]
-    return _weighted_sum(euclidean_loss(s_reg, targets),
-                         (cfg.alpha, lambda: _soft_term(s_logits, t_logits, cfg.tau)),
-                         (cfg.beta, lambda: hidden_match_loss(s_emb, t_emb)))
+    return alignment_objective(s_logits, s_emb, s_reg, soft_targets(teacher_outputs[0], cfg),
+                               teacher_outputs[1], targets, cfg)
+
+
+def alignment_objective(logits, emb, regression, soft, teacher_emb, targets, cfg: DistillConfig) -> Tensor:
+    """euclidean + alpha * soft + beta * hidden, from softened teacher rows."""
+    return _weighted_sum(euclidean_loss(regression, targets),
+                         (cfg.alpha, lambda: _soft_term(logits, soft, cfg.tau)),
+                         (cfg.beta, lambda: hidden_match_loss(emb, teacher_emb)))
 
 
 def triplet_loss(anchor_emb, positive_emb, negative_emb, margin: float) -> Tensor:
@@ -183,18 +210,22 @@ def verification_distill_loss(student_outputs, teacher_outputs, triplet_indices,
     are counted once. At alpha == beta == 0 without the softmax term this
     is exactly triplet_loss on the gathered rows.
     """
+    if include_softmax and labels is None:
+        raise ValueError("include_softmax requires labels")
     s_logits, s_emb = tc.as_tensor(student_outputs[0]), tc.as_tensor(student_outputs[1])
-    t_logits, t_emb = tc.as_tensor(teacher_outputs[0]), tc.as_tensor(teacher_outputs[1])
-    a_idx, p_idx, n_idx = triplet_indices
-    total = _weighted_sum(
-        tc.triplet_hinge(s_emb, a_idx, p_idx, n_idx, cfg.lambda_margin),
-        (cfg.alpha, lambda: _soft_term(s_logits, t_logits, cfg.tau)),
-        (cfg.beta, lambda: hidden_match_loss(s_emb, t_emb)))
-    if include_softmax:
-        if labels is None:
-            raise ValueError("include_softmax requires labels")
-        total = tc.add(total, softmax_loss(s_logits, labels))
-    return total
+    onehot = one_hot(labels, s_logits.shape[1]) if include_softmax else None
+    return verification_objective(s_logits, s_emb, soft_targets(teacher_outputs[0], cfg),
+                                  teacher_outputs[1], triplet_indices, cfg, onehot)
+
+
+def verification_objective(logits, emb, soft, teacher_emb, triplet_indices, cfg: DistillConfig,
+                           onehot=None) -> Tensor:
+    """triplet + alpha * soft + beta * hidden, then the hard term when one-hot
+    label rows are given, from softened teacher rows."""
+    total = _weighted_sum(tc.triplet_hinge(emb, *triplet_indices, cfg.lambda_margin),
+                          (cfg.alpha, lambda: _soft_term(logits, soft, cfg.tau)),
+                          (cfg.beta, lambda: hidden_match_loss(emb, teacher_emb)))
+    return total if onehot is None else tc.add(total, _hard_term(logits, onehot))
 
 
 def general_distill_loss(task_loss, soft_term, hidden_term, cfg: DistillConfig) -> Tensor:

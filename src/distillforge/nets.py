@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -33,6 +34,8 @@ __all__ = [
 ]
 
 _CKPT_MAGIC = "distillforge-ckpt v1"
+_SPEC_FIELDS = ("input_dim", "hidden_widths", "embedding_dim", "num_classes",
+                "num_keypoint_coords", "width_divisor")
 
 
 @dataclass(frozen=True)
@@ -110,16 +113,27 @@ class Network:
         if x.data.ndim != 2 or x.shape[1] != self.spec.input_dim:
             raise ValueError(
                 f"forward: expected a batch of shape (B, {self.spec.input_dim}), got {x.shape}")
-        h = (x.data - self.norm_mean) * (1.0 / self.norm_std)
-        n_trunk = len(self.spec.layer_dims()) - 1
+        return self._forward(self.standardize(x.data))
+
+    def standardize(self, features: np.ndarray) -> np.ndarray:
+        """Features standardized by the normalizer, elementwise, so each row of a
+        standardized table is bitwise that row standardized alone."""
+        return (features - self.norm_mean) * (1.0 / self.norm_std)
+
+    def _forward(self, h, logits: bool = True, regression: bool = True) -> NetworkOutputs:
+        """Outputs for standardized rows ``h``; a head not asked for is None.
+
+        The heads run logits first, regression second, right after the trunk,
+        so the embedding's gradient accumulates in the same order whichever
+        of them runs; a head whose output no objective reads would get no
+        gradient, so skipping it changes no bit of any other gradient.
+        """
+        n_trunk = len(self.parameters) // 2 - 2  # every layer but the two heads
         for i in range(n_trunk):
             h = tc.affine(h, self.parameters[2 * i], self.parameters[2 * i + 1], rectify=True)
-        k = h
-        w_cls, b_cls = self.parameters[2 * n_trunk], self.parameters[2 * n_trunk + 1]
-        w_reg, b_reg = self.parameters[2 * n_trunk + 2], self.parameters[2 * n_trunk + 3]
-        logits = tc.affine(k, w_cls, b_cls, rectify=False)
-        regression = tc.affine(k, w_reg, b_reg, rectify=False)
-        return NetworkOutputs(logits, k, regression)
+        w_cls, b_cls, w_reg, b_reg = self.parameters[2 * n_trunk:]
+        return NetworkOutputs(tc.affine(h, w_cls, b_cls, rectify=False) if logits else None, h,
+                              tc.affine(h, w_reg, b_reg, rectify=False) if regression else None)
 
 
 def _layer_shapes(spec: NetworkSpec) -> list[tuple[int, int]]:
@@ -165,18 +179,8 @@ def num_parameters(net: Network) -> int:
 
 def save_network(net: Network, path) -> None:
     """Write a versioned checkpoint that round-trips bit-exactly."""
-    spec = net.spec
-    header = {
-        "spec": {
-            "input_dim": spec.input_dim,
-            "hidden_widths": list(spec.hidden_widths),
-            "embedding_dim": spec.embedding_dim,
-            "num_classes": spec.num_classes,
-            "num_keypoint_coords": spec.num_keypoint_coords,
-            "width_divisor": spec.width_divisor,
-        },
-        "param_shapes": [list(p.shape) for p in net.parameters],
-    }
+    header = {"spec": {name: getattr(net.spec, name) for name in _SPEC_FIELDS},
+              "param_shapes": [list(p.shape) for p in net.parameters]}
     with atomic_write(path, "wb") as fh:
         fh.write(_CKPT_MAGIC.encode() + b"\n")
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
@@ -186,41 +190,47 @@ def save_network(net: Network, path) -> None:
             fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
 
 
+def _header_spec(header) -> tuple[NetworkSpec, list[tuple[int, ...]]]:
+    """The spec and parameter shapes a checkpoint header declares."""
+    def ints(values) -> bool:
+        return isinstance(values, list) and all(type(v) is int for v in values)
+
+    spec = header.get("spec") if isinstance(header, dict) else None
+    if (not isinstance(spec, dict) or sorted(spec) != sorted(_SPEC_FIELDS)
+            or not ints([spec[k] for k in _SPEC_FIELDS if k != "hidden_widths"])
+            or not ints(spec["hidden_widths"]) or not isinstance(header.get("param_shapes"), list)
+            or not all(ints(shape) for shape in header["param_shapes"])):
+        raise ValueError("malformed checkpoint header")
+    return NetworkSpec(**spec), [tuple(shape) for shape in header["param_shapes"]]
+
+
 def load_network(path) -> Network:
-    with open(path, "rb") as fh:
-        magic = fh.readline().rstrip(b"\n").decode(errors="replace")
-        if magic != _CKPT_MAGIC:
-            raise ValueError(f"{path}: not a network checkpoint (header {magic!r}, expected {_CKPT_MAGIC!r})")
-        try:
-            header = json.loads(fh.readline().decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ValueError(f"{path}: corrupt checkpoint header: {exc}") from exc
-        spec = NetworkSpec(
-            input_dim=header["spec"]["input_dim"],
-            hidden_widths=tuple(header["spec"]["hidden_widths"]),
-            embedding_dim=header["spec"]["embedding_dim"],
-            num_classes=header["spec"]["num_classes"],
-            num_keypoint_coords=header["spec"]["num_keypoint_coords"],
-            width_divisor=header["spec"]["width_divisor"],
-        )
-        shapes = [tuple(s) for s in header["param_shapes"]]
-        expected: list[tuple[int, ...]] = []
-        for fan_in, fan_out in _layer_shapes(spec):
-            expected.append((fan_in, fan_out))
-            expected.append((fan_out,))
-        if shapes != expected:
-            raise ValueError(f"{path}: parameter shapes do not match the declared spec")
-
-        def read_array(shape):
-            n = int(np.prod(shape)) if shape else 1
-            raw = fh.read(8 * n)
-            if len(raw) != 8 * n:
-                raise ValueError(f"{path}: truncated checkpoint")
-            return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-
-        mean = read_array((spec.input_dim,))
-        std = read_array((spec.input_dim,))
-        params = [Tensor(read_array(s), requires_grad=True) for s in shapes]
-        if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after checkpoint payload")
-    return Network(spec, params, mean, std)
+    """Read a checkpoint; any malformed content raises a ValueError naming the file."""
+    try:
+        with open(path, "rb") as fh:
+            magic = fh.readline().rstrip(b"\n").decode(errors="replace")
+            if magic != _CKPT_MAGIC:
+                raise ValueError(f"not a network checkpoint (header {magic!r}, expected {_CKPT_MAGIC!r})")
+            try:
+                header = json.loads(fh.readline().decode())
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise ValueError(f"corrupt checkpoint header: {exc}") from exc
+            spec, shapes = _header_spec(header)
+            if shapes != [s for fan_in, fan_out in _layer_shapes(spec)
+                          for s in ((fan_in, fan_out), (fan_out,))]:
+                raise ValueError("parameter shapes do not match the declared spec")
+            shapes = [(spec.input_dim,), (spec.input_dim,), *shapes]
+            sizes = [math.prod(shape) for shape in shapes]
+            # sized before reading, so a corrupt header never asks for a huge read
+            left = os.fstat(fh.fileno()).st_size - fh.tell()
+            if left != 8 * sum(sizes):
+                raise ValueError("truncated checkpoint" if left < 8 * sum(sizes)
+                                 else "trailing bytes after checkpoint payload")
+            flat = np.frombuffer(fh.read(), dtype="<f8")
+        if not np.isfinite(flat).all():
+            raise ValueError("non-finite value in checkpoint payload")
+        mean, std, *params = (a.reshape(shape).copy()
+                              for a, shape in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes))
+        return Network(spec, [Tensor(p, requires_grad=True) for p in params], mean, std)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -20,6 +20,16 @@ their per-step loss history in ``net.training_log``.
 Every stage trains on the dataset's training split and is scored on its
 test split, both read-only ``data.Split`` columns that all stages share.
 
+What stays fixed for a whole stage is built once, after its network
+exists, as a table over the training split, and each batch indexes its
+rows: the features standardized by the network's normalizer, the one-hot
+labels, the softened teacher targets softmax(logits / tau) when alpha > 0,
+and, for verification, a dedup lookup that maps a triplet batch to its
+unique rows. The step runs only the heads its objective reads: the
+regression head only for alignment, the class head only for a soft or
+softmax term. Every table row and every gradient is bitwise what the
+per-batch build and the all-heads forward give.
+
 Each stage is named by a run key (``teacher_cls``, ``student4_cls_full_init``,
 ``student8_alignment_distill_a0_b1``, ...). ``stage(plan, key)`` gives its
 dependencies and training body, and ``stages(plan)`` lists a plan's stages,
@@ -46,8 +56,8 @@ import numpy as np
 
 from . import tensor as tc
 from .data import GeneratorParams, Split, SplitDataset, generate, make_pairs, make_triplets
-from .losses import (DistillConfig, alignment_distill_loss, classification_distill_loss,
-                     euclidean_loss, softmax_loss, verification_distill_loss)
+from .losses import (DistillConfig, alignment_objective, classification_objective, one_hot,
+                     soft_targets, verification_objective)
 from .metrics import (MetricsReport, nrmse, pair_verification_accuracy, reference_distances,
                       top1_accuracy, verification_top1)
 from .nets import Network, NetworkSpec, build, clone, save_network
@@ -226,11 +236,26 @@ def _index_batches(n: int, batch_size: int):
     return make_epoch
 
 
-def _dedup_triplet_batch(batch):
-    a, p, n_ = batch
-    k = a.size
-    uniq, inv = np.unique(np.concatenate([a, p, n_]), return_inverse=True)
-    return uniq, inv[:k], inv[k:2 * k], inv[2 * k:]
+def _dedup_lookup(n: int):
+    """A function from a triplet batch of row indices below ``n`` to the
+    sorted unique rows and the (anchor, positive, negative) positions in
+    them, as ``np.unique(..., return_inverse=True)`` gives them; a mask and a
+    position array over the split, built once and reused by every batch."""
+    seen, pos = np.zeros(n, dtype=bool), np.empty(n, dtype=np.intp)
+
+    def dedup(a, p, n_):
+        rows = np.concatenate([a, p, n_])
+        seen[rows] = True
+        uniq = np.flatnonzero(seen)
+        seen[uniq] = False
+        pos[uniq] = np.arange(uniq.size)
+        inv, k = pos[rows], a.size
+        return uniq, inv[:k], inv[k:2 * k], inv[2 * k:]
+    return dedup
+
+
+def _rows(table, idx):
+    return None if table is None else table[idx]
 
 
 def _fresh(spec: NetworkSpec, seed: int, feats: np.ndarray) -> Network:
@@ -251,16 +276,7 @@ def _check_task(task: str) -> None:
 
 def train_teacher_cls(spec: NetworkSpec, data: SplitDataset, stage: StageConfig) -> Network:
     """Scratch softmax training of the (teacher) classification network."""
-    feats, ids = data.train.features, data.train.ids
-    net = _fresh(spec, stage.seed, feats)
-
-    def step(idx):
-        with tc.Tape():
-            out = net.forward(feats[idx])
-            return softmax_loss(out.logits, ids[idx])
-
-    _run_training(net, stage, _index_batches(len(feats), stage.batch_size), step)
-    return net
+    return _distill_cls(None, data.train, DistillConfig(alpha=0.0), stage, spec)
 
 
 def init_student_cls(spec: NetworkSpec, data: SplitDataset, stage: StageConfig) -> Network:
@@ -296,38 +312,44 @@ def distill_student_cls(teacher: Network, data: SplitDataset, cfg: DistillConfig
 
 
 def _distill_cls(targets, train: Split, cfg, stage, student_spec=None, init_from=None):
-    feats, ids = train.features, train.ids
+    """Classification training on hard labels, plus the soft term from the
+    teacher's (logits, embedding) ``targets`` when they are given."""
     if init_from is not None:
         net = clone(init_from)
     elif student_spec is None:
         raise ValueError("scratch mode needs student_spec")
     else:
-        net = _fresh(student_spec, stage.seed, feats)
-    t_logits, t_emb = targets
-    if t_emb.shape[1] != net.spec.embedding_dim or t_logits.shape[1] != net.spec.num_classes:
+        net = _fresh(student_spec, stage.seed, train.features)
+    t_logits, t_emb = targets or (None, None)
+    if targets and (t_emb.shape[1] != net.spec.embedding_dim or t_logits.shape[1] != net.spec.num_classes):
         raise ValueError("student and teacher must share embedding_dim and num_classes")
+    x, onehot = net.standardize(train.features), one_hot(train.ids, net.spec.num_classes)
+    soft = soft_targets(t_logits, cfg)
 
     def step(idx):
         with tc.Tape():
-            out = net.forward(feats[idx])
-            return classification_distill_loss(out.logits, t_logits[idx], ids[idx], cfg)
+            out = net._forward(x[idx], regression=False)
+            return classification_objective(out.logits, onehot[idx], _rows(soft, idx), cfg)
 
-    _run_training(net, stage, _index_batches(len(feats), stage.batch_size), step)
+    _run_training(net, stage, _index_batches(len(x), stage.batch_size), step)
     return net
 
 
 def _task_batches(task, train: Split, stage: StageConfig, triplets_per_epoch: int):
+    """Alignment batches are row indices; verification batches are
+    deduplicated triplets, (unique rows, anchor, positive, negative)."""
     _check_task(task)
     if task == ALIGNMENT:
         return _index_batches(len(train), stage.batch_size)
     count = triplets_per_epoch if triplets_per_epoch > 0 else len(train)
+    dedup = _dedup_lookup(len(train))
 
     def make_epoch(rng):
         # fresh uniformly drawn triplets every epoch
         a, p, n_ = make_triplets(train, count, int(rng.integers(2 ** 62)))
         for start in range(0, count, stage.batch_size):
             sl = slice(start, start + stage.batch_size)
-            yield a[sl], p[sl], n_[sl]
+            yield dedup(a[sl], p[sl], n_[sl])
     return make_epoch
 
 
@@ -348,28 +370,6 @@ def pretrain_student_task(spec: NetworkSpec, task: str, data: SplitDataset, cfg:
                        include_softmax, triplets_per_epoch)
 
 
-def _train_task(net, task, train: Split, cfg, stage, include_softmax, triplets_per_epoch):
-    """Task-only objective (no distillation terms) for teacher/pretrain stages."""
-    feats, ids, kps = train.features, train.ids, train.keypoints
-    if task == ALIGNMENT:
-        def step(idx):
-            with tc.Tape():
-                out = net.forward(feats[idx])
-                return euclidean_loss(out.regression, kps[idx])
-    else:
-        def step(batch):
-            uniq, ia, ip, in_ = _dedup_triplet_batch(batch)
-            with tc.Tape():
-                out = net.forward(feats[uniq])
-                loss = tc.triplet_hinge(out.embedding, ia, ip, in_, cfg.lambda_margin)
-                if include_softmax:
-                    loss = tc.add(loss, softmax_loss(out.logits, ids[uniq]))
-                return loss
-
-    _run_training(net, stage, _task_batches(task, train, stage, triplets_per_epoch), step)
-    return net
-
-
 def distill_student_task(teacher_task: Network, init_net: Network, task: str, data: SplitDataset,
                          cfg: DistillConfig, stage: StageConfig, include_softmax: bool = False,
                          triplets_per_epoch: int = 0) -> Network:
@@ -378,29 +378,36 @@ def distill_student_task(teacher_task: Network, init_net: Network, task: str, da
     ``init_net`` is the starting point (task-pretrained student or the
     distilled classification student); it is value-copied, never mutated.
     """
-    return _distill_task(_teacher_targets(teacher_task, data.train.features), init_net, task,
-                         data.train, cfg, stage, include_softmax, triplets_per_epoch)
+    return _train_task(clone(init_net), task, data.train, cfg, stage, include_softmax,
+                       triplets_per_epoch, _teacher_targets(teacher_task, data.train.features))
 
 
-def _distill_task(targets, init_net, task, train: Split, cfg, stage, include_softmax,
-                  triplets_per_epoch):
-    feats, ids, kps = train.features, train.ids, train.keypoints
-    t_logits, t_emb = targets
-    net = clone(init_net)
-
+def _train_task(net, task, train: Split, cfg, stage, include_softmax, triplets_per_epoch,
+                targets=None):
+    """Fine-tune ``net`` in place on the task objective, plus the distillation
+    terms from the teacher's (logits, embedding) ``targets`` when they are
+    given; without them alpha and beta are 0."""
+    if targets is None:
+        targets, cfg = (None, None), replace(cfg, alpha=0.0, beta=0.0)
+    t_logits, t_emb = targets[0], targets[1] if cfg.beta else None  # only the hidden term reads it
+    x, soft = net.standardize(train.features), soft_targets(t_logits, cfg)
     if task == ALIGNMENT:
+        kps = train.keypoints
+
         def step(idx):
             with tc.Tape():
-                out = net.forward(feats[idx])
-                return alignment_distill_loss(out, (t_logits[idx], t_emb[idx]), kps[idx], cfg)
+                out = net._forward(x[idx], logits=cfg.alpha != 0)
+                return alignment_objective(out.logits, out.embedding, out.regression,
+                                           _rows(soft, idx), _rows(t_emb, idx), kps[idx], cfg)
     else:
+        onehot = one_hot(train.ids, net.spec.num_classes) if include_softmax else None
+
         def step(batch):
-            uniq, ia, ip, in_ = _dedup_triplet_batch(batch)
+            uniq, *triplets = batch
             with tc.Tape():
-                out = net.forward(feats[uniq])
-                return verification_distill_loss(
-                    (out.logits, out.embedding), (t_logits[uniq], t_emb[uniq]),
-                    (ia, ip, in_), cfg, include_softmax, ids[uniq])
+                out = net._forward(x[uniq], logits=cfg.alpha != 0 or include_softmax, regression=False)
+                return verification_objective(out.logits, out.embedding, _rows(soft, uniq),
+                                              _rows(t_emb, uniq), triplets, cfg, _rows(onehot, uniq))
 
     _run_training(net, stage, _task_batches(task, train, stage, triplets_per_epoch), step)
     return net
@@ -685,9 +692,9 @@ def stage(plan: ExperimentPlan, key: str) -> Stage:
 
     def train(run: Run, nets: Mapping[str, Network]) -> Network:
         # a scratch run starts from a fresh build on the combined objective
-        init_net = nets[start] if start else _fresh(spec, seed, run.data.train.features)
-        return _distill_task(run.targets(teacher, nets[teacher]), init_net, task, run.data.train,
-                             distill, cfg, joint, splan.triplets_per_epoch)
+        init_net = clone(nets[start]) if start else _fresh(spec, seed, run.data.train.features)
+        return _train_task(init_net, task, run.data.train, distill, cfg, joint,
+                           splan.triplets_per_epoch, run.targets(teacher, nets[teacher]))
 
     return Stage(key, (teacher, start) if start else (teacher,), label, row, train)
 

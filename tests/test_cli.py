@@ -16,6 +16,7 @@ from distillforge import cli
 from distillforge.config import (ConfigError, DEFAULTS, apply_set, default_config,
                                  describe_keys, experiment_plan, load_config)
 from distillforge.data import load_dataset
+from distillforge.nets import load_network
 
 TINY = [
     "data.num_identities=6", "data.samples_per_identity=10", "data.input_dim=16",
@@ -292,6 +293,81 @@ def test_corrupt_dataset_fails_cleanly(tmp_path, capsys):
             assert len(err.splitlines()) == 1 and err.startswith("error: "), (kind, err)
     path.write_text(pristine)
     assert _run(capsys, "evaluate", "teacher_cls", "--out", str(out_dir), *_sets())[0] == 0
+
+
+_SPEC_INTS = ("input_dim", "embedding_dim", "num_classes", "num_keypoint_coords", "width_divisor")
+
+
+def _corrupt_ckpt(blob: bytes, kind: str, rng) -> bytes:
+    """``blob``, a saved checkpoint, with one corruption of ``kind`` at a
+    place drawn from ``rng``."""
+    def pick(options):
+        return options[int(rng.integers(len(options)))]
+
+    if kind == "truncated":  # anywhere: in the magic, the header or mid-array
+        return blob[:int(rng.integers(len(blob)))]
+    magic, header, payload = blob.split(b"\n", 2)
+    if kind == "non-finite value":
+        at = 8 * int(rng.integers(len(payload) // 8))
+        value = np.array([pick([np.nan, np.inf, -np.inf])], dtype="<f8").tobytes()
+        return magic + b"\n" + header + b"\n" + payload[:at] + value + payload[at + 8:]
+    head = json.loads(header)
+    spec = head["spec"]
+    if kind == "spec disagrees with shapes":
+        field = pick([*_SPEC_INTS, "hidden_widths"])
+        if field == "hidden_widths":
+            spec[field] = pick([spec[field][:-1], spec[field] + [3]])
+        else:
+            spec[field] += 1
+    elif kind == "field missing":
+        field = pick(["spec", "param_shapes", *_SPEC_INTS, "hidden_widths"])
+        del (head if field in head else spec)[field]
+    elif kind == "field mistyped":
+        field = pick(["param_shapes", "a shape", *_SPEC_INTS, "hidden_widths"])
+        if field == "a shape":
+            head["param_shapes"][int(rng.integers(len(head["param_shapes"])))] = pick(
+                ["x", [1.5, 2], [None], 7])
+        elif field == "param_shapes":
+            head[field] = pick(["x", 7, {"a": 1}])
+        elif field == "hidden_widths":
+            spec[field] = pick([5, "16,8", [16.0, 8], ["16", 8], None, {}])
+        else:
+            spec[field] = pick(["2", 2.0, None, True, [1], {}])
+    else:  # the header is another JSON value
+        head = pick([[head], "spec", 3, None, {}])
+    return magic + b"\n" + json.dumps(head).encode() + b"\n" + payload
+
+
+def test_corrupt_checkpoint_fails_cleanly(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    assert _run(capsys, "generate", "--out", str(out_dir), *_sets())[0] == 0
+    assert _run(capsys, "train", "teacher_cls", "--out", str(out_dir), *_sets())[0] == 0
+    path = out_dir / "teacher_cls.ckpt"
+    pristine = path.read_bytes()
+    rng = np.random.default_rng(2025)
+    for kind in ("truncated", "non-finite value", "spec disagrees with shapes", "field missing",
+                 "field mistyped", "header not an object"):
+        for _ in range(8):
+            path.write_bytes(_corrupt_ckpt(pristine, kind, rng))
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                load_network(path)
+            # read directly, and as the dependency of a stage
+            for command in (["evaluate", str(path)], ["train", "student2_cls_scratch"]):
+                code, out, err = _run(capsys, *command, "--out", str(out_dir), *_sets())
+                assert code in (1, 2) and out == "", (kind, command)
+                assert len(err.splitlines()) == 1 and err.startswith("error: "), (kind, err)
+                assert str(path) in err, (kind, err)
+    assert not (out_dir / "student2_cls_scratch.ckpt").exists()
+    path.write_bytes(pristine)
+    assert _run(capsys, "evaluate", str(path), "--out", str(out_dir), *_sets())[0] == 0
+
+
+def test_undecodable_config_is_config_error(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"seed = 1\n# caf\xe9\n")
+    code, out, err = _run(capsys, "generate", "--config", str(path), "--out", str(tmp_path))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and str(path) in err
 
 
 def test_missing_dataset_is_runtime_error(tmp_path, capsys):

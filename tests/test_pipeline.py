@@ -15,9 +15,12 @@ import pytest
 import distillforge.pipeline as pipeline
 import distillforge.tensor as tc
 from distillforge.data import GeneratorParams, generate
-from distillforge.losses import DistillConfig, softmax_loss
+from distillforge.losses import (DistillConfig, alignment_distill_loss, alignment_objective,
+                                 classification_distill_loss, classification_objective, one_hot,
+                                 soft_predictions, soft_targets, softmax_loss,
+                                 verification_distill_loss, verification_objective)
 from distillforge.metrics import top1_accuracy
-from distillforge.nets import Network, NetworkSpec, build, load_network, save_network
+from distillforge.nets import Network, NetworkOutputs, NetworkSpec, build, load_network, save_network
 from distillforge.pipeline import (
     ALIGNMENT,
     VERIFICATION,
@@ -42,7 +45,7 @@ from distillforge.pipeline import (
     train_teacher_cls,
     train_teacher_task,
 )
-from distillforge.pipeline import _index_batches, _run_training, _teacher_targets
+from distillforge.pipeline import _dedup_lookup, _index_batches, _run_training, _teacher_targets
 
 GEN = GeneratorParams(num_identities=6, samples_per_identity=10, input_dim=16,
                       latent_dim=4, pose_dim=2, num_keypoints=3, seed=0)
@@ -314,6 +317,146 @@ def test_teacher_cache_rows_match_per_batch_forward(rng):
             assert cached[idx].tobytes() == fresh.tobytes(), (
                 f"teacher {name} for a {size}-row batch differ from the cached full-set rows: "
                 "this BLAS build breaks the per-stage teacher cache")
+
+
+def test_stage_table_rows_match_per_batch_builds(rng):
+    # a stage standardizes its features, one-hot encodes its labels and
+    # softens its teacher's logits once, over the whole training split; each
+    # batch's rows must be bitwise what the batch alone would give
+    teacher_spec = ExperimentPlan().teacher
+    teacher = build(teacher_spec, seed=5)
+    feats = rng.normal(size=(1280, teacher_spec.input_dim)) * 3.0 + 1.0
+    labels = rng.integers(0, teacher_spec.num_classes, size=len(feats))
+    teacher.set_normalizer(feats.mean(axis=0), feats.std(axis=0))
+    t_logits, _ = _teacher_targets(teacher, feats)
+    cfg = DistillConfig(tau=3.0)
+    x, onehot, soft = teacher.standardize(feats), one_hot(labels, 32), soft_targets(t_logits, cfg)
+    for size in range(2, 129):
+        idx = rng.choice(len(feats), size=size, replace=False)
+        batch = feats[idx]
+        per_batch = {"standardized": (batch - teacher.norm_mean) * (1.0 / teacher.norm_std),
+                     "one-hot": one_hot(labels[idx], 32),
+                     "softened": soft_predictions(tc.detach(t_logits[idx]), cfg.tau).data}
+        for name, table in (("standardized", x), ("one-hot", onehot), ("softened", soft)):
+            assert table[idx].tobytes() == per_batch[name].tobytes(), (
+                f"{name} rows for a {size}-row batch differ from the stage table's rows")
+
+
+def test_dedup_lookup_matches_unique(rng):
+    n = 300
+    dedup = _dedup_lookup(n)
+    for _ in range(200):
+        k = int(rng.integers(1, 65))
+        # few distinct rows, so triplets share members within and across arrays
+        a, p, n_ = (rng.integers(0, int(rng.integers(1, n + 1)), size=k) for _ in range(3))
+        uniq, inv = np.unique(np.concatenate([a, p, n_]), return_inverse=True)
+        got = dedup(a, p, n_)
+        for mine, want in zip(got, (uniq, inv[:k], inv[k:2 * k], inv[2 * k:])):
+            assert mine.dtype.kind == "i" and np.array_equal(mine, want)
+
+
+def _objective_cases(rng, n, spec):
+    """(name, heads it reads, its loss over the full forward through the public
+    wrappers, and over the skipped-head forward through the bodies)."""
+    c, e = spec.num_classes, spec.embedding_dim
+    t_logits, t_emb = rng.normal(size=(n, c)) * 2, rng.normal(size=(n, e))
+    labels, kps = rng.integers(0, c, size=n), rng.normal(size=(n, spec.num_keypoint_coords))
+    trips = tuple(rng.integers(0, n, size=n) for _ in range(3))
+    onehot = one_hot(labels, c)
+    for alpha, beta in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
+        cfg = DistillConfig(alpha=alpha, beta=beta)
+        soft = soft_targets(t_logits, cfg)
+        if beta == 0.0:
+            yield (f"cls a{alpha:g}", (True, False),
+                   lambda o, cfg=cfg: classification_distill_loss(o.logits, t_logits, labels, cfg),
+                   lambda o, cfg=cfg, soft=soft: classification_objective(o.logits, onehot, soft, cfg))
+        yield (f"alignment a{alpha:g} b{beta:g}", (alpha != 0, True),
+               lambda o, cfg=cfg: alignment_distill_loss(o, (t_logits, t_emb), kps, cfg),
+               lambda o, cfg=cfg, soft=soft: alignment_objective(
+                   o.logits, o.embedding, o.regression, soft, t_emb, kps, cfg))
+        for joint in (False, True):
+            yield (f"verification a{alpha:g} b{beta:g} joint={joint}", (alpha != 0 or joint, False),
+                   lambda o, cfg=cfg, joint=joint: verification_distill_loss(
+                       o, (t_logits, t_emb), trips, cfg, joint, labels),
+                   lambda o, cfg=cfg, soft=soft, joint=joint: verification_objective(
+                       o.logits, o.embedding, soft, t_emb, trips, cfg, onehot if joint else None))
+
+
+def _every_head_forward(net, batch):
+    """The forward that ran every head, logits before regression, in every step."""
+    h, params = net.standardize(batch), net.parameters
+    for i in range(0, len(params) - 4, 2):
+        h = tc.affine(h, params[i], params[i + 1], rectify=True)
+    return NetworkOutputs(tc.affine(h, *params[-4:-2], rectify=False), h,
+                          tc.affine(h, *params[-2:], rectify=False))
+
+
+def test_skipping_unread_heads_changes_no_gradient_bit(rng):
+    spec = SPEC.student(2)
+    net = build(spec, seed=0)
+    for p in net.parameters:  # random heads too: a zero head would hide a reordered sum
+        p.data = rng.normal(size=p.data.shape) * 0.5
+    net.set_normalizer(rng.normal(size=spec.input_dim), rng.uniform(0.5, 2.0, size=spec.input_dim))
+    opt = OptimizerState.for_network(net, 0.1)
+    batch = rng.normal(size=(24, spec.input_dim))
+    head_params = {"logits": net.parameters[-4:-2], "regression": net.parameters[-2:]}
+
+    def grads(loss_of, forward):
+        opt.zero_grad()
+        with tc.Tape():
+            loss = loss_of(forward())
+        tc.backward(loss)
+        return loss.data.tobytes(), opt.grad.copy()
+
+    for name, (logits, regression), wrapper, body in _objective_cases(rng, len(batch), spec):
+        full = grads(wrapper, lambda: _every_head_forward(net, batch))
+        skipped = grads(body, lambda: net._forward(net.standardize(batch), logits, regression))
+        assert full[0] == skipped[0], name
+        assert full[1].tobytes() == skipped[1].tobytes(), name
+        for head, read in (("logits", logits), ("regression", regression)):
+            if not read:
+                assert not any(np.any(p.grad) for p in head_params[head]), (name, head)
+    opt.zero_grad()
+
+
+def test_stage_tables_are_built_once_per_stage(data, monkeypatch):
+    # the tables a stage indexes per batch are built once, however long it runs
+    counts = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("one_hot", "soft_targets", "_dedup_lookup"):
+        monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
+    monkeypatch.setattr(Network, "standardize", counting("standardize", Network.standardize))
+    teacher = build(SPEC, seed=1)
+    student = SPEC.student(2)
+    families = {
+        "cls distill": lambda stage: distill_student_cls(teacher, data, DCFG, stage, student_spec=student),
+        "alignment grid": lambda stage: distill_student_task(teacher, build(student, 2), ALIGNMENT,
+                                                             data, DCFG, stage),
+        "verification grid": lambda stage: distill_student_task(
+            teacher, build(student, 2), VERIFICATION, data, DCFG, stage, triplets_per_epoch=40),
+        "joint": lambda stage: distill_student_task(teacher, build(student, 2), VERIFICATION, data,
+                                                    DCFG, stage, include_softmax=True,
+                                                    triplets_per_epoch=40),
+    }
+    expected = {"cls distill": {"one_hot", "soft_targets", "standardize"},
+                "alignment grid": {"soft_targets", "standardize"},
+                "verification grid": {"soft_targets", "standardize", "_dedup_lookup"},
+                "joint": {"one_hot", "soft_targets", "standardize", "_dedup_lookup"}}
+    for family, train in families.items():
+        built, steps = [], []
+        for epochs in (1, 3):
+            counts.clear()
+            steps.append(len(train(_stage(epochs=epochs)).training_log.step_losses))
+            built.append(dict(counts))
+        assert steps[1] == 3 * steps[0] > 0, family
+        assert built[0] == built[1], (family, built)
+        assert set(built[0]) == expected[family], (family, built[0])
 
 
 def test_non_finite_loss_fails_before_backward(data):

@@ -516,3 +516,25 @@ def test_grad_check_triplet_hinge(rng):
         while np.any(np.abs(z(emb)) < 1e-3):  # away from the hinge's kink
             emb = rng.normal(size=(rows, dim))
         assert tc.grad_check(lambda t: tc.triplet_hinge(t, ia, ip, in_, 0.4), emb).passed
+
+
+def test_grad_check_take_rows(rng):
+    for _ in range(5):
+        rows, dim, k = (int(v) for v in rng.integers(2, 7, size=3))
+        idx = rng.integers(0, rows, size=k + 1)
+        idx[-1] = idx[0]  # at least one duplicate, whose gradients must accumulate
+        w = rng.normal(size=(k + 1, dim))
+        f = lambda t: tc.tsum(tc.mul(tc.mul(tc.take_rows(t, idx), tc.take_rows(t, idx)), w))
+        assert tc.grad_check(f, rng.normal(size=(rows, dim))).passed
+
+
+def test_grad_check_clamp_min(rng):
+    for _ in range(5):
+        shape = tuple(int(v) for v in rng.integers(1, 6, size=2))
+        floor = float(rng.normal())
+        x = rng.normal(size=shape)
+        while np.any(np.abs(x - floor) < 1e-3):  # away from the floor's kink
+            x = rng.normal(size=shape)
+        w = rng.normal(size=shape)
+        f = lambda t: tc.tsum(tc.mul(tc.mul(tc.clamp_min(t, floor), tc.clamp_min(t, floor)), w))
+        assert tc.grad_check(f, x).passed
