@@ -10,6 +10,8 @@ and every training stage's named substream.
 """
 from __future__ import annotations
 
+import math
+
 from .data import GeneratorParams
 from .losses import DistillConfig
 from .nets import NetworkSpec
@@ -29,7 +31,10 @@ def _int(raw: str) -> int:
 
 
 def _float(raw: str) -> float:
-    return float(raw.strip())
+    value = float(raw.strip())
+    if not math.isfinite(value):
+        raise ValueError("not finite")
+    return value
 
 
 def _int_tuple(raw: str) -> tuple[int, ...]:

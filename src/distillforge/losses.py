@@ -56,7 +56,7 @@ LOG_EPS = 1e-12
 @dataclass(frozen=True)
 class DistillConfig:
     """Weights of the combined objective: soft weight alpha, hidden weight
-    beta, softmax temperature tau, and the triplet margin."""
+    beta, softmax temperature tau, and the triplet margin; all finite."""
 
     alpha: float = 1.0
     beta: float = 1.0
@@ -64,14 +64,14 @@ class DistillConfig:
     lambda_margin: float = 0.4
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be nonnegative, got {self.beta}")
-        if self.tau < 1:
-            raise ValueError(f"tau must be >= 1, got {self.tau}")
-        if self.lambda_margin < 0:
-            raise ValueError(f"lambda_margin must be nonnegative, got {self.lambda_margin}")
+        if not 0 <= self.alpha < np.inf:
+            raise ValueError(f"alpha must be finite and nonnegative, got {self.alpha}")
+        if not 0 <= self.beta < np.inf:
+            raise ValueError(f"beta must be finite and nonnegative, got {self.beta}")
+        if not 1 <= self.tau < np.inf:
+            raise ValueError(f"tau must be finite and >= 1, got {self.tau}")
+        if not 0 <= self.lambda_margin < np.inf:
+            raise ValueError(f"lambda_margin must be finite and nonnegative, got {self.lambda_margin}")
 
 
 def soft_predictions(logits, tau: float) -> Tensor:

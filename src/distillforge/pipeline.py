@@ -32,9 +32,15 @@ per-batch build and the all-heads forward give.
 
 Each stage is named by a run key (``teacher_cls``, ``student4_cls_full_init``,
 ``student8_alignment_distill_a0_b1``, ...). ``stage(plan, key)`` gives its
-dependencies and training body, and ``stages(plan)`` lists a plan's stages,
-dependencies first. This one graph drives both ``run_experiment`` and the
-CLI's ``train``, so their checkpoints are the same bytes.
+dependencies and a training closure with one contract: build the start
+network (a fresh build, or a value copy of a dependency for full
+initialization and transfer), get the teacher targets if the stage has a
+teacher, and call one body, ``_distill_cls`` or ``_train_task``, which
+trains that network in place; without targets alpha and beta are 0. The
+public stage functions build their start network and targets from their
+arguments and call the same bodies. ``stages(plan)`` lists a plan's
+stages, dependencies first. This one graph drives both ``run_experiment``
+and the CLI's ``train``, so their checkpoints are the same bytes.
 
 ``run_experiment(plan, workers=N)`` walks the graph on N forked worker
 processes: a stage is submitted as soon as its dependencies have finished,
@@ -271,12 +277,11 @@ def _check_task(task: str) -> None:
 
 
 # Stages ---------------------------------------------------------------------------
-# The distillation bodies take the teacher targets: the public stages compute
-# them, the stage graph memoises them once per teacher (``Run.targets``).
 
 def train_teacher_cls(spec: NetworkSpec, data: SplitDataset, stage: StageConfig) -> Network:
     """Scratch softmax training of the (teacher) classification network."""
-    return _distill_cls(None, data.train, DistillConfig(alpha=0.0), stage, spec)
+    return _distill_cls(_fresh(spec, stage.seed, data.train.features), data.train, DistillConfig(),
+                        stage)
 
 
 def init_student_cls(spec: NetworkSpec, data: SplitDataset, stage: StageConfig) -> Network:
@@ -307,21 +312,23 @@ def distill_student_cls(teacher: Network, data: SplitDataset, cfg: DistillConfig
     initialization). The objective is the hard-label loss plus the
     alpha-weighted soft-target cross-entropy.
     """
-    return _distill_cls(_teacher_targets(teacher, data.train.features), data.train, cfg, stage,
-                        student_spec, init_from)
-
-
-def _distill_cls(targets, train: Split, cfg, stage, student_spec=None, init_from=None):
-    """Classification training on hard labels, plus the soft term from the
-    teacher's (logits, embedding) ``targets`` when they are given."""
-    if init_from is not None:
-        net = clone(init_from)
-    elif student_spec is None:
+    if init_from is None and student_spec is None:
         raise ValueError("scratch mode needs student_spec")
-    else:
-        net = _fresh(student_spec, stage.seed, train.features)
-    t_logits, t_emb = targets or (None, None)
-    if targets and (t_emb.shape[1] != net.spec.embedding_dim or t_logits.shape[1] != net.spec.num_classes):
+    targets = _teacher_targets(teacher, data.train.features)
+    net = (clone(init_from) if init_from is not None
+           else _fresh(student_spec, stage.seed, data.train.features))
+    return _distill_cls(net, data.train, cfg, stage, targets)
+
+
+def _distill_cls(net, train: Split, cfg, stage, targets=None):
+    """Train ``net`` in place on hard labels, plus the soft term from the
+    teacher's (logits, embedding) ``targets`` when they are given; without
+    them alpha and beta are 0."""
+    if targets is None:
+        targets, cfg = (None, None), replace(cfg, alpha=0.0, beta=0.0)
+    t_logits, t_emb = targets
+    if t_logits is not None and (t_emb.shape[1] != net.spec.embedding_dim
+                                 or t_logits.shape[1] != net.spec.num_classes):
         raise ValueError("student and teacher must share embedding_dim and num_classes")
     x, onehot = net.standardize(train.features), one_hot(train.ids, net.spec.num_classes)
     soft = soft_targets(t_logits, cfg)
@@ -563,14 +570,10 @@ class ExperimentPlan:
     def stage_plan(self, task: str) -> StagePlan:
         return self.alignment_stage if task == ALIGNMENT else self.verification_stage
 
-    def table(self, label: str) -> TaskPlan | None:
-        """The task table with this label, if the plan has one."""
-        return next((tp for tp in self.tasks if tp.label == label), None)
-
 
 # Stage graph -----------------------------------------------------------------------
 
-_STAGE_KEY = re.compile(r"(?:teacher|student(\d+))_(cls|alignment|verification_joint|verification)"
+_STAGE_KEY = re.compile(r"(?:teacher|student([1-9]\d*))_(cls|alignment|verification_joint|verification)"
                         r"(?:_(.+))?")
 _GRID_RUN = re.compile(r"(scratch|pretrain|distill)_a([0-9.eE+-]+)_b([0-9.eE+-]+)")
 
@@ -620,88 +623,60 @@ class Stage:
     train: Callable[[Run, Mapping[str, Network]], Network] = field(compare=False, repr=False)
 
 
-def _grid_weight(key: str, text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 <= value < math.inf:
-        raise ValueError(f"bad stage key {key!r}: weight {text!r} is not a finite nonnegative number")
-    return value
-
-
 def stage(plan: ExperimentPlan, key: str) -> Stage:
     """The stage a run key names, under this plan's settings and seed.
 
-    Keys outside the plan's report (another divisor or grid point) are
-    stages too, with no report row. A key that names no stage raises
-    ValueError.
+    Keys outside the plan's report (``_report_keys``), such as another
+    divisor or grid point, are stages too, with no report row. A key that
+    names no stage, or weights ``DistillConfig`` rejects, raises ValueError.
     """
     m = _STAGE_KEY.fullmatch(key)
     if m is None or (m[1] is None) != (m[3] is None):  # only student keys carry a suffix
         raise ValueError(f"unknown stage key {key!r}")
     divisor, label, kind = m.groups()
-    seed = derive_seed(plan.seed, key)
-    task, joint = _task_of(label)
+    joint = label == f"{VERIFICATION}_joint"  # the verification table with a softmax term
+    task = VERIFICATION if joint else label
     splan = plan.cls_stage if label == "cls" else plan.stage_plan(task)
-    top = "teacher_cls"
-    if key == top:
-        cfg = splan.stage("scratch", seed)
-        return Stage(key, (), label, ("classification", "teacher", "scratch", 0.0, 0.0),
-                     lambda run, nets: train_teacher_cls(plan.teacher, run.data, cfg))
-    if divisor is None:  # a task teacher: a value copy of the classification teacher, fine-tuned
-        cfg = splan.stage("continue", seed)
-        return Stage(key, (top,), label,
-                     (label, "teacher", "transfer", 0.0, 0.0) if plan.table(label) else None,
-                     lambda run, nets: train_teacher_task(
-                         nets[top], task, run.data, plan.distill, cfg, joint,
-                         splan.triplets_per_epoch))
-
-    d = int(divisor)
-    spec = plan.teacher.student(d)
-    if label == "cls" and kind in ("init", "scratch", "full_init"):
-        cfg = splan.stage("continue" if kind == "full_init" else "scratch", seed)
-        row = (("classification", f"student/{d}", kind, plan.distill.alpha, 0.0)
-               if d in plan.cls_divisors and kind in plan.cls_inits else None)
-        if kind == "init":
-            return Stage(key, (), label, row, lambda run, nets: init_student_cls(spec, run.data, cfg))
+    d = int(divisor) if divisor else 1
+    spec, grid = plan.teacher.student(d), _GRID_RUN.fullmatch(kind or "")
+    distill, teacher, start, init, weights = plan.distill, None, None, kind, (0.0, 0.0)
+    if key == "teacher_cls":
+        init = "scratch"
+    elif divisor is None:  # a task teacher: a value copy of the classification teacher, fine-tuned
+        start, init = "teacher_cls", "transfer"
+    elif label == "cls" and kind in ("init", "scratch", "full_init"):
+        # init is softmax only; full_init continues from a value copy of init
+        teacher = None if kind == "init" else "teacher_cls"
         start = f"student{d}_cls_init" if kind == "full_init" else None
-        return Stage(key, (top, start) if start else (top,), label, row,
-                     lambda run, nets: _distill_cls(
-                         run.targets(top, nets[top]), run.data.train, plan.distill, cfg,
-                         student_spec=spec, init_from=nets[start] if start else None))
-    grid = _GRID_RUN.fullmatch(kind)
-    if label == "cls" or (grid is None and kind != "pretrain_base"):
+        weights = (plan.distill.alpha, 0.0)
+    elif grid is not None and label != "cls":
+        init = grid[1]
+        try:
+            distill = replace(plan.distill, alpha=float(grid[2]), beta=float(grid[3]))
+        except ValueError as exc:
+            raise ValueError(f"bad stage key {key!r}: {exc}") from exc
+        teacher, weights = f"teacher_{label}", (distill.alpha, distill.beta)
+        start = {"pretrain": f"student{d}_{label}_pretrain_base",
+                 "distill": f"student{d}_cls_full_init"}.get(init)
+    elif label == "cls" or kind != "pretrain_base":  # the pretrain base trains a fresh student
         raise ValueError(f"unknown stage key {key!r}")
-    if grid is None:  # the pretrain base: a fresh student on the task objective alone
-        cfg = splan.stage("scratch", seed)
-        return Stage(key, (), label, None, lambda run, nets: pretrain_student_task(
-            spec, task, run.data, plan.distill, cfg, joint, splan.triplets_per_epoch))
-
-    init = grid[1]
-    alpha, beta = _grid_weight(key, grid[2]), _grid_weight(key, grid[3])
-    table = plan.table(label)
-    row = ((label, f"student/{d}", init, alpha, beta)
-           if table and d in table.divisors and init in table.inits and (alpha, beta) in table.grid
-           else None)
-    teacher = f"teacher_{label}"
-    start = {"pretrain": f"student{d}_{label}_pretrain_base",
-             "distill": f"student{d}_cls_full_init"}.get(init)
-    cfg = splan.stage("continue" if start else "scratch", seed)
-    distill = replace(plan.distill, alpha=alpha, beta=beta)
+    # a fresh build runs the scratch schedule, a copied start the continuation rate only
+    cfg = splan.stage("continue" if start else "scratch", derive_seed(plan.seed, key))
 
     def train(run: Run, nets: Mapping[str, Network]) -> Network:
-        # a scratch run starts from a fresh build on the combined objective
-        init_net = clone(nets[start]) if start else _fresh(spec, seed, run.data.train.features)
-        return _train_task(init_net, task, run.data.train, distill, cfg, joint,
-                           splan.triplets_per_epoch, run.targets(teacher, nets[teacher]))
+        # the targets first: built after the start network, they raised the peak
+        # RSS of a `train student2_cls_scratch` process from 46.5 to 48.5 MB
+        targets = run.targets(teacher, nets[teacher]) if teacher else None
+        net = clone(nets[start]) if start else _fresh(spec, cfg.seed, run.data.train.features)
+        if label == "cls":
+            return _distill_cls(net, run.data.train, distill, cfg, targets)
+        return _train_task(net, task, run.data.train, distill, cfg, joint, splan.triplets_per_epoch,
+                           targets)
 
-    return Stage(key, (teacher, start) if start else (teacher,), label, row, train)
-
-
-def _task_of(label: str) -> tuple[str, bool]:
-    """(task, include_softmax) of a task table label."""
-    return (VERIFICATION, True) if label == f"{VERIFICATION}_joint" else (label, False)
+    row = ("classification" if label == "cls" else label, f"student/{d}" if divisor else "teacher",
+           init, *weights)
+    return Stage(key, tuple(dep for dep in (teacher, start) if dep), label,
+                 row if key in _report_keys(plan) else None, train)
 
 
 def _report_keys(plan: ExperimentPlan):

@@ -362,6 +362,64 @@ def test_corrupt_checkpoint_fails_cleanly(tmp_path, capsys):
     assert _run(capsys, "evaluate", str(path), "--out", str(out_dir), *_sets())[0] == 0
 
 
+def test_config_floats_must_be_finite(tmp_path, capsys):
+    float_keys = [key for key, (_, default, _, _) in DEFAULTS.items() if isinstance(default, float)]
+    assert {"data.noise_std", "distill.tau", "cls.scratch_lr"} <= set(float_keys)
+    for key in float_keys:
+        for value in ("inf", "1e999"):
+            code, out, err = _run(capsys, "generate", "--out", str(tmp_path / "run"),
+                                  "--set", f"{key}={value}")
+            assert code == 1 and out == "", (key, value)
+            assert len(err.splitlines()) == 1 and err.startswith("error: ") and key in err, (key, err)
+            assert not (tmp_path / "run").exists(), (key, value)
+
+
+_CONFIG = """# a run
+seed = 3
+data.noise_std = 0.1
+net.hidden_widths = 16, 8
+distill.tau = 3.0
+cls.scratch_lr = 0.02
+verification.triplets_per_epoch = 40
+experiment.divisors = 2, 4
+experiment.verification_modes = single, joint
+"""
+
+
+def _corrupt_config(text: str, rng) -> bytes:
+    """``text`` with one to three byte flips, deletions or insertions of a
+    token, at places drawn from ``rng``."""
+    blob = bytearray(text.encode())
+    for _ in range(int(rng.integers(1, 4))):
+        at, kind = int(rng.integers(len(blob))), int(rng.integers(3))
+        if kind == 0:
+            blob[at] ^= 1 << int(rng.integers(8))
+        elif kind == 1:
+            del blob[at:at + int(rng.integers(1, 4))]
+        else:
+            tokens = (b"=", b",", b"#", b"\0", b"inf", b"1e999")
+            blob[at:at] = tokens[int(rng.integers(len(tokens)))]
+    return bytes(blob)
+
+
+def test_corrupt_config_fails_cleanly(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    rng = np.random.default_rng(2026)
+    outcomes = set()
+    for _ in range(300):
+        path.write_bytes(_corrupt_config(_CONFIG, rng))
+        try:
+            experiment_plan(load_config(str(path)))
+            outcomes.add("loaded")
+        except ConfigError:
+            outcomes.add("ConfigError")
+        code, out, err = _run(capsys, "train", "teacher_cls", "--config", str(path),
+                              "--out", str(tmp_path / "empty"))
+        assert code in (1, 2) and out == "", path.read_bytes()
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), (path.read_bytes(), err)
+    assert outcomes == {"loaded", "ConfigError"}
+
+
 def test_undecodable_config_is_config_error(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_bytes(b"seed = 1\n# caf\xe9\n")

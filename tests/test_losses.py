@@ -385,3 +385,7 @@ def test_distill_config_validation():
         DistillConfig(tau=0.5)
     with pytest.raises(ValueError):
         DistillConfig(lambda_margin=-0.4)
+    for bad in ({"alpha": float("nan")}, {"alpha": float("inf")}, {"beta": float("inf")},
+                {"tau": float("nan")}, {"lambda_margin": float("inf")}):
+        with pytest.raises(ValueError, match="finite"):
+            DistillConfig(**bad)

@@ -576,6 +576,47 @@ def test_experiment_checkpoints_match_stages_trained_alone(tmp_path):
                 == (tmp_path / "run" / f"{node.key}.ckpt").read_bytes()), node.key
 
 
+def test_public_stage_functions_match_the_graph(tmp_path):
+    # the graph calls the training bodies itself; given a key's seed,
+    # StageConfig and inputs, each public stage function writes its bytes
+    grid = ((0.5, 2.0),)
+    plan = _tiny_plan(cls_inits=("scratch", "full_init"), tasks=(
+        TaskPlan(ALIGNMENT, (2,), inits=("pretrain", "distill"), grid=grid),
+        TaskPlan(VERIFICATION, (2,), inits=("pretrain", "distill"), grid=grid, include_softmax=True),
+    ), verification_stage=StagePlan(16, 1, scratch_lr=0.005, continue_lr=0.001, triplets_per_epoch=30))
+    data = generate(plan.generator)
+    run_experiment(plan, tmp_path / "graph", data=data)
+
+    def cfg(key, splan, mode):
+        return splan.stage(mode, derive_seed(plan.seed, key))
+
+    student, cls = SPEC.student(2), plan.cls_stage
+    nets = {"teacher_cls": train_teacher_cls(SPEC, data, cfg("teacher_cls", cls, "scratch")),
+            "student2_cls_init": init_student_cls(student, data, cfg("student2_cls_init", cls, "scratch"))}
+    nets["student2_cls_scratch"] = distill_student_cls(
+        nets["teacher_cls"], data, DCFG, cfg("student2_cls_scratch", cls, "scratch"), student_spec=student)
+    nets["student2_cls_full_init"] = distill_student_cls(
+        nets["teacher_cls"], data, DCFG, cfg("student2_cls_full_init", cls, "continue"),
+        init_from=nets["student2_cls_init"])
+    for label, task, joint in (("alignment", ALIGNMENT, False), ("verification_joint", VERIFICATION, True)):
+        splan = plan.stage_plan(task)
+        extra = dict(include_softmax=joint, triplets_per_epoch=splan.triplets_per_epoch)
+        teacher, base = f"teacher_{label}", f"student2_{label}_pretrain_base"
+        nets[teacher] = train_teacher_task(nets["teacher_cls"], task, data, DCFG,
+                                           cfg(teacher, splan, "continue"), **extra)
+        nets[base] = pretrain_student_task(student, task, data, DCFG, cfg(base, splan, "scratch"), **extra)
+        for init, start in (("pretrain", base), ("distill", "student2_cls_full_init")):
+            key = f"student2_{label}_{init}_a0.5_b2"
+            nets[key] = distill_student_task(nets[teacher], nets[start], task, data,
+                                             DistillConfig(alpha=0.5, beta=2.0),
+                                             cfg(key, splan, "continue"), **extra)
+    assert sorted(nets) == sorted(node.key for node in stages(plan))
+    for key, net in nets.items():
+        save_network(net, tmp_path / "public.ckpt")
+        graph = (tmp_path / "graph" / f"{key}.ckpt").read_bytes()
+        assert (tmp_path / "public.ckpt").read_bytes() == graph, key
+
+
 # sha256 of every checkpoint of _digest_plan(), recorded with per-parameter
 # optimizer arrays and the unfused objective chains
 CHECKPOINT_SHA256 = {
@@ -754,8 +795,9 @@ def test_stage_resolves_keys_outside_the_plan_and_rejects_unknown_keys():
     assert node.deps == ("teacher_alignment", "student2_cls_full_init") and node.row is None
     assert stage(plan, "student8_alignment_distill_a0_b1").row == ("alignment", "student/8", "distill",
                                                                    0.0, 1.0)
-    for key in ("teacher_cls_scratch", "student2_cls", "student2_cls_pretrain_base",
-                "student2_alignment_init", "student2_alignment_distill_a1e_b0"):
+    for key in ("teacher_cls_scratch", "student2_cls", "student0_cls_scratch",
+                "student2_cls_pretrain_base", "student2_alignment_init",
+                "student2_alignment_distill_a1e_b0", "student2_alignment_distill_a1e999_b0"):
         with pytest.raises(ValueError, match=key):
             stage(plan, key)
 
