@@ -24,3 +24,12 @@ def atomic_write(path, mode: str = "w", **open_kwargs):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def remove_partial_writes(path) -> None:
+    """Remove the temporary files of writes to ``path`` that were killed
+    before they could clean up."""
+    head, tail = os.path.split(os.fspath(path))
+    for name in os.listdir(head or "."):
+        if name.startswith(f".{tail}.") and name.endswith(".tmp"):
+            os.unlink(os.path.join(head, name))

@@ -19,12 +19,16 @@ Stage names follow the experiment's run keys, e.g. ``teacher_cls``,
 ``student8_alignment_distill_a1_b1``,
 ``student2_verification_joint_pretrain_a0_b1``. ``train`` and ``reproduce``
 run the same stage graph (``pipeline.stage``), so a checkpoint ``train``
-writes is bit-identical to the one ``reproduce`` writes for the same seed;
-``train`` loads a stage's dependencies from ``<out>/<key>.ckpt``.
+writes is bit-identical to the one ``reproduce`` writes for the same seed.
+``train`` hands networks over as a ``reproduce`` worker does
+(``pipeline.run_stage_from_checkpoints``): it loads a stage's dependencies
+from ``<out>/<key>.ckpt`` and writes the stage's own checkpoint there.
 
 ``reproduce`` runs the stages on one forked worker process per CPU it may
 use when BLAS runs one thread, and in-process otherwise; its output bytes
-are the same either way.
+are the same either way. It writes each stage's ``checkpoints/<key>.ckpt``
+as soon as the stage finishes, and its workers load their dependencies
+from those files.
 """
 from __future__ import annotations
 
@@ -37,8 +41,9 @@ from ._atomic import atomic_write
 from .config import ConfigError, describe_keys, experiment_plan, generator_params, load_config
 from .data import generate, load_dataset, save_dataset
 from .metrics import MetricsReport
-from .nets import load_network, save_network
-from .pipeline import ALIGNMENT, VERIFICATION, Run, run_experiment, run_stage, stage
+from .nets import load_network
+from .pipeline import (ALIGNMENT, VERIFICATION, Run, load_checkpoint, run_experiment,
+                       run_stage_from_checkpoints, stage)
 
 __all__ = ["main"]
 
@@ -104,13 +109,6 @@ def _require_dataset(out_dir: str):
     return load_dataset(path)
 
 
-def _require_ckpt(out_dir: str, key: str):
-    path = os.path.join(out_dir, f"{key}.ckpt")
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"missing prerequisite checkpoint {path}; train '{key}' first")
-    return load_network(path)
-
-
 def _stage(plan, key: str):
     try:
         return stage(plan, key)
@@ -139,11 +137,8 @@ def cmd_train(args) -> int:
     out_dir = cfg["out"]
     plan = experiment_plan(cfg)
     node = _stage(plan, args.stage)  # validate the key before touching files
-    data = _require_dataset(out_dir)
-    nets = {dep: _require_ckpt(out_dir, dep) for dep in node.deps}
-    net, metrics = run_stage(node, Run(plan, data), nets)
+    metrics = run_stage_from_checkpoints(node, Run(plan, _require_dataset(out_dir)), out_dir)
     ckpt = os.path.join(out_dir, f"{args.stage}.ckpt")
-    save_network(net, ckpt)
     with atomic_write(os.path.join(out_dir, f"{args.stage}.metrics.json"), "w",
                       encoding="utf-8") as fh:
         fh.write(json.dumps({"stage": args.stage, "metrics": metrics}, indent=2, sort_keys=True))
@@ -167,7 +162,7 @@ def cmd_evaluate(args) -> int:
             metrics.update(run.evaluate(ALIGNMENT, net))
     else:
         label = _stage(plan, args.stage).label
-        metrics = run.evaluate(label, _require_ckpt(out_dir, args.stage))
+        metrics = run.evaluate(label, load_checkpoint(out_dir, args.stage))
     _print_metrics(metrics)
     return 0
 

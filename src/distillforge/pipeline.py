@@ -44,9 +44,15 @@ and the CLI's ``train``, so their checkpoints are the same bytes.
 
 ``run_experiment(plan, workers=N)`` walks the graph on N forked worker
 processes: a stage is submitted as soon as its dependencies have finished,
-and the report and checkpoints come out in ``stages(plan)`` order, so their
-bytes do not depend on N. A run whose ``run_stage`` has been wrapped (a span
-tracer, say) walks in-process, where the wrapper can see every stage.
+and the report rows come out in ``stages(plan)`` order, so the report and
+checkpoint bytes do not depend on N. Networks pass between stages as
+checkpoint files: ``run_stage_from_checkpoints`` loads a stage's
+dependencies from a directory, trains it and writes ``<key>.ckpt`` there,
+and both a pool worker and the CLI's ``train`` call it, so the parent of a
+pool holds only metrics. A run with one worker, or whose ``run_stage`` has
+been wrapped (a span tracer, say), walks in-process, where networks pass in
+memory and the wrapper can see every stage. Either walk writes a stage's
+checkpoint as soon as the stage finishes.
 """
 from __future__ import annotations
 
@@ -54,6 +60,7 @@ import hashlib
 import math
 import os
 import re
+import tempfile
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Mapping
@@ -61,12 +68,13 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import tensor as tc
+from ._atomic import remove_partial_writes
 from .data import GeneratorParams, Split, SplitDataset, generate, make_pairs, make_triplets
 from .losses import (DistillConfig, alignment_objective, classification_objective, one_hot,
                      soft_targets, verification_objective)
 from .metrics import (MetricsReport, nrmse, pair_verification_accuracy, reference_distances,
                       top1_accuracy, verification_top1)
-from .nets import Network, NetworkSpec, build, clone, save_network
+from .nets import Network, NetworkSpec, build, clone, load_network, save_network
 
 __all__ = [
     "ALIGNMENT",
@@ -91,6 +99,8 @@ __all__ = [
     "stage",
     "stages",
     "run_stage",
+    "load_checkpoint",
+    "run_stage_from_checkpoints",
     "run_experiment",
     "evaluate_classification",
     "evaluate_alignment",
@@ -660,6 +670,8 @@ def stage(plan: ExperimentPlan, key: str) -> Stage:
                  "distill": f"student{d}_cls_full_init"}.get(init)
     elif label == "cls" or kind != "pretrain_base":  # the pretrain base trains a fresh student
         raise ValueError(f"unknown stage key {key!r}")
+    if not any(weights):  # no term reads a target, so the stage needs no teacher
+        teacher = None
     # a fresh build runs the scratch schedule, a copied start the continuation rate only
     cfg = splan.stage("continue" if start else "scratch", derive_seed(plan.seed, key))
 
@@ -726,6 +738,27 @@ def run_stage(node: Stage, run: Run, nets: Mapping[str, Network]) -> tuple[Netwo
     return net, metrics
 
 
+def load_checkpoint(ckpt_dir, key: str) -> Network:
+    """The network of stage ``key`` from ``<ckpt_dir>/<key>.ckpt``."""
+    path = os.path.join(ckpt_dir, f"{key}.ckpt")
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"missing prerequisite checkpoint {path}; train '{key}' first")
+    return load_network(path)
+
+
+def run_stage_from_checkpoints(node: Stage, run: Run, ckpt_dir) -> dict[str, float]:
+    """Run one stage on its dependencies' checkpoints in ``ckpt_dir`` and
+    write its own, ``<ckpt_dir>/<key>.ckpt``, atomically; return its metrics.
+
+    Every dependency is loaded before training starts, so a missing one
+    fails before any work is done.
+    """
+    nets = {dep: load_checkpoint(ckpt_dir, dep) for dep in node.deps}
+    net, metrics = run_stage(node, run, nets)
+    save_network(net, os.path.join(ckpt_dir, f"{node.key}.ckpt"))
+    return metrics
+
+
 def run_experiment(plan: ExperimentPlan, out_dir=None, workers: int = 1,
                    data: SplitDataset | None = None) -> MetricsReport:
     """Run every stage of the plan and return the metrics table.
@@ -734,30 +767,36 @@ def run_experiment(plan: ExperimentPlan, out_dir=None, workers: int = 1,
     given). With ``workers`` above 1 the stages run on that many worker
     processes (at most one per stage), unless ``run_stage`` carries a
     wrapper's ``__wrapped__``; the report and checkpoints are the same bytes
-    for any worker count. Checkpoints land in ``out_dir`` (one
-    ``<run-key>.ckpt`` per trained network) when it is given.
+    for any worker count. When ``out_dir`` is given, each stage's network
+    lands there as ``<run-key>.ckpt`` as soon as the stage finishes, so a
+    failed run keeps the checkpoints of the stages that finished. A pool
+    without ``out_dir`` hands its networks over in a temporary directory,
+    removed when the run ends.
     """
     if workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
     run = Run(plan, generate(plan.generator) if data is None else data)
     listed = stages(plan)
-    nets: dict[str, Network] = {}
     metrics: dict[str, dict[str, float]] = {}
     workers = min(workers, len(listed))
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
     # what a wrapper records in a forked worker never reaches this process
     if workers == 1 or hasattr(run_stage, "__wrapped__"):
+        nets: dict[str, Network] = {}
         for node in listed:
             nets[node.key], metrics[node.key] = run_stage(node, run, nets)
+            if out_dir is not None:
+                save_network(nets[node.key], os.path.join(out_dir, f"{node.key}.ckpt"))
+    elif out_dir is not None:
+        _walk(listed, run, workers, out_dir, metrics)
     else:
-        _walk(listed, run, workers, nets, metrics)
+        with tempfile.TemporaryDirectory(prefix="distillforge-") as ckpt_dir:
+            _walk(listed, run, workers, ckpt_dir, metrics)
     report = MetricsReport()
     for node in listed:
         if node.row is not None:
             report.add(*node.row, **metrics[node.key])
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        for node in listed:
-            save_network(nets[node.key], os.path.join(out_dir, f"{node.key}.ckpt"))
     return report
 
 
@@ -770,21 +809,26 @@ def _adopt(run: Run) -> None:
     _worker_run = run
 
 
-def _run_adopted(key: str, nets: Mapping[str, Network]) -> tuple[Network, dict[str, float]]:
-    return run_stage(stage(_worker_run.plan, key), _worker_run, nets)
+def _run_adopted(key: str, ckpt_dir) -> dict[str, float]:
+    return run_stage_from_checkpoints(stage(_worker_run.plan, key), _worker_run, ckpt_dir)
 
 
-def _walk(listed: list[Stage], run: Run, workers: int, nets: dict, metrics: dict) -> None:
-    """Run the stages on a process pool, each once its dependencies are done.
+def _walk(listed: list[Stage], run: Run, workers: int, ckpt_dir, metrics: dict) -> None:
+    """Run the stages on a process pool, each once its dependencies are done,
+    and fill ``metrics`` by run key.
 
     Workers are forked, so they share ``run``'s dataset and evaluation pairs,
     computed here first, without pickling them and without
     re-importing numpy and this package, which a spawned worker must do
-    first; forking also means the caller should run no other threads. Only
-    a stage's dependency networks and its result cross the process
-    boundary. On the first failure the stages not yet started are cancelled
-    and the pool is shut down; the failure raised is the one of the earliest
-    listed stage among those that ran.
+    first; forking also means the caller should run no other threads. A
+    worker gets a run key and ``ckpt_dir``: it loads the stage's
+    dependencies from their checkpoints there, writes the stage's own and
+    returns only its metrics, so no network crosses the process boundary. A
+    stage is submitted only after its dependencies' workers have returned,
+    which they do after their checkpoint's atomic replace. On the first
+    failure the stages not yet started are cancelled and the pool is shut
+    down; the failure raised is the one of the earliest listed stage among
+    those that ran.
     """
     # imported here, not at the top: these modules add about 25 ms to the
     # start-up of every CLI command, and only a pool needs them
@@ -798,16 +842,14 @@ def _walk(listed: list[Stage], run: Run, workers: int, nets: dict, metrics: dict
                                initializer=_adopt, initargs=(run,))
     try:
         while waiting or running:
-            for node in [n for n in waiting if all(dep in nets for dep in n.deps)]:
+            for node in [n for n in waiting if all(dep in metrics for dep in n.deps)]:
                 waiting.remove(node)
-                deps = {dep: nets[dep] for dep in node.deps}
-                running[pool.submit(_run_adopted, node.key, deps)] = node
+                running[pool.submit(_run_adopted, node.key, ckpt_dir)] = node
             done, _ = wait(running, return_when=FIRST_COMPLETED)
             if any(future.exception() is not None for future in done):
                 break
             for future in done:
-                node = running.pop(future)
-                nets[node.key], metrics[node.key] = future.result()
+                metrics[running.pop(future).key] = future.result()
     finally:
         pool.shutdown(cancel_futures=True)
     failed = [future for future in running
@@ -815,6 +857,10 @@ def _walk(listed: list[Stage], run: Run, workers: int, nets: dict, metrics: dict
     if failed:
         exc = min(failed, key=lambda future: listed.index(running[future])).exception()
         if isinstance(exc, BrokenProcessPool):
+            # the pool kills the other workers too, perhaps in the middle of a
+            # checkpoint write
+            for node in running.values():
+                remove_partial_writes(os.path.join(ckpt_dir, f"{node.key}.ckpt"))
             raise RuntimeError("a worker process died while running stages "
                                f"{', '.join(node.key for node in running.values())}") from exc
         raise exc

@@ -6,6 +6,7 @@ import json
 import multiprocessing
 import os
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +197,15 @@ def test_train_checkpoints_match_reproduce_bytes(tmp_path, capsys):
     mismatched = [key for key in keys
                   if (out_dir / f"{key}.ckpt").read_bytes() != (reproduced / f"{key}.ckpt").read_bytes()]
     assert mismatched == []
+
+    # a stage that reads no target trains without its table's teacher checkpoint
+    key, lone = "student2_verification_distill_a0_b0", tmp_path / "lone"
+    lone.mkdir()
+    for name in ("dataset.txt", "checkpoints/student2_cls_full_init.ckpt"):
+        shutil.copy(tmp_path / "r" / name, lone)
+    code, _, err = _run(capsys, "train", key, "--seed", "3", "--out", str(lone), *sets)
+    assert code == 0, err
+    assert (lone / f"{key}.ckpt").read_bytes() == (reproduced / f"{key}.ckpt").read_bytes()
 
     # keys outside the configured plan (divisor 3, grid point (0.5, 2)) still train
     for key in ("student3_cls_scratch", "student2_alignment_distill_a0.5_b2"):

@@ -7,13 +7,17 @@ import functools
 import hashlib
 import multiprocessing
 import os
+import tempfile
+import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import distillforge.pipeline as pipeline
 import distillforge.tensor as tc
+from distillforge._atomic import atomic_write
 from distillforge.data import GeneratorParams, generate
 from distillforge.losses import (DistillConfig, alignment_distill_loss, alignment_objective,
                                  classification_distill_loss, classification_objective, one_hot,
@@ -686,7 +690,7 @@ def test_experiment_bytes_do_not_depend_on_worker_count(tmp_path):
 def test_experiment_caps_workers_at_the_stage_count(monkeypatch):
     plan = _tiny_plan(cls_divisors=(), tasks=(TaskPlan(ALIGNMENT, ()),))
     n_stages = len(stages(plan))
-    sizes = []
+    sizes, made = [], []
 
     class Recording(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers, **kwargs):
@@ -694,15 +698,33 @@ def test_experiment_caps_workers_at_the_stage_count(monkeypatch):
             assert max_workers == n_stages == 2  # checked before any worker starts
             super().__init__(max_workers, **kwargs)
 
+    class RecordingDir(tempfile.TemporaryDirectory):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self.name)
+
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(tempfile, "TemporaryDirectory", RecordingDir)
     assert run_experiment(plan, workers=64).to_json() == run_experiment(plan).to_json()
     assert sizes == [2]
+    # the pool handed its networks over in a temporary directory, now removed
+    assert len(made) == 1 and not os.path.exists(made[0])
     with pytest.raises(ValueError, match="workers"):
         run_experiment(plan, workers=0)
 
 
-def test_pool_failures_name_the_stage_and_leave_no_worker(monkeypatch):
+def test_pool_failures_name_the_stage_and_leave_no_worker(tmp_path, monkeypatch):
     plan = _tiny_plan()
+    serial = tmp_path / "serial"
+    run_experiment(plan, serial)
+    cls_keys = {"teacher_cls", "student2_cls_init", "student2_cls_full_init"}
+
+    def kept_only_finished_checkpoints(out):
+        names = os.listdir(out)
+        assert "teacher_cls.ckpt" in names  # teacher_alignment started after it finished
+        for name in names:  # no temporary file, no stage that calls the task body
+            assert name.endswith(".ckpt") and name[:-len(".ckpt")] in cls_keys, name
+            assert (out / name).read_bytes() == (serial / name).read_bytes(), name
 
     def fail(*args):
         raise ValueError("boom")
@@ -710,12 +732,53 @@ def test_pool_failures_name_the_stage_and_leave_no_worker(monkeypatch):
     # workers are forked after the patch, so they run the patched task body
     monkeypatch.setattr(pipeline, "_train_task", fail)
     with pytest.raises(ValueError, match="^stage teacher_alignment: boom$"):
-        run_experiment(plan, workers=2)
+        run_experiment(plan, tmp_path / "failed", workers=2)
     assert multiprocessing.active_children() == []
+    kept_only_finished_checkpoints(tmp_path / "failed")
 
-    monkeypatch.setattr(pipeline, "_train_task", lambda *args: os._exit(3))
+    # the pool kills its other worker in the middle of a checkpoint write,
+    # which leaves the write's temporary file behind
+    writing, save = tmp_path / "writing", pipeline.save_network
+
+    def stalled_save(net, path):
+        if not str(path).endswith("student2_cls_full_init.ckpt"):
+            return save(net, path)
+        with atomic_write(path, "wb") as fh:
+            fh.write(b"partial")
+            fh.flush()
+            writing.touch()
+            time.sleep(60)
+
+    def die_during_that_write(*args):
+        deadline = time.monotonic() + 60
+        while not writing.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        os._exit(3)
+
+    monkeypatch.setattr(pipeline, "save_network", stalled_save)
+    monkeypatch.setattr(pipeline, "_train_task", die_during_that_write)
     with pytest.raises(RuntimeError, match="worker process died while running stages .*teacher_alignment"):
-        run_experiment(plan, workers=2)
+        run_experiment(plan, tmp_path / "died", workers=2)
+    assert writing.exists()
+    assert multiprocessing.active_children() == []
+    kept_only_finished_checkpoints(tmp_path / "died")
+
+
+def test_pool_hands_networks_over_as_checkpoint_files(tmp_path, monkeypatch):
+    # workers load their dependencies from the checkpoints and return only
+    # metrics, so a pool run pickles no network
+    plan = _rich_plan()
+    serial = run_experiment(plan, tmp_path / "serial").to_json()
+
+    def unpicklable(self, protocol):
+        raise TypeError("a Network was pickled")
+
+    # forked workers inherit the patch
+    monkeypatch.setattr(Network, "__reduce_ex__", unpicklable)
+    assert run_experiment(plan, tmp_path / "pool", workers=2).to_json() == serial
+    for node in stages(plan):
+        assert ((tmp_path / "pool" / f"{node.key}.ckpt").read_bytes()
+                == (tmp_path / "serial" / f"{node.key}.ckpt").read_bytes()), node.key
     assert multiprocessing.active_children() == []
 
 
@@ -795,6 +858,12 @@ def test_stage_resolves_keys_outside_the_plan_and_rejects_unknown_keys():
     assert node.deps == ("teacher_alignment", "student2_cls_full_init") and node.row is None
     assert stage(plan, "student8_alignment_distill_a0_b1").row == ("alignment", "student/8", "distill",
                                                                    0.0, 1.0)
+    # a stage that reads no target has no teacher
+    assert stage(plan, "student8_alignment_pretrain_a0_b0").deps == ("student8_alignment_pretrain_base",)
+    assert stage(plan, "student2_verification_distill_a0_b0").deps == ("student2_cls_full_init",)
+    no_soft = replace(plan, distill=replace(plan.distill, alpha=0.0))
+    assert stage(no_soft, "student2_cls_scratch").deps == ()
+    assert stage(no_soft, "student2_cls_full_init").deps == ("student2_cls_init",)
     for key in ("teacher_cls_scratch", "student2_cls", "student0_cls_scratch",
                 "student2_cls_pretrain_base", "student2_alignment_init",
                 "student2_alignment_distill_a1e_b0", "student2_alignment_distill_a1e999_b0"):
