@@ -268,17 +268,18 @@ def make_pairs(split: Split, count_per_class: int, seed: int) -> tuple[np.ndarra
 def save_dataset(ds: SplitDataset, path) -> None:
     """Plain-text container: a header line, then one line per row (split
     flag, identity, features, keypoints), train rows first; floats print
-    with shortest round-trip repr."""
+    with shortest round-trip repr. Rows are formatted and written one at a
+    time, so the write holds one line of text, never the whole file."""
     n = len(ds.train) + len(ds.test)
     if not n:
         raise ValueError("refusing to save an empty dataset")
     input_dim, kc = ds.train.features.shape[1], ds.train.keypoints.shape[1]
-    lines = [f"{_FORMAT_NAME} {_FORMAT_VERSION} {n} {input_dim} {kc}"]
-    for flag, split in (("train", ds.train), ("test", ds.test)):
-        lines += [" ".join([flag, str(identity), *map(repr, feats.tolist()), *map(repr, kps.tolist())])
-                  for identity, feats, kps in zip(split.ids.tolist(), split.features, split.keypoints)]
     with atomic_write(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{_FORMAT_NAME} {_FORMAT_VERSION} {n} {input_dim} {kc}\n")
+        for flag, split in (("train", ds.train), ("test", ds.test)):
+            for identity, feats, kps in zip(split.ids.tolist(), split.features, split.keypoints):
+                fh.write(" ".join([flag, str(identity), *map(repr, feats.tolist()),
+                                   *map(repr, kps.tolist())]) + "\n")
 
 
 def load_dataset(path) -> SplitDataset:

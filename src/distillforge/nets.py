@@ -205,7 +205,9 @@ def _header_spec(header) -> tuple[NetworkSpec, list[tuple[int, ...]]]:
 
 
 def load_network(path) -> Network:
-    """Read a checkpoint; any malformed content raises a ValueError naming the file."""
+    """Read a checkpoint, its payload straight into one float buffer that the
+    normalizer and parameters view; malformed content raises a ValueError
+    naming the file."""
     try:
         with open(path, "rb") as fh:
             magic = fh.readline().rstrip(b"\n").decode(errors="replace")
@@ -226,10 +228,10 @@ def load_network(path) -> Network:
             if left != 8 * sum(sizes):
                 raise ValueError("truncated checkpoint" if left < 8 * sum(sizes)
                                  else "trailing bytes after checkpoint payload")
-            flat = np.frombuffer(fh.read(), dtype="<f8")
+            flat = np.fromfile(fh, dtype="<f8", count=sum(sizes))
         if not np.isfinite(flat).all():
             raise ValueError("non-finite value in checkpoint payload")
-        mean, std, *params = (a.reshape(shape).copy()
+        mean, std, *params = (a.reshape(shape)
                               for a, shape in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes))
         return Network(spec, [Tensor(p, requires_grad=True) for p in params], mean, std)
     except ValueError as exc:

@@ -51,8 +51,8 @@ dependencies from a directory, trains it and writes ``<key>.ckpt`` there,
 and both a pool worker and the CLI's ``train`` call it, so the parent of a
 pool holds only metrics. A run with one worker, or whose ``run_stage`` has
 been wrapped (a span tracer, say), walks in-process, where networks pass in
-memory and the wrapper can see every stage. Either walk writes a stage's
-checkpoint as soon as the stage finishes.
+memory until their last reader has run and the wrapper can see every stage.
+Either walk writes a stage's checkpoint as soon as the stage finishes.
 """
 from __future__ import annotations
 
@@ -61,9 +61,10 @@ import math
 import os
 import re
 import tempfile
+from collections import Counter
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Mapping
 
 import numpy as np
 
@@ -154,8 +155,8 @@ class OptimizerState:
     buffer, ``params``, and leaves each ``p.data`` a view into it; the
     gradient and velocity buffers, ``grad`` and ``velocity``, share that
     layout (``grads`` and ``velocities`` hold the per-parameter views). A
-    step is then six whole-array ufunc calls, through two scratch buffers,
-    so that it allocates nothing.
+    step is then six whole-array ufunc calls, through the gradient buffer
+    and one scratch buffer, so that it allocates nothing.
     """
 
     def __init__(self, parameters, learning_rate: float, momentum: float = 0.9):
@@ -164,7 +165,7 @@ class OptimizerState:
         self.momentum = float(momentum)
         n = sum(p.data.size for p in self.parameters)
         self.params, self.grad, self.velocity = np.empty(n), np.zeros(n), np.zeros(n)
-        self.scratch = (np.empty(n), np.empty(n))
+        self.scratch = np.empty(n)
         self.grads, self.velocities = [], []
         start = 0
         for p in self.parameters:
@@ -192,8 +193,9 @@ class OptimizerState:
 def nag_step(net, opt: OptimizerState) -> None:
     """v <- mu*v - lr*g; theta <- theta + mu*v - lr*g; gradients are cleared.
 
-    A gradient that is not the parameter's view of ``opt.grad`` is copied
-    into it first; the gradient arrays themselves are left unmodified.
+    The step consumes the flat gradient buffer ``opt.grad``, which ends as
+    lr*g. A gradient that is not the parameter's view of it is copied in
+    first; that gradient array itself is left unmodified.
     """
     if net.parameters != opt.parameters:
         raise ValueError("optimizer state does not match the network's parameter list")
@@ -203,8 +205,8 @@ def nag_step(net, opt: OptimizerState) -> None:
                 raise RuntimeError("nag_step: a parameter has no gradient; run backward first")
             view[...] = p.grad
     mu, lr = opt.momentum, opt.learning_rate
-    lr_g, update = opt.scratch
-    np.multiply(opt.grad, lr, out=lr_g)
+    lr_g, update = opt.grad, opt.scratch
+    lr_g *= lr
     opt.velocity *= mu
     opt.velocity -= lr_g
     np.multiply(opt.velocity, mu, out=update)
@@ -302,14 +304,18 @@ def init_student_cls(spec: NetworkSpec, data: SplitDataset, stage: StageConfig) 
 def _teacher_targets(teacher: Network, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The constant teacher's logits and embedding for every training row, read-only.
 
-    One forward outside any tape; batches index these rows, which match a
-    per-batch forward bitwise for logits and embedding (not for the
-    regression head, which is therefore never read from here).
+    Forwards outside any tape over blocks of 128 standardized rows fill two
+    preallocated tables; their rows match a per-batch forward bitwise for
+    logits and embedding (not for the regression head, which is not run).
     """
-    out = teacher.forward(feats)
-    for array in (out.logits.data, out.embedding.data):
+    n, spec = len(feats), teacher.spec
+    logits, emb = np.empty((n, spec.num_classes)), np.empty((n, spec.embedding_dim))
+    for start in range(0, n, 128):
+        out = teacher._forward(teacher.standardize(feats[start:start + 128]), regression=False)
+        logits[start:start + 128], emb[start:start + 128] = out.logits.data, out.embedding.data
+    for array in (logits, emb):
         array.setflags(write=False)
-    return out.logits.data, out.embedding.data
+    return logits, emb
 
 
 def distill_student_cls(teacher: Network, data: SplitDataset, cfg: DistillConfig,
@@ -603,9 +609,9 @@ class Run:
         return make_pairs(self.data.test, self.plan.eval_pairs,
                           derive_seed(self.plan.seed, "eval_pairs"))
 
-    def targets(self, key: str, teacher: Network) -> tuple[np.ndarray, np.ndarray]:
+    def targets(self, key: str, nets: Mapping[str, Network]) -> tuple[np.ndarray, np.ndarray]:
         if key not in self._targets:
-            self._targets[key] = _teacher_targets(teacher, self.data.train.features)
+            self._targets[key] = _teacher_targets(nets[key], self.data.train.features)
         return self._targets[key]
 
     def evaluate(self, label: str, net: Network) -> dict[str, float]:
@@ -621,9 +627,9 @@ class Stage:
     """One node of the stage graph.
 
     ``train(run, nets)`` returns the stage's network; ``nets`` maps each key
-    in ``deps`` to its trained network, which is never mutated. ``label``
-    selects the metrics (``Run.evaluate``); ``row`` is the stage's report
-    row key, or None when the plan does not report it.
+    in ``deps`` to its trained network, read at most once and never mutated.
+    ``label`` selects the metrics (``Run.evaluate``); ``row`` is the stage's
+    report row key, or None when the plan does not report it.
     """
 
     key: str
@@ -678,7 +684,7 @@ def stage(plan: ExperimentPlan, key: str) -> Stage:
     def train(run: Run, nets: Mapping[str, Network]) -> Network:
         # the targets first: built after the start network, they raised the peak
         # RSS of a `train student2_cls_scratch` process from 46.5 to 48.5 MB
-        targets = run.targets(teacher, nets[teacher]) if teacher else None
+        targets = run.targets(teacher, nets) if teacher else None
         net = clone(nets[start]) if start else _fresh(spec, cfg.seed, run.data.train.features)
         if label == "cls":
             return _distill_cls(net, run.data.train, distill, cfg, targets)
@@ -738,23 +744,40 @@ def run_stage(node: Stage, run: Run, nets: Mapping[str, Network]) -> tuple[Netwo
     return net, metrics
 
 
+class _Checkpoints(Mapping):
+    """Run keys to the networks in ``<ckpt_dir>/<key>.ckpt``; every file must
+    exist, and a network is loaded at each read and kept only by the reader."""
+
+    def __init__(self, ckpt_dir, keys):
+        self.paths = {key: os.path.join(ckpt_dir, f"{key}.ckpt") for key in keys}
+        for key, path in self.paths.items():
+            if not os.path.exists(path):
+                raise FileNotFoundError(f"missing prerequisite checkpoint {path}; train '{key}' first")
+
+    def __getitem__(self, key: str) -> Network:
+        return load_network(self.paths[key])
+
+    def __iter__(self):
+        return iter(self.paths)
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+
 def load_checkpoint(ckpt_dir, key: str) -> Network:
     """The network of stage ``key`` from ``<ckpt_dir>/<key>.ckpt``."""
-    path = os.path.join(ckpt_dir, f"{key}.ckpt")
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"missing prerequisite checkpoint {path}; train '{key}' first")
-    return load_network(path)
+    return _Checkpoints(ckpt_dir, (key,))[key]
 
 
 def run_stage_from_checkpoints(node: Stage, run: Run, ckpt_dir) -> dict[str, float]:
     """Run one stage on its dependencies' checkpoints in ``ckpt_dir`` and
     write its own, ``<ckpt_dir>/<key>.ckpt``, atomically; return its metrics.
 
-    Every dependency is loaded before training starts, so a missing one
-    fails before any work is done.
+    A missing dependency file fails before any work is done; each dependency
+    is loaded only when the stage reads it (a teacher only if ``run`` has no
+    targets of it) and is not kept while the stage trains.
     """
-    nets = {dep: load_checkpoint(ckpt_dir, dep) for dep in node.deps}
-    net, metrics = run_stage(node, run, nets)
+    net, metrics = run_stage(node, run, _Checkpoints(ckpt_dir, node.deps))
     save_network(net, os.path.join(ckpt_dir, f"{node.key}.ckpt"))
     return metrics
 
@@ -784,10 +807,14 @@ def run_experiment(plan: ExperimentPlan, out_dir=None, workers: int = 1,
     # what a wrapper records in a forked worker never reaches this process
     if workers == 1 or hasattr(run_stage, "__wrapped__"):
         nets: dict[str, Network] = {}
+        readers = Counter(key for node in listed for key in (node.key, *node.deps))
         for node in listed:
             nets[node.key], metrics[node.key] = run_stage(node, run, nets)
             if out_dir is not None:
                 save_network(nets[node.key], os.path.join(out_dir, f"{node.key}.ckpt"))
+            for key in (node.key, *node.deps):
+                readers[key] -= 1
+            nets = {key: net for key, net in nets.items() if readers[key]}  # no stage reads the rest
     elif out_dir is not None:
         _walk(listed, run, workers, out_dir, metrics)
     else:

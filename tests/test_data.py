@@ -1,6 +1,7 @@
 """Synthetic dataset generator: determinism, split discipline, the latent
 factor structure, triplet/pair sampling, and file round-trips."""
 import collections
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,6 +279,18 @@ def test_save_matches_per_value_format(tmp_path, rng):
         path = tmp_path / "d.txt"
         save_dataset(case, path)
         assert path.read_text() == _per_value_lines(case)
+
+
+def test_save_streams_rows(tmp_path):
+    # building and joining all 1,600 lines first peaked at 7.07 MB
+    ds = generate(GeneratorParams())
+    tracemalloc.start()
+    try:
+        save_dataset(ds, tmp_path / "d.txt")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 19
 
 
 def test_load_rejects_bad_header(tmp_path):

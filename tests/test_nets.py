@@ -1,6 +1,8 @@
 """Network construction, width division, forward semantics, cloning,
 and atomic checkpoint writes. The trunk is input -> hidden widths -> embedding (all rectified);
 logits and regression heads are affine maps off the embedding."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,22 @@ def test_save_load_round_trip(tmp_path, rng):
     x = rng.normal(size=(3, 64))
     np.testing.assert_array_equal(net.forward(x).logits.data, back.forward(x).logits.data)
     np.testing.assert_array_equal(net.forward(x).regression.data, back.forward(x).regression.data)
+
+
+def test_load_holds_the_payload_once(tmp_path):
+    # the parameters are views of one buffer the payload is read into
+    net = build(SPEC, seed=3)
+    path = tmp_path / "teacher.ckpt"
+    save_network(net, path)
+    payload = 8 * (2 * SPEC.input_dim + num_parameters(net))
+    tracemalloc.start()
+    try:
+        back = load_network(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * payload
+    assert all(p.data.base is back.parameters[0].data.base for p in back.parameters)
 
 
 @pytest.mark.parametrize("mode,old,part", [("w", "old text\n", "new te"),

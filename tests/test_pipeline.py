@@ -10,6 +10,7 @@ import os
 import tempfile
 import time
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -178,6 +179,35 @@ def test_nag_step_allocates_no_arrays(rng):
     assert max(peak, peak_flat) < grad.nbytes // 16  # a 512 KiB temporary would show
 
 
+def test_nag_step_leaves_a_copied_in_gradient_unmodified(rng):
+    # the step consumes the flat gradient buffer, never a gradient set by hand
+    net = _OneParamNet(0.0)
+    net.parameters = [tc.Tensor(rng.normal(size=(4, 3)), requires_grad=True)]
+    opt = OptimizerState.for_network(net, learning_rate=0.1, momentum=0.9)
+    grad = rng.normal(size=(4, 3))
+    before = grad.tobytes()
+    net.parameters[0].grad = grad
+    nag_step(net, opt)
+    assert grad.tobytes() == before
+    assert net.parameters[0].grad is None
+
+
+def test_optimizer_state_allocates_four_flat_buffers(rng):
+    # params, grad, velocity and one scratch buffer; the step's lr*g lives in grad
+    net = _OneParamNet(0.0)
+    net.parameters = [tc.Tensor(rng.normal(size=(256, 256)), requires_grad=True),
+                      tc.Tensor(rng.normal(size=256), requires_grad=True)]
+    nbytes = sum(p.data.nbytes for p in net.parameters)
+    tracemalloc.start()
+    try:
+        opt = OptimizerState.for_network(net, learning_rate=0.01)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 4 * nbytes <= held < 4.25 * nbytes
+    assert opt.scratch.nbytes == nbytes
+
+
 def test_nag_over_flat_buffers_matches_per_parameter_update(rng):
     # the training loop's path: backward accumulates into the zeroed views
     # zero_grad hands out and the step runs over whole buffers; the reference
@@ -304,14 +334,19 @@ def test_verification_stage_runs(data):
     assert len(net.training_log.step_losses) > 0
 
 
-def test_teacher_cache_rows_match_per_batch_forward(rng):
-    # distillation stages run the teacher once over the training features and
-    # index the rows; that is exact only if this BLAS computes a row of a
-    # product the same way whatever the batch size
+def _teacher_and_features(rng):
     teacher_spec = ExperimentPlan().teacher
     teacher = build(teacher_spec, seed=5)
     feats = rng.normal(size=(1280, teacher_spec.input_dim)) * 3.0 + 1.0
     teacher.set_normalizer(feats.mean(axis=0), feats.std(axis=0))
+    return teacher, feats
+
+
+def test_teacher_cache_rows_match_per_batch_forward(rng):
+    # distillation stages run the teacher over the training features in
+    # 128-row blocks and index the rows; that is exact only if this BLAS
+    # computes a row of a product the same way whatever the batch size
+    teacher, feats = _teacher_and_features(rng)
     cached_logits, cached_emb = _teacher_targets(teacher, feats)
     for size in range(2, 129):
         idx = rng.choice(len(feats), size=size, replace=False)
@@ -323,15 +358,33 @@ def test_teacher_cache_rows_match_per_batch_forward(rng):
                 "this BLAS build breaks the per-stage teacher cache")
 
 
+def test_blocked_teacher_targets_match_one_whole_split_forward(rng):
+    teacher, feats = _teacher_and_features(rng)
+    logits, embedding = _teacher_targets(teacher, feats)
+    out = teacher.forward(feats)
+    assert logits.tobytes() == out.logits.data.tobytes()
+    assert embedding.tobytes() == out.embedding.data.tobytes()
+
+
+def test_teacher_targets_hold_only_their_tables(rng):
+    # one forward over all 1,280 rows peaked at 7.87 MB; blocks of 128 rows
+    # keep the pass near the size of its two output tables
+    teacher, feats = _teacher_and_features(rng)
+    tracemalloc.start()
+    try:
+        logits, embedding = _teacher_targets(teacher, feats)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < logits.nbytes + embedding.nbytes + 2 ** 20
+
+
 def test_stage_table_rows_match_per_batch_builds(rng):
     # a stage standardizes its features, one-hot encodes its labels and
     # softens its teacher's logits once, over the whole training split; each
     # batch's rows must be bitwise what the batch alone would give
-    teacher_spec = ExperimentPlan().teacher
-    teacher = build(teacher_spec, seed=5)
-    feats = rng.normal(size=(1280, teacher_spec.input_dim)) * 3.0 + 1.0
-    labels = rng.integers(0, teacher_spec.num_classes, size=len(feats))
-    teacher.set_normalizer(feats.mean(axis=0), feats.std(axis=0))
+    teacher, feats = _teacher_and_features(rng)
+    labels = rng.integers(0, teacher.spec.num_classes, size=len(feats))
     t_logits, _ = _teacher_targets(teacher, feats)
     cfg = DistillConfig(tau=3.0)
     x, onehot, soft = teacher.standardize(feats), one_hot(labels, 32), soft_targets(t_logits, cfg)
@@ -675,6 +728,54 @@ def test_checkpoints_match_recorded_digests(tmp_path):
         assert hashlib.sha256((tmp_path / f"{key}.ckpt").read_bytes()).hexdigest() == expected, key
 
 
+def test_serial_walk_drops_each_network_after_its_last_dependent(tmp_path, monkeypatch):
+    plan = _digest_plan()
+    listed = stages(plan)
+    dependents = {node.key: {n.key for n in listed if node.key in n.deps} for node in listed}
+    refs, ran = {}, set()
+    real = pipeline.run_stage
+
+    def recording(node, run, nets):
+        # every network whose dependents have all run is gone by now
+        assert [k for k, ref in refs.items() if dependents[k] <= ran and ref() is not None] == []
+        net, metrics = real(node, run, nets)
+        refs[node.key] = weakref.ref(net)
+        ran.add(node.key)
+        return net, metrics
+
+    monkeypatch.setattr(pipeline, "run_stage", recording)
+    run_experiment(plan, tmp_path)
+    assert all(ref() is None for ref in refs.values())
+    for key, expected in CHECKPOINT_SHA256.items():
+        assert hashlib.sha256((tmp_path / f"{key}.ckpt").read_bytes()).hexdigest() == expected, key
+
+
+def test_checkpoint_stages_load_a_memoised_teacher_once(tmp_path, monkeypatch):
+    plan = _tiny_plan(tasks=(TaskPlan(ALIGNMENT, (2,), inits=("distill",),
+                                      grid=((0.0, 1.0), (1.0, 0.0))),))
+    run_experiment(plan, tmp_path)
+    keys = ["student2_alignment_distill_a0_b1", "student2_alignment_distill_a1_b0"]
+    written = {key: (tmp_path / f"{key}.ckpt").read_bytes() for key in keys}
+    loads, load = [], pipeline.load_network
+
+    def counting(path):
+        loads.append(os.path.basename(path))
+        return load(path)
+
+    monkeypatch.setattr(pipeline, "load_network", counting)
+    run = Run(plan, generate(plan.generator))
+    for key in keys:
+        pipeline.run_stage_from_checkpoints(stage(plan, key), run, tmp_path)
+        assert (tmp_path / f"{key}.ckpt").read_bytes() == written[key], key
+    # the start network for each stage, the teacher only for the first
+    assert sorted(loads) == ["student2_cls_full_init.ckpt"] * 2 + ["teacher_alignment.ckpt"]
+    # a missing dependency still fails before any training, memo or not
+    os.remove(tmp_path / "teacher_alignment.ckpt")
+    monkeypatch.setattr(pipeline, "run_stage", lambda *args: pytest.fail("trained"))
+    with pytest.raises(FileNotFoundError, match="train 'teacher_alignment' first"):
+        pipeline.run_stage_from_checkpoints(stage(plan, keys[0]), run, tmp_path)
+
+
 def test_experiment_bytes_do_not_depend_on_worker_count(tmp_path):
     plan = _rich_plan()
     reports = {workers: run_experiment(plan, tmp_path / str(workers), workers=workers).to_json()
@@ -883,25 +984,19 @@ def test_experiment_runs_each_teacher_once_on_shared_read_only_targets(monkeypat
         TaskPlan(ALIGNMENT, (2,), inits=("pretrain", "distill")),
         TaskPlan(VERIFICATION, (2,), inits=("distill",)),
     ))
-    n_train = len(generate(GEN).train)
-    full_passes, targets = [], []
-    forward, teacher_targets = Network.forward, pipeline._teacher_targets
-
-    def counting_forward(self, batch):
-        if len(batch) == n_train:  # training batches are smaller; evaluation uses the test split
-            full_passes.append(id(self))
-        return forward(self, batch)
+    teachers, targets = [], []
+    teacher_targets = pipeline._teacher_targets
 
     def recording_targets(teacher, feats):
+        teachers.append(teacher)
         targets.append(teacher_targets(teacher, feats))
         return targets[-1]
 
-    monkeypatch.setattr(Network, "forward", counting_forward)
     monkeypatch.setattr(pipeline, "_teacher_targets", recording_targets)
     run_experiment(plan)
-    assert len(full_passes) == 1 + len(plan.tasks)
-    assert len(set(full_passes)) == len(full_passes)
-    assert len(targets) == len(full_passes)
+    # one build per teacher: teacher_cls and the two task teachers
+    assert len(targets) == 1 + len(plan.tasks)
+    assert len({id(teacher) for teacher in teachers}) == len(teachers)
     for logits, embedding in targets:
         for array in (logits, embedding):
             with pytest.raises(ValueError):
