@@ -20,15 +20,15 @@ Stage names follow the experiment's run keys, e.g. ``teacher_cls``,
 ``student2_verification_joint_pretrain_a0_b1``. ``train`` and ``reproduce``
 run the same stage graph (``pipeline.stage``), so a checkpoint ``train``
 writes is bit-identical to the one ``reproduce`` writes for the same seed.
-``train`` hands networks over as a ``reproduce`` worker does
-(``pipeline.run_stage_from_checkpoints``): it loads a stage's dependencies
-from ``<out>/<key>.ckpt`` and writes the stage's own checkpoint there.
+Every command keeps checkpoints in one place, ``<out>/checkpoints/<key>.ckpt``,
+and ``train`` and ``reproduce`` run a stage the same way
+(``pipeline.run_stage_from_checkpoints``): load its dependencies from there,
+train it, and write its own checkpoint there as soon as it finishes.
+``train`` also writes ``<out>/<key>.metrics.json``.
 
 ``reproduce`` runs the stages on one forked worker process per CPU it may
 use when BLAS runs one thread, and in-process otherwise; its output bytes
-are the same either way. It writes each stage's ``checkpoints/<key>.ckpt``
-as soon as the stage finishes, and its workers load their dependencies
-from those files.
+are the same either way.
 """
 from __future__ import annotations
 
@@ -38,7 +38,8 @@ import os
 import sys
 
 from ._atomic import atomic_write
-from .config import ConfigError, describe_keys, experiment_plan, generator_params, load_config
+from .config import (ConfigError, apply_set, describe_keys, experiment_plan, generator_params,
+                     load_config)
 from .data import generate, load_dataset, save_dataset
 from .metrics import MetricsReport
 from .nets import load_network
@@ -61,7 +62,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="FILE", help="config file of 'section.key = value' lines")
     sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                      help="override one config key (repeatable)")
-    sub.add_argument("--seed", type=int, help="override the top-level seed")
+    sub.add_argument("--seed", help="override the top-level seed")
     sub.add_argument("--out", metavar="DIR", help="run directory (default: config 'out', 'runs')")
 
 
@@ -80,7 +81,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_train)
 
     p = subs.add_parser("evaluate", help="recompute metrics for a trained checkpoint")
-    p.add_argument("stage", help="run key in <out>, or a path to a .ckpt file")
+    p.add_argument("stage", help="run key in <out>/checkpoints, or a path to a .ckpt file")
     _add_common(p)
     p.set_defaults(func=cmd_evaluate)
 
@@ -95,11 +96,14 @@ def _build_parser() -> _Parser:
 
 def _load_cfg(args) -> dict:
     cfg = load_config(args.config, args.set)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.out is not None:
-        cfg["out"] = args.out
+    for key in ("seed", "out"):  # each flag is parsed and checked as a last override
+        if getattr(args, key) is not None:
+            apply_set(cfg, f"{key}={getattr(args, key)}", f"--{key}")
     return cfg
+
+
+def _checkpoints(out_dir: str) -> str:
+    return os.path.join(out_dir, "checkpoints")
 
 
 def _require_dataset(out_dir: str):
@@ -137,13 +141,14 @@ def cmd_train(args) -> int:
     out_dir = cfg["out"]
     plan = experiment_plan(cfg)
     node = _stage(plan, args.stage)  # validate the key before touching files
-    metrics = run_stage_from_checkpoints(node, Run(plan, _require_dataset(out_dir)), out_dir)
-    ckpt = os.path.join(out_dir, f"{args.stage}.ckpt")
+    run, ckpt_dir = Run(plan, _require_dataset(out_dir)), _checkpoints(out_dir)
+    os.makedirs(ckpt_dir, exist_ok=True)
+    metrics = run_stage_from_checkpoints(node, run, ckpt_dir)
     with atomic_write(os.path.join(out_dir, f"{args.stage}.metrics.json"), "w",
                       encoding="utf-8") as fh:
         fh.write(json.dumps({"stage": args.stage, "metrics": metrics}, indent=2, sort_keys=True))
         fh.write("\n")
-    print(f"wrote {ckpt}")
+    print(f"wrote {os.path.join(ckpt_dir, f'{args.stage}.ckpt')}")
     _print_metrics(metrics)
     return 0
 
@@ -162,7 +167,7 @@ def cmd_evaluate(args) -> int:
             metrics.update(run.evaluate(ALIGNMENT, net))
     else:
         label = _stage(plan, args.stage).label
-        metrics = run.evaluate(label, load_checkpoint(out_dir, args.stage))
+        metrics = run.evaluate(label, load_checkpoint(_checkpoints(out_dir), args.stage))
     _print_metrics(metrics)
     return 0
 
@@ -189,7 +194,7 @@ def cmd_reproduce(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     data = generate(plan.generator)
     save_dataset(data, os.path.join(out_dir, "dataset.txt"))
-    report = run_experiment(plan, out_dir=os.path.join(out_dir, "checkpoints"),
+    report = run_experiment(plan, out_dir=_checkpoints(out_dir),
                             workers=_workers(), data=data)
     report_path = os.path.join(out_dir, "report.json")
     with atomic_write(report_path, "w", encoding="utf-8") as fh:

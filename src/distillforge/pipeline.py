@@ -48,20 +48,20 @@ and the report rows come out in ``stages(plan)`` order, so the report and
 checkpoint bytes do not depend on N. Networks pass between stages as
 checkpoint files: ``run_stage_from_checkpoints`` loads a stage's
 dependencies from a directory, trains it and writes ``<key>.ckpt`` there,
-and both a pool worker and the CLI's ``train`` call it, so the parent of a
-pool holds only metrics. A run with one worker, or whose ``run_stage`` has
-been wrapped (a span tracer, say), walks in-process, where networks pass in
-memory until their last reader has run and the wrapper can see every stage.
-Either walk writes a stage's checkpoint as soon as the stage finishes.
+as soon as the stage finishes. The in-process walk, a pool worker and the
+CLI's ``train`` all call it, so a stage runs one way everywhere and the
+parent of a pool holds only metrics. A run with one worker, or whose
+``run_stage`` has been wrapped (a span tracer, say), walks in-process, so
+the wrapper sees every stage.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import os
 import re
 import tempfile
-from collections import Counter
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -304,14 +304,18 @@ def init_student_cls(spec: NetworkSpec, data: SplitDataset, stage: StageConfig) 
 def _teacher_targets(teacher: Network, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The constant teacher's logits and embedding for every training row, read-only.
 
-    Forwards outside any tape over blocks of 128 standardized rows fill two
-    preallocated tables; their rows match a per-batch forward bitwise for
-    logits and embedding (not for the regression head, which is not run).
+    Forwards of a frozen view of the teacher (its parameter values, not
+    copied, without ``requires_grad``, so no tape records them) over blocks
+    of 128 standardized rows fill two preallocated tables; their rows match
+    a per-batch forward bitwise for logits and embedding (not for the
+    regression head, which is not run).
     """
     n, spec = len(feats), teacher.spec
+    frozen = Network(spec, [p.detach() for p in teacher.parameters], teacher.norm_mean,
+                     teacher.norm_std)
     logits, emb = np.empty((n, spec.num_classes)), np.empty((n, spec.embedding_dim))
     for start in range(0, n, 128):
-        out = teacher._forward(teacher.standardize(feats[start:start + 128]), regression=False)
+        out = frozen._forward(frozen.standardize(feats[start:start + 128]), regression=False)
         logits[start:start + 128], emb[start:start + 128] = out.logits.data, out.embedding.data
     for array in (logits, emb):
         array.setflags(write=False)
@@ -790,11 +794,10 @@ def run_experiment(plan: ExperimentPlan, out_dir=None, workers: int = 1,
     given). With ``workers`` above 1 the stages run on that many worker
     processes (at most one per stage), unless ``run_stage`` carries a
     wrapper's ``__wrapped__``; the report and checkpoints are the same bytes
-    for any worker count. When ``out_dir`` is given, each stage's network
-    lands there as ``<run-key>.ckpt`` as soon as the stage finishes, so a
-    failed run keeps the checkpoints of the stages that finished. A pool
-    without ``out_dir`` hands its networks over in a temporary directory,
-    removed when the run ends.
+    for any worker count. Either walk hands networks over as checkpoint
+    files, ``<run-key>.ckpt`` in ``out_dir``, each written when its stage
+    finishes, so a failed run keeps those of the finished stages; without
+    ``out_dir`` they go to a temporary directory, removed when the run ends.
     """
     if workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
@@ -802,23 +805,14 @@ def run_experiment(plan: ExperimentPlan, out_dir=None, workers: int = 1,
     listed = stages(plan)
     metrics: dict[str, dict[str, float]] = {}
     workers = min(workers, len(listed))
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-    # what a wrapper records in a forked worker never reaches this process
-    if workers == 1 or hasattr(run_stage, "__wrapped__"):
-        nets: dict[str, Network] = {}
-        readers = Counter(key for node in listed for key in (node.key, *node.deps))
-        for node in listed:
-            nets[node.key], metrics[node.key] = run_stage(node, run, nets)
-            if out_dir is not None:
-                save_network(nets[node.key], os.path.join(out_dir, f"{node.key}.ckpt"))
-            for key in (node.key, *node.deps):
-                readers[key] -= 1
-            nets = {key: net for key, net in nets.items() if readers[key]}  # no stage reads the rest
-    elif out_dir is not None:
-        _walk(listed, run, workers, out_dir, metrics)
-    else:
-        with tempfile.TemporaryDirectory(prefix="distillforge-") as ckpt_dir:
+    with (tempfile.TemporaryDirectory(prefix="distillforge-") if out_dir is None
+          else contextlib.nullcontext(out_dir)) as ckpt_dir:
+        os.makedirs(ckpt_dir, exist_ok=True)
+        # what a wrapper records in a forked worker never reaches this process
+        if workers == 1 or hasattr(run_stage, "__wrapped__"):
+            for node in listed:
+                metrics[node.key] = run_stage_from_checkpoints(node, run, ckpt_dir)
+        else:
             _walk(listed, run, workers, ckpt_dir, metrics)
     report = MetricsReport()
     for node in listed:

@@ -123,6 +123,15 @@ def test_seed_flag_matches_set_override(tmp_path, capsys):
             == (tmp_path / "set" / "dataset.txt").read_bytes())
 
 
+@pytest.mark.parametrize("command", [["generate"], ["train", "teacher_cls"],
+                                     ["evaluate", "teacher_cls"], ["reproduce"]])
+def test_seed_flag_obeys_the_config_bound(tmp_path, capsys, command):
+    code, out, err = _run(capsys, *command, "--seed", "-1", "--out", str(tmp_path), *_sets())
+    assert code == 1 and out == ""
+    assert "seed must be >= 0" in err
+    assert os.listdir(tmp_path) == []
+
+
 def _metric_lines(out: str) -> dict[str, str]:
     pairs = re.findall(r"^(\w+) = (.+)$", out, flags=re.MULTILINE)
     return dict(pairs)
@@ -154,8 +163,8 @@ def test_evaluate_accepts_checkpoint_path(tmp_path, capsys):
     out_dir = str(tmp_path / "run")
     _run(capsys, "generate", "--out", out_dir, *_sets())
     _run(capsys, "train", "teacher_cls", "--out", out_dir, *_sets())
-    code, out, _ = _run(capsys, "evaluate", str(tmp_path / "run" / "teacher_cls.ckpt"),
-                        "--out", out_dir, *_sets())
+    ckpt = tmp_path / "run" / "checkpoints" / "teacher_cls.ckpt"
+    code, out, _ = _run(capsys, "evaluate", str(ckpt), "--out", out_dir, *_sets())
     assert code == 0
     metrics = _metric_lines(out)
     assert {"top1", "pair_acc", "verif_top1", "nrmse"} <= set(metrics)
@@ -168,7 +177,26 @@ def test_train_chain_through_full_init(tmp_path, capsys):
                   "teacher_alignment", "student2_alignment_distill_a0_b1"):
         code, out, err = _run(capsys, "train", stage, "--out", out_dir, *_sets())
         assert code == 0, f"{stage}: {err}"
-        assert (tmp_path / "run" / f"{stage}.ckpt").exists()
+        assert (tmp_path / "run" / "checkpoints" / f"{stage}.ckpt").exists()
+
+
+def test_train_and_evaluate_read_a_reproduce_directory(tmp_path, capsys):
+    # every command keeps its checkpoints in <out>/checkpoints
+    out_dir = tmp_path / "r"
+    code, _, err = _run(capsys, "reproduce", "--out", str(out_dir), *_sets())
+    assert code == 0, err
+    table = {(row["task"], row["network"], row["init"], row["alpha"], row["beta"]): row["metrics"]
+             for row in json.loads((out_dir / "report.json").read_text())["rows"]}
+    plan = experiment_plan(load_config(None, TINY))
+    for key in ("teacher_cls", "student2_cls_full_init", "student2_alignment_distill_a0_b1"):
+        code, out, err = _run(capsys, "evaluate", key, "--out", str(out_dir), *_sets())
+        assert code == 0, f"{key}: {err}"
+        metrics = {name: float(text) for name, text in _metric_lines(out).items()}
+        assert metrics == table[pipeline.stage(plan, key).row], key
+    # a key outside the plan trains on the directory's teacher
+    code, _, err = _run(capsys, "train", "student3_cls_scratch", "--out", str(out_dir), *_sets())
+    assert code == 0, err
+    assert (out_dir / "checkpoints" / "student3_cls_scratch.ckpt").exists()
 
 
 def _dependency_rank(key: str) -> int:
@@ -194,18 +222,19 @@ def test_train_checkpoints_match_reproduce_bytes(tmp_path, capsys):
     for key in keys:
         code, _, err = _run(capsys, "train", key, "--seed", "3", "--out", str(out_dir), *sets)
         assert code == 0, f"{key}: {err}"
-    mismatched = [key for key in keys
-                  if (out_dir / f"{key}.ckpt").read_bytes() != (reproduced / f"{key}.ckpt").read_bytes()]
+    mismatched = [key for key in keys if ((out_dir / "checkpoints" / f"{key}.ckpt").read_bytes()
+                                          != (reproduced / f"{key}.ckpt").read_bytes())]
     assert mismatched == []
 
     # a stage that reads no target trains without its table's teacher checkpoint
     key, lone = "student2_verification_distill_a0_b0", tmp_path / "lone"
-    lone.mkdir()
+    (lone / "checkpoints").mkdir(parents=True)
     for name in ("dataset.txt", "checkpoints/student2_cls_full_init.ckpt"):
-        shutil.copy(tmp_path / "r" / name, lone)
+        shutil.copy(tmp_path / "r" / name, lone / name)
     code, _, err = _run(capsys, "train", key, "--seed", "3", "--out", str(lone), *sets)
     assert code == 0, err
-    assert (lone / f"{key}.ckpt").read_bytes() == (reproduced / f"{key}.ckpt").read_bytes()
+    assert ((lone / "checkpoints" / f"{key}.ckpt").read_bytes()
+            == (reproduced / f"{key}.ckpt").read_bytes())
 
     # keys outside the configured plan (divisor 3, grid point (0.5, 2)) still train
     for key in ("student3_cls_scratch", "student2_alignment_distill_a0.5_b2"):
@@ -230,7 +259,7 @@ def test_stage_failure_names_the_run_key(tmp_path, capsys, monkeypatch):
     assert _run(capsys, "train", "teacher_cls", "--out", out_dir, *sets)[0] == 0
     code, _, err = _run(capsys, "train", "teacher_alignment", "--out", out_dir, *sets)
     assert code == 2 and message in err
-    assert not (tmp_path / "t" / "teacher_alignment.ckpt").exists()
+    assert not (tmp_path / "t" / "checkpoints" / "teacher_alignment.ckpt").exists()
 
 
 def test_plan_needs_two_test_samples_per_identity(tmp_path, capsys):
@@ -352,7 +381,7 @@ def test_corrupt_checkpoint_fails_cleanly(tmp_path, capsys):
     out_dir = tmp_path / "run"
     assert _run(capsys, "generate", "--out", str(out_dir), *_sets())[0] == 0
     assert _run(capsys, "train", "teacher_cls", "--out", str(out_dir), *_sets())[0] == 0
-    path = out_dir / "teacher_cls.ckpt"
+    path = out_dir / "checkpoints" / "teacher_cls.ckpt"
     pristine = path.read_bytes()
     rng = np.random.default_rng(2025)
     for kind in ("truncated", "non-finite value", "spec disagrees with shapes", "field missing",
@@ -367,7 +396,7 @@ def test_corrupt_checkpoint_fails_cleanly(tmp_path, capsys):
                 assert code in (1, 2) and out == "", (kind, command)
                 assert len(err.splitlines()) == 1 and err.startswith("error: "), (kind, err)
                 assert str(path) in err, (kind, err)
-    assert not (out_dir / "student2_cls_scratch.ckpt").exists()
+    assert not (out_dir / "checkpoints" / "student2_cls_scratch.ckpt").exists()
     path.write_bytes(pristine)
     assert _run(capsys, "evaluate", str(path), "--out", str(out_dir), *_sets())[0] == 0
 

@@ -379,6 +379,18 @@ def test_teacher_targets_hold_only_their_tables(rng):
     assert peak < logits.nbytes + embedding.nbytes + 2 ** 20
 
 
+def test_teacher_targets_record_nothing_on_an_active_tape(rng):
+    # the teacher is frozen by structure, not by convention: its forward runs
+    # on parameters without requires_grad, so even an active tape stays empty
+    teacher, feats = _teacher_and_features(rng)
+    outside = _teacher_targets(teacher, feats)
+    with tc.Tape() as tape:
+        inside = _teacher_targets(teacher, feats)
+    assert len(tape) == 0
+    assert [t.tobytes() for t in inside] == [t.tobytes() for t in outside]
+    assert all(p.requires_grad and p.grad is None for p in teacher.parameters)
+
+
 def test_stage_table_rows_match_per_batch_builds(rng):
     # a stage standardizes its features, one-hot encodes its labels and
     # softens its teacher's logits once, over the whole training split; each
@@ -728,24 +740,22 @@ def test_checkpoints_match_recorded_digests(tmp_path):
         assert hashlib.sha256((tmp_path / f"{key}.ckpt").read_bytes()).hexdigest() == expected, key
 
 
-def test_serial_walk_drops_each_network_after_its_last_dependent(tmp_path, monkeypatch):
+def test_serial_walk_holds_one_trained_network_at_a_time(tmp_path, monkeypatch):
+    # stages hand networks over as checkpoint files, so each network is gone
+    # before the next stage starts; no functools.wraps, so the walk stays serial
     plan = _digest_plan()
-    listed = stages(plan)
-    dependents = {node.key: {n.key for n in listed if node.key in n.deps} for node in listed}
-    refs, ran = {}, set()
+    refs = []
     real = pipeline.run_stage
 
     def recording(node, run, nets):
-        # every network whose dependents have all run is gone by now
-        assert [k for k, ref in refs.items() if dependents[k] <= ran and ref() is not None] == []
+        assert [ref() for ref in refs if ref() is not None] == []
         net, metrics = real(node, run, nets)
-        refs[node.key] = weakref.ref(net)
-        ran.add(node.key)
+        refs.append(weakref.ref(net))
         return net, metrics
 
     monkeypatch.setattr(pipeline, "run_stage", recording)
     run_experiment(plan, tmp_path)
-    assert all(ref() is None for ref in refs.values())
+    assert len(refs) == len(stages(plan)) and all(ref() is None for ref in refs)
     for key, expected in CHECKPOINT_SHA256.items():
         assert hashlib.sha256((tmp_path / f"{key}.ckpt").read_bytes()).hexdigest() == expected, key
 
@@ -808,8 +818,8 @@ def test_experiment_caps_workers_at_the_stage_count(monkeypatch):
     monkeypatch.setattr(tempfile, "TemporaryDirectory", RecordingDir)
     assert run_experiment(plan, workers=64).to_json() == run_experiment(plan).to_json()
     assert sizes == [2]
-    # the pool handed its networks over in a temporary directory, now removed
-    assert len(made) == 1 and not os.path.exists(made[0])
+    # both walks handed their networks over in a temporary directory, now removed
+    assert len(made) == 2 and not any(os.path.exists(name) for name in made)
     with pytest.raises(ValueError, match="workers"):
         run_experiment(plan, workers=0)
 
