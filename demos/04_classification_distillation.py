@@ -7,47 +7,41 @@ Trains a teacher, then builds quarter-width students three ways:
 * the same combined objective, but started from a student already trained
   to convergence on hard labels (full initialization).
 
-Small benchmark, so all three finish in a few seconds.
+The plan names these stages; the loop below runs them one at a time, each
+from the networks of the stages it depends on, as ``reproduce`` does.
+Small benchmark, so all four stages finish in a few seconds.
 """
 from distillforge.data import GeneratorParams, generate
 from distillforge.losses import DistillConfig
 from distillforge.nets import NetworkSpec, num_parameters
-from distillforge.pipeline import (StageConfig, distill_student_cls,
-                                   evaluate_classification, init_student_cls,
-                                   train_teacher_cls)
+from distillforge.pipeline import ExperimentPlan, Run, StagePlan, run_stage, stages
+
+LABELS = {"teacher_cls": "teacher",
+          "student4_cls_init": "student /4, hard only",
+          "student4_cls_scratch": "student /4, distilled from scratch",
+          "student4_cls_full_init": "student /4, distilled with full init"}
 
 
 def main():
-    # noisy enough that the quarter-width student cannot match the teacher
-    data = generate(GeneratorParams(num_identities=24, samples_per_identity=20,
-                                    input_dim=32, noise_std=0.5, seed=7))
-    teacher_spec = NetworkSpec(input_dim=32, hidden_widths=(96, 48), embedding_dim=12,
-                               num_classes=24, num_keypoint_coords=10)
-    cfg = DistillConfig(alpha=1.0, tau=3.0)
-
-    def stage(epochs, lr, seed):
-        return StageConfig(batch_size=32, lr_schedule=((lr, epochs), (lr / 10, epochs)), seed=seed)
-
-    teacher = train_teacher_cls(teacher_spec, data, stage(6, 0.02, seed=1))
-    print(f"teacher top1          : {evaluate_classification(teacher, data.test)['top1']:.3f} "
-          f"({num_parameters(teacher)} params)")
-
-    student_spec = teacher_spec.student(4)
-    hard_only = init_student_cls(student_spec, data, stage(6, 0.02, seed=2))
-    print(f"student /4, hard only : {evaluate_classification(hard_only, data.test)['top1']:.3f} "
-          f"({num_parameters(hard_only)} params)")
-
-    scratch = distill_student_cls(teacher, data, cfg, stage(6, 0.02, seed=3),
-                                  student_spec=student_spec)
-    print(f"student /4, distilled from scratch   : "
-          f"{evaluate_classification(scratch, data.test)['top1']:.3f}")
-
-    # continue from the converged hard-label student at a tenth of the rate
-    full_init = distill_student_cls(teacher, data, cfg,
-                                    StageConfig(batch_size=32, lr_schedule=((0.002, 6),), seed=4),
-                                    init_from=hard_only)
-    print(f"student /4, distilled with full init : "
-          f"{evaluate_classification(full_init, data.test)['top1']:.3f}")
+    plan = ExperimentPlan(
+        # noisy enough that the quarter-width student cannot match the teacher
+        generator=GeneratorParams(num_identities=24, samples_per_identity=20, input_dim=32,
+                                  noise_std=0.5, seed=7),
+        teacher=NetworkSpec(input_dim=32, hidden_widths=(96, 48), embedding_dim=12,
+                            num_classes=24, num_keypoint_coords=10),
+        distill=DistillConfig(alpha=1.0, tau=3.0),
+        cls_divisors=(4,),
+        tasks=(),
+        # scratch stages run 6 epochs at 0.02, then 6 at 0.002; full
+        # initialization continues from the hard-label student at 0.002
+        cls_stage=StagePlan(32, 6, scratch_lr=0.02, continue_lr=0.002),
+    )
+    run = Run(plan, generate(plan.generator))
+    nets = {}
+    for node in stages(plan):
+        nets[node.key], metrics = run_stage(node, run, nets)
+        print(f"{LABELS[node.key]:37s}: {metrics['top1']:.3f} "
+              f"({num_parameters(nets[node.key])} params)")
 
 
 if __name__ == "__main__":

@@ -10,10 +10,10 @@ Everything runs on a minimal tape-based reverse-mode autodiff core
 * the synthetic identity/pose benchmark and its text container
   (:mod:`distillforge.data`);
 * evaluation metrics and report tables (:mod:`distillforge.metrics`);
-* training stages, the full-initialization trick, transfer
-  initialization, target selection, and the stage graph that drives
-  both ``train`` and ``reproduce`` (:mod:`distillforge.pipeline`);
-* a four-command CLI: generate / train / evaluate / reproduce
+* the stage graph of training stages, the full-initialization trick,
+  transfer initialization and target selection, which drives both
+  ``train`` and ``reproduce`` (:mod:`distillforge.pipeline`);
+* a five-command CLI: generate / train / evaluate / reproduce / config
   (:mod:`distillforge.cli`).
 """
 
@@ -27,10 +27,8 @@ from .metrics import (MetricsReport, nrmse, pair_verification_accuracy, referenc
 from .nets import (Network, NetworkOutputs, NetworkSpec, build, clone, load_network,
                    num_parameters, save_network)
 from .pipeline import (ExperimentPlan, OptimizerState, StageConfig, StagePlan, TaskPlan,
-                       derive_seed, distill_student_cls, distill_student_task,
-                       evaluate_alignment, evaluate_classification, evaluate_verification,
-                       init_student_cls, nag_step, pretrain_student_task, run_experiment,
-                       select_targets, train_teacher_cls, train_teacher_task)
+                       derive_seed, evaluate_alignment, evaluate_classification,
+                       evaluate_verification, nag_step, run_experiment, select_targets)
 from .tensor import Tape, Tensor, backward, grad_check
 
 __version__ = "0.1.0"
@@ -48,8 +46,6 @@ __all__ = [
     "top1_accuracy", "reference_distances", "nrmse", "verification_top1",
     "pair_verification_accuracy", "MetricsReport",
     "derive_seed", "StageConfig", "OptimizerState", "nag_step",
-    "train_teacher_cls", "init_student_cls", "distill_student_cls",
-    "pretrain_student_task", "train_teacher_task", "distill_student_task",
     "select_targets", "StagePlan", "TaskPlan", "ExperimentPlan", "run_experiment",
     "evaluate_classification", "evaluate_alignment", "evaluate_verification",
     "__version__",

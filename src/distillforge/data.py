@@ -123,10 +123,6 @@ class LatentModel:
         angles = 2.0 * math.pi * np.arange(params.num_keypoints) / params.num_keypoints
         self.template = np.stack([np.cos(angles), np.sin(angles)], axis=1).reshape(-1)
 
-    @classmethod
-    def from_params(cls, params: GeneratorParams) -> "LatentModel":
-        return cls(params, np.random.default_rng(params.seed))
-
     def features(self, z: np.ndarray, pose: np.ndarray) -> np.ndarray:
         return self.m_id @ z + self.m_pose @ pose
 
@@ -294,6 +290,9 @@ def load_dataset(path) -> SplitDataset:
             n, input_dim, kc = (int(tok) for tok in header[2:])
         except ValueError as exc:
             raise ValueError(f"{path}:1: non-integer header counts") from exc
+        if input_dim < 1 or kc < 0:
+            raise ValueError(f"{path}:1: input_dim must be positive and num_keypoint_coords "
+                             f"nonnegative, got {input_dim} and {kc}")
         is_train: list[bool] = []
         ids: list[int] = []
         rows: list[np.ndarray] = []

@@ -62,11 +62,8 @@ class NetworkSpec:
             raise ValueError(f"width_divisor must be >= 1, got {self.width_divisor}")
 
     def divided_widths(self) -> tuple[int, ...]:
-        """Hidden widths after ceil division by width_divisor."""
-        widths = tuple(-(-w // self.width_divisor) for w in self.hidden_widths)
-        if any(w < 1 for w in widths):  # pragma: no cover - unreachable with ceil
-            raise ValueError(f"division by {self.width_divisor} produced a zero width: {widths}")
-        return widths
+        """Hidden widths after ceil division by width_divisor; each is >= 1."""
+        return tuple(-(-w // self.width_divisor) for w in self.hidden_widths)
 
     def student(self, divisor: int) -> "NetworkSpec":
         """The same architecture with hidden widths divided by ``divisor``."""

@@ -36,11 +36,11 @@ dependencies and a training closure with one contract: build the start
 network (a fresh build, or a value copy of a dependency for full
 initialization and transfer), get the teacher targets if the stage has a
 teacher, and call one body, ``_distill_cls`` or ``_train_task``, which
-trains that network in place; without targets alpha and beta are 0. The
-public stage functions build their start network and targets from their
-arguments and call the same bodies. ``stages(plan)`` lists a plan's
-stages, dependencies first. This one graph drives both ``run_experiment``
-and the CLI's ``train``, so their checkpoints are the same bytes.
+trains that network in place; a stage without a teacher has alpha and
+beta 0. ``stages(plan)`` lists a plan's stages, dependencies first. This
+one graph is the only way to train a stage: ``run_experiment`` and the
+CLI's ``train`` both run it, so their checkpoints are the same bytes. One
+stage runs as ``run_stage(stage(plan, key), Run(plan, data), nets)``.
 
 ``run_experiment(plan, workers=N)`` walks the graph on N forked worker
 processes: a stage is submitted as soon as its dependencies have finished,
@@ -85,12 +85,6 @@ __all__ = [
     "OptimizerState",
     "nag_step",
     "TrainingLog",
-    "train_teacher_cls",
-    "init_student_cls",
-    "distill_student_cls",
-    "pretrain_student_task",
-    "train_teacher_task",
-    "distill_student_task",
     "select_targets",
     "StagePlan",
     "TaskPlan",
@@ -283,23 +277,7 @@ def _fresh(spec: NetworkSpec, seed: int, feats: np.ndarray) -> Network:
     return net
 
 
-def _check_task(task: str) -> None:
-    if task not in _TASKS:
-        raise ValueError(f"unknown task {task!r}; expected one of {_TASKS}")
-
-
 # Stages ---------------------------------------------------------------------------
-
-def train_teacher_cls(spec: NetworkSpec, data: SplitDataset, stage: StageConfig) -> Network:
-    """Scratch softmax training of the (teacher) classification network."""
-    return _distill_cls(_fresh(spec, stage.seed, data.train.features), data.train, DistillConfig(),
-                        stage)
-
-
-def init_student_cls(spec: NetworkSpec, data: SplitDataset, stage: StageConfig) -> Network:
-    """Softmax-only student training; the starting point of full initialization."""
-    return train_teacher_cls(spec, data, stage)
-
 
 def _teacher_targets(teacher: Network, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The constant teacher's logits and embedding for every training row, read-only.
@@ -322,30 +300,9 @@ def _teacher_targets(teacher: Network, feats: np.ndarray) -> tuple[np.ndarray, n
     return logits, emb
 
 
-def distill_student_cls(teacher: Network, data: SplitDataset, cfg: DistillConfig,
-                        stage: StageConfig, student_spec: NetworkSpec | None = None,
-                        init_from: Network | None = None) -> Network:
-    """Classification distillation from a (constant) teacher.
-
-    ``init_from=None`` builds the student fresh (scratch mode); otherwise
-    the student continues from a value copy of ``init_from`` (full
-    initialization). The objective is the hard-label loss plus the
-    alpha-weighted soft-target cross-entropy.
-    """
-    if init_from is None and student_spec is None:
-        raise ValueError("scratch mode needs student_spec")
-    targets = _teacher_targets(teacher, data.train.features)
-    net = (clone(init_from) if init_from is not None
-           else _fresh(student_spec, stage.seed, data.train.features))
-    return _distill_cls(net, data.train, cfg, stage, targets)
-
-
-def _distill_cls(net, train: Split, cfg, stage, targets=None):
+def _distill_cls(net, train: Split, cfg, stage, targets):
     """Train ``net`` in place on hard labels, plus the soft term from the
-    teacher's (logits, embedding) ``targets`` when they are given; without
-    them alpha and beta are 0."""
-    if targets is None:
-        targets, cfg = (None, None), replace(cfg, alpha=0.0, beta=0.0)
+    teacher's (logits, embedding) ``targets``, (None, None) without a teacher."""
     t_logits, t_emb = targets
     if t_logits is not None and (t_emb.shape[1] != net.spec.embedding_dim
                                  or t_logits.shape[1] != net.spec.num_classes):
@@ -365,7 +322,6 @@ def _distill_cls(net, train: Split, cfg, stage, targets=None):
 def _task_batches(task, train: Split, stage: StageConfig, triplets_per_epoch: int):
     """Alignment batches are row indices; verification batches are
     deduplicated triplets, (unique rows, anchor, positive, negative)."""
-    _check_task(task)
     if task == ALIGNMENT:
         return _index_batches(len(train), stage.batch_size)
     count = triplets_per_epoch if triplets_per_epoch > 0 else len(train)
@@ -380,42 +336,10 @@ def _task_batches(task, train: Split, stage: StageConfig, triplets_per_epoch: in
     return make_epoch
 
 
-def train_teacher_task(teacher_cls: Network, task: str, data: SplitDataset, cfg: DistillConfig,
-                       stage: StageConfig, include_softmax: bool = False,
-                       triplets_per_epoch: int = 0) -> Network:
-    """Transfer-initialize the task teacher from the classification teacher
-    (value copy; the source is left untouched) and fine-tune on the task."""
-    return _train_task(clone(teacher_cls), task, data.train, cfg, stage, include_softmax,
-                       triplets_per_epoch)
-
-
-def pretrain_student_task(spec: NetworkSpec, task: str, data: SplitDataset, cfg: DistillConfig,
-                          stage: StageConfig, include_softmax: bool = False,
-                          triplets_per_epoch: int = 0) -> Network:
-    """Fresh student trained on the task objective alone (the Pretrain start)."""
-    return _train_task(_fresh(spec, stage.seed, data.train.features), task, data.train, cfg, stage,
-                       include_softmax, triplets_per_epoch)
-
-
-def distill_student_task(teacher_task: Network, init_net: Network, task: str, data: SplitDataset,
-                         cfg: DistillConfig, stage: StageConfig, include_softmax: bool = False,
-                         triplets_per_epoch: int = 0) -> Network:
-    """Fine-tune a student on the combined task + distillation objective.
-
-    ``init_net`` is the starting point (task-pretrained student or the
-    distilled classification student); it is value-copied, never mutated.
-    """
-    return _train_task(clone(init_net), task, data.train, cfg, stage, include_softmax,
-                       triplets_per_epoch, _teacher_targets(teacher_task, data.train.features))
-
-
-def _train_task(net, task, train: Split, cfg, stage, include_softmax, triplets_per_epoch,
-                targets=None):
+def _train_task(net, task, train: Split, cfg, stage, include_softmax, triplets_per_epoch, targets):
     """Fine-tune ``net`` in place on the task objective, plus the distillation
-    terms from the teacher's (logits, embedding) ``targets`` when they are
-    given; without them alpha and beta are 0."""
-    if targets is None:
-        targets, cfg = (None, None), replace(cfg, alpha=0.0, beta=0.0)
+    terms from the teacher's (logits, embedding) ``targets``, (None, None)
+    without a teacher."""
     t_logits, t_emb = targets[0], targets[1] if cfg.beta else None  # only the hidden term reads it
     x, soft = net.standardize(train.features), soft_targets(t_logits, cfg)
     if task == ALIGNMENT:
@@ -530,7 +454,8 @@ class TaskPlan:
     include_softmax: bool = False
 
     def __post_init__(self):
-        _check_task(self.task)
+        if self.task not in _TASKS:
+            raise ValueError(f"unknown task {self.task!r}; expected one of {_TASKS}")
         if self.include_softmax and self.task != VERIFICATION:
             raise ValueError("include_softmax applies to verification only")
         bad = [i for i in self.inits if i not in ("scratch", "pretrain", "distill")]
@@ -682,13 +607,15 @@ def stage(plan: ExperimentPlan, key: str) -> Stage:
         raise ValueError(f"unknown stage key {key!r}")
     if not any(weights):  # no term reads a target, so the stage needs no teacher
         teacher = None
+    if teacher is None:
+        distill = replace(distill, alpha=0.0, beta=0.0)
     # a fresh build runs the scratch schedule, a copied start the continuation rate only
     cfg = splan.stage("continue" if start else "scratch", derive_seed(plan.seed, key))
 
     def train(run: Run, nets: Mapping[str, Network]) -> Network:
         # the targets first: built after the start network, they raised the peak
         # RSS of a `train student2_cls_scratch` process from 46.5 to 48.5 MB
-        targets = run.targets(teacher, nets) if teacher else None
+        targets = run.targets(teacher, nets) if teacher else (None, None)
         net = clone(nets[start]) if start else _fresh(spec, cfg.seed, run.data.train.features)
         if label == "cls":
             return _distill_cls(net, run.data.train, distill, cfg, targets)

@@ -32,7 +32,6 @@ __all__ = [
     "backward",
     "add",
     "sub",
-    "neg",
     "mul",
     "div_scalar",
     "matmul",
@@ -230,17 +229,6 @@ def sub(a, b) -> Tensor:
             _accumulate(b, -_unbroadcast(g, b.data.shape))
 
     return _maybe_record(out, (a, b), backward_fn)
-
-
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(-a.data)
-
-    def backward_fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, -g)
-
-    return _maybe_record(out, (a,), backward_fn)
 
 
 def mul(a, b) -> Tensor:

@@ -1,6 +1,7 @@
 """Synthetic dataset generator: determinism, split discipline, the latent
 factor structure, triplet/pair sampling, and file round-trips."""
 import collections
+import re
 import tracemalloc
 
 import numpy as np
@@ -96,7 +97,7 @@ def test_nearest_centroid_beats_chance():
 
 def test_degenerate_generator_equal_pose_equal_keypoints():
     params = GeneratorParams(noise_std=0.0, identity_keypoint_scale=0.0)
-    model = LatentModel.from_params(params)
+    model = LatentModel(params, np.random.default_rng(params.seed))
     pose = np.linspace(-1, 1, params.pose_dim)
     kp_a = model.keypoints(np.zeros(params.latent_dim), pose)
     kp_b = model.keypoints(np.full(params.latent_dim, 3.0), pose)
@@ -105,7 +106,7 @@ def test_degenerate_generator_equal_pose_equal_keypoints():
 
 def test_pose_dominates_keypoints():
     params = GeneratorParams(noise_std=0.0)
-    model = LatentModel.from_params(params)
+    model = LatentModel(params, np.random.default_rng(params.seed))
     z = np.ones(params.latent_dim)
     base = model.keypoints(z, np.zeros(params.pose_dim))
     pose_moved = model.keypoints(z, np.ones(params.pose_dim))
@@ -297,6 +298,17 @@ def test_load_rejects_bad_header(tmp_path):
     path = tmp_path / "junk.txt"
     path.write_text("not a dataset\n")
     with pytest.raises(ValueError):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("input_dim, kc", [(-1, 1), (0, 1), (2, -1)])
+def test_load_rejects_nonpositive_input_dim_and_negative_keypoint_count(tmp_path, input_dim, kc):
+    # each row has the 2 + input_dim + kc fields the header declares, so only
+    # the header check can object
+    path = tmp_path / "d.txt"
+    values = " 1.0" * (input_dim + kc)
+    path.write_text(f"distillforge-dataset v1 2 {input_dim} {kc}\ntrain 0{values}\ntest 1{values}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: input_dim must be positive"):
         load_dataset(path)
 
 

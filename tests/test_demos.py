@@ -1,10 +1,13 @@
-"""Smoke test: every script in ``demos/`` runs to completion and prints."""
+"""Smoke test: every script in ``demos/`` and the README's library quick
+start run to completion and print."""
 import pathlib
+import re
 import runpy
 
 import pytest
 
-DEMOS = sorted((pathlib.Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_are_found():
@@ -15,3 +18,12 @@ def test_demos_are_found():
 def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out
+
+
+def test_readme_quick_start_runs(capsys):
+    # the one ```python block: the library quick start, which must name only
+    # functions the package still has
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.S | re.M)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {"__name__": "__main__"})
+    assert "student/4" in capsys.readouterr().out

@@ -36,19 +36,13 @@ from distillforge.pipeline import (
     StagePlan,
     TaskPlan,
     derive_seed,
-    distill_student_cls,
-    distill_student_task,
     evaluate_classification,
-    init_student_cls,
     nag_step,
-    pretrain_student_task,
     run_experiment,
     run_stage,
     select_targets,
     stage,
     stages,
-    train_teacher_cls,
-    train_teacher_task,
 )
 from distillforge.pipeline import _dedup_lookup, _index_batches, _run_training, _teacher_targets
 
@@ -61,10 +55,6 @@ DCFG = DistillConfig()
 @pytest.fixture(scope="module")
 def data():
     return generate(GEN)
-
-
-def _stage(epochs=2, lr=0.02, seed=0):
-    return StageConfig(batch_size=16, lr_schedule=((lr, epochs),), seed=seed)
 
 
 class _OneParamNet:
@@ -260,10 +250,15 @@ def test_stage_plan_modes():
         plan.stage("warm", seed=1)
 
 
+def _train(plan, key, data, nets=None):
+    """The network of stage ``key``, trained as ``reproduce`` trains it."""
+    return stage(plan, key).train(Run(plan, data), nets or {})
+
+
 def test_zero_epoch_stage_leaves_network_unchanged(data):
-    stage = StageConfig(batch_size=16, lr_schedule=((0.1, 0),), seed=3)
-    net = train_teacher_cls(SPEC, data, stage)
-    fresh = build(SPEC, seed=3)
+    plan = _tiny_plan(cls_stage=StagePlan(16, 0, scratch_lr=0.1))
+    net = _train(plan, "teacher_cls", data)
+    fresh = build(SPEC, seed=derive_seed(plan.seed, "teacher_cls"))
     feats = data.train.features
     fresh.set_normalizer(feats.mean(axis=0), feats.std(axis=0))
     for p, q in zip(net.parameters, fresh.parameters):
@@ -271,23 +266,24 @@ def test_zero_epoch_stage_leaves_network_unchanged(data):
 
 
 def test_teacher_trains_above_threshold(data):
-    net = train_teacher_cls(SPEC, data, _stage(epochs=20, lr=0.02))
+    net = _train(_tiny_plan(cls_stage=StagePlan(16, 10, scratch_lr=0.02, continue_lr=0.02)),
+                 "teacher_cls", data)
     feats, ids = data.train.features, data.train.ids
     assert top1_accuracy(net.forward(feats).logits.data, ids) > 0.9
 
 
 def test_training_deterministic_per_seed(data):
-    a = train_teacher_cls(SPEC, data, _stage(epochs=2, seed=11))
-    b = train_teacher_cls(SPEC, data, _stage(epochs=2, seed=11))
+    a = _train(_tiny_plan(cls_stage=StagePlan(16, 1), seed=11), "teacher_cls", data)
+    b = _train(_tiny_plan(cls_stage=StagePlan(16, 1), seed=11), "teacher_cls", data)
     for p, q in zip(a.parameters, b.parameters):
         assert np.array_equal(p.data, q.data)
-    c = train_teacher_cls(SPEC, data, _stage(epochs=2, seed=12))
+    c = _train(_tiny_plan(cls_stage=StagePlan(16, 1), seed=12), "teacher_cls", data)
     assert any(not np.array_equal(p.data, q.data) for p, q in zip(a.parameters, c.parameters))
 
 
 def test_lr_schedule_honored(data):
-    stage = StageConfig(batch_size=16, lr_schedule=((0.05, 1), (0.005, 1)), seed=0)
-    net = train_teacher_cls(SPEC, data, stage)
+    net = _train(_tiny_plan(cls_stage=StagePlan(16, 1, scratch_lr=0.05, continue_lr=0.005)),
+                 "teacher_cls", data)
     lrs = net.training_log.step_lrs
     half = len(lrs) // 2  # equal epochs per phase
     assert half > 0
@@ -296,41 +292,46 @@ def test_lr_schedule_honored(data):
 
 
 def test_training_loss_trends_down(data):
-    net = train_teacher_cls(SPEC, data, _stage(epochs=12, lr=0.02))
+    net = _train(_tiny_plan(cls_stage=StagePlan(16, 6, scratch_lr=0.02, continue_lr=0.02)),
+                 "teacher_cls", data)
     losses = net.training_log.step_losses
     assert np.mean(losses[-10:]) < np.mean(losses[:10])
 
 
 def test_distillation_does_not_touch_teacher(data):
-    teacher = train_teacher_cls(SPEC, data, _stage(epochs=3))
+    plan = _tiny_plan()
+    teacher = _train(plan, "teacher_cls", data)
     before = [p.data.copy() for p in teacher.parameters]
-    distill_student_cls(teacher, data, DCFG, _stage(epochs=2), student_spec=SPEC.student(2))
+    _train(plan, "student2_cls_scratch", data, {"teacher_cls": teacher})
     for p, b in zip(teacher.parameters, before):
         assert np.array_equal(p.data, b)
 
 
 def test_task_distillation_copies_init(data):
-    teacher = train_teacher_cls(SPEC, data, _stage(epochs=3))
-    t_align = train_teacher_task(teacher, ALIGNMENT, data, DCFG, _stage(epochs=2))
-    s_init = init_student_cls(SPEC.student(2), data, _stage(epochs=2))
+    plan = _tiny_plan()
+    teacher = _train(plan, "teacher_cls", data)
+    nets = {"teacher_alignment": _train(plan, "teacher_alignment", data, {"teacher_cls": teacher}),
+            "student2_cls_full_init": _train(plan, "student2_cls_init", data)}
+    s_init = nets["student2_cls_full_init"]
     init_before = [p.data.copy() for p in s_init.parameters]
-    tuned = distill_student_task(t_align, s_init, ALIGNMENT, data, DCFG, _stage(epochs=2))
+    tuned = _train(plan, "student2_alignment_distill_a1_b1", data, nets)
     for p, b in zip(s_init.parameters, init_before):
         assert np.array_equal(p.data, b)
     assert any(not np.array_equal(p.data, q.data) for p, q in zip(tuned.parameters, s_init.parameters))
 
 
 def test_teacher_task_zero_epochs_is_value_copy(data):
-    teacher = train_teacher_cls(SPEC, data, _stage(epochs=2))
-    stage = StageConfig(batch_size=16, lr_schedule=((0.01, 0),), seed=0)
-    t_task = train_teacher_task(teacher, ALIGNMENT, data, DCFG, stage)
+    plan = _tiny_plan(alignment_stage=StagePlan(16, 0))
+    teacher = _train(plan, "teacher_cls", data)
+    t_task = _train(plan, "teacher_alignment", data, {"teacher_cls": teacher})
+    assert t_task is not teacher
     for p, q in zip(t_task.parameters, teacher.parameters):
         assert np.array_equal(p.data, q.data)
 
 
 def test_verification_stage_runs(data):
-    net = pretrain_student_task(SPEC.student(2), VERIFICATION, data, DCFG,
-                                _stage(epochs=2), triplets_per_epoch=30)
+    plan = _tiny_plan(verification_stage=StagePlan(16, 1, triplets_per_epoch=30))
+    net = _train(plan, "student2_verification_pretrain_base", data)
     assert len(net.training_log.step_losses) > 0
 
 
@@ -501,27 +502,25 @@ def test_stage_tables_are_built_once_per_stage(data, monkeypatch):
     for name in ("one_hot", "soft_targets", "_dedup_lookup"):
         monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
     monkeypatch.setattr(Network, "standardize", counting("standardize", Network.standardize))
-    teacher = build(SPEC, seed=1)
-    student = SPEC.student(2)
-    families = {
-        "cls distill": lambda stage: distill_student_cls(teacher, data, DCFG, stage, student_spec=student),
-        "alignment grid": lambda stage: distill_student_task(teacher, build(student, 2), ALIGNMENT,
-                                                             data, DCFG, stage),
-        "verification grid": lambda stage: distill_student_task(
-            teacher, build(student, 2), VERIFICATION, data, DCFG, stage, triplets_per_epoch=40),
-        "joint": lambda stage: distill_student_task(teacher, build(student, 2), VERIFICATION, data,
-                                                    DCFG, stage, include_softmax=True,
-                                                    triplets_per_epoch=40),
-    }
+    teacher, student = build(SPEC, seed=1), build(SPEC.student(2), 2)
+    families = {"cls distill": "student2_cls_scratch",
+                "alignment grid": "student2_alignment_distill_a1_b1",
+                "verification grid": "student2_verification_distill_a1_b1",
+                "joint": "student2_verification_joint_distill_a1_b1"}
     expected = {"cls distill": {"one_hot", "soft_targets", "standardize"},
                 "alignment grid": {"soft_targets", "standardize"},
                 "verification grid": {"soft_targets", "standardize", "_dedup_lookup"},
                 "joint": {"one_hot", "soft_targets", "standardize", "_dedup_lookup"}}
-    for family, train in families.items():
+    for family, key in families.items():
         built, steps = [], []
         for epochs in (1, 3):
+            splan = StagePlan(16, epochs, triplets_per_epoch=40)
+            plan = _tiny_plan(cls_stage=splan, alignment_stage=splan, verification_stage=splan)
+            deps = stage(plan, key).deps
             counts.clear()
-            steps.append(len(train(_stage(epochs=epochs)).training_log.step_losses))
+            net = _train(plan, key, data, {dep: teacher if dep.startswith("teacher") else student
+                                           for dep in deps})
+            steps.append(len(net.training_log.step_losses))
             built.append(dict(counts))
         assert steps[1] == 3 * steps[0] > 0, family
         assert built[0] == built[1], (family, built)
@@ -643,47 +642,6 @@ def test_experiment_checkpoints_match_stages_trained_alone(tmp_path):
         save_network(net, tmp_path / "alone.ckpt")
         assert ((tmp_path / "alone.ckpt").read_bytes()
                 == (tmp_path / "run" / f"{node.key}.ckpt").read_bytes()), node.key
-
-
-def test_public_stage_functions_match_the_graph(tmp_path):
-    # the graph calls the training bodies itself; given a key's seed,
-    # StageConfig and inputs, each public stage function writes its bytes
-    grid = ((0.5, 2.0),)
-    plan = _tiny_plan(cls_inits=("scratch", "full_init"), tasks=(
-        TaskPlan(ALIGNMENT, (2,), inits=("pretrain", "distill"), grid=grid),
-        TaskPlan(VERIFICATION, (2,), inits=("pretrain", "distill"), grid=grid, include_softmax=True),
-    ), verification_stage=StagePlan(16, 1, scratch_lr=0.005, continue_lr=0.001, triplets_per_epoch=30))
-    data = generate(plan.generator)
-    run_experiment(plan, tmp_path / "graph", data=data)
-
-    def cfg(key, splan, mode):
-        return splan.stage(mode, derive_seed(plan.seed, key))
-
-    student, cls = SPEC.student(2), plan.cls_stage
-    nets = {"teacher_cls": train_teacher_cls(SPEC, data, cfg("teacher_cls", cls, "scratch")),
-            "student2_cls_init": init_student_cls(student, data, cfg("student2_cls_init", cls, "scratch"))}
-    nets["student2_cls_scratch"] = distill_student_cls(
-        nets["teacher_cls"], data, DCFG, cfg("student2_cls_scratch", cls, "scratch"), student_spec=student)
-    nets["student2_cls_full_init"] = distill_student_cls(
-        nets["teacher_cls"], data, DCFG, cfg("student2_cls_full_init", cls, "continue"),
-        init_from=nets["student2_cls_init"])
-    for label, task, joint in (("alignment", ALIGNMENT, False), ("verification_joint", VERIFICATION, True)):
-        splan = plan.stage_plan(task)
-        extra = dict(include_softmax=joint, triplets_per_epoch=splan.triplets_per_epoch)
-        teacher, base = f"teacher_{label}", f"student2_{label}_pretrain_base"
-        nets[teacher] = train_teacher_task(nets["teacher_cls"], task, data, DCFG,
-                                           cfg(teacher, splan, "continue"), **extra)
-        nets[base] = pretrain_student_task(student, task, data, DCFG, cfg(base, splan, "scratch"), **extra)
-        for init, start in (("pretrain", base), ("distill", "student2_cls_full_init")):
-            key = f"student2_{label}_{init}_a0.5_b2"
-            nets[key] = distill_student_task(nets[teacher], nets[start], task, data,
-                                             DistillConfig(alpha=0.5, beta=2.0),
-                                             cfg(key, splan, "continue"), **extra)
-    assert sorted(nets) == sorted(node.key for node in stages(plan))
-    for key, net in nets.items():
-        save_network(net, tmp_path / "public.ckpt")
-        graph = (tmp_path / "graph" / f"{key}.ckpt").read_bytes()
-        assert (tmp_path / "public.ckpt").read_bytes() == graph, key
 
 
 # sha256 of every checkpoint of _digest_plan(), recorded with per-parameter
@@ -1024,6 +982,6 @@ def test_training_arrays_are_read_only(data):
 # ------------------------------------------------------------- evaluation
 
 def test_evaluate_classification_consistent_with_metrics(data):
-    net = train_teacher_cls(SPEC, data, _stage(epochs=2))
+    net = _train(_tiny_plan(), "teacher_cls", data)
     got = evaluate_classification(net, data.test)
     assert got["top1"] == top1_accuracy(net.forward(data.test.features).logits.data, data.test.ids)

@@ -102,7 +102,7 @@ def test_backward_softmax_cross_entropy_closed_form(rng):
     onehot[np.arange(4), [1, 0, 5, 2]] = 1.0
     with tc.Tape():
         p = tc.softmax_rows(a)
-        loss = tc.neg(tc.tsum(tc.mul(tc.as_tensor(onehot), tc.log(p))))
+        loss = tc.mul(tc.tsum(tc.mul(tc.as_tensor(onehot), tc.log(p))), -1.0)
     tc.backward(loss)
     sm = tc.softmax_rows(tc.as_tensor(a.data)).data
     np.testing.assert_allclose(a.grad, sm - onehot, atol=1e-10)
@@ -181,7 +181,6 @@ def test_grad_check_each_primitive(rng):
     cases = {
         "add": lambda t: tc.tsum(tc.add(t, t)),
         "sub": lambda t: tc.tsum(tc.sub(t, tc.as_tensor(np.ones(4)))),
-        "neg": lambda t: tc.tsum(tc.neg(t)),
         "mul": lambda t: tc.tsum(tc.mul(t, t)),
         "div_scalar": lambda t: tc.tsum(tc.div_scalar(t, 3.0)),
         "log": lambda t: tc.tsum(tc.log(tc.add(tc.mul(t, t), tc.as_tensor(np.full(4, 0.5))))),
