@@ -27,8 +27,7 @@ from .metrics import (MetricsReport, nrmse, pair_verification_accuracy, referenc
 from .nets import (Network, NetworkOutputs, NetworkSpec, build, clone, load_network,
                    num_parameters, save_network)
 from .pipeline import (ExperimentPlan, OptimizerState, StageConfig, StagePlan, TaskPlan,
-                       derive_seed, evaluate_alignment, evaluate_classification,
-                       evaluate_verification, nag_step, run_experiment, select_targets)
+                       derive_seed, nag_step, run_experiment, select_targets)
 from .tensor import Tape, Tensor, backward, grad_check
 
 __version__ = "0.1.0"
@@ -47,6 +46,5 @@ __all__ = [
     "pair_verification_accuracy", "MetricsReport",
     "derive_seed", "StageConfig", "OptimizerState", "nag_step",
     "select_targets", "StagePlan", "TaskPlan", "ExperimentPlan", "run_experiment",
-    "evaluate_classification", "evaluate_alignment", "evaluate_verification",
     "__version__",
 ]

@@ -35,12 +35,14 @@ Each stage is named by a run key (``teacher_cls``, ``student4_cls_full_init``,
 dependencies and a training closure with one contract: build the start
 network (a fresh build, or a value copy of a dependency for full
 initialization and transfer), get the teacher targets if the stage has a
-teacher, and call one body, ``_distill_cls`` or ``_train_task``, which
-trains that network in place; a stage without a teacher has alpha and
-beta 0. ``stages(plan)`` lists a plan's stages, dependencies first. This
-one graph is the only way to train a stage: ``run_experiment`` and the
-CLI's ``train`` both run it, so their checkpoints are the same bytes. One
-stage runs as ``run_stage(stage(plan, key), Run(plan, data), nets)``.
+teacher, and call the one training body, ``_train``, keyed by the stage
+label (``cls``, ``alignment``, ``verification``, ``verification_joint``),
+which trains that network in place; a stage without a teacher has alpha
+and beta 0. ``Run.evaluate`` scores every label from one forward.
+``stages(plan)`` lists a plan's stages, dependencies first. This one graph
+is the only way to train a stage: ``run_experiment`` and the CLI's
+``train`` both run it, so their checkpoints are the same bytes. One stage
+runs as ``run_stage(stage(plan, key), Run(plan, data), nets)``.
 
 ``run_experiment(plan, workers=N)`` walks the graph on N forked worker
 processes: a stage is submitted as soon as its dependencies have finished,
@@ -97,9 +99,6 @@ __all__ = [
     "load_checkpoint",
     "run_stage_from_checkpoints",
     "run_experiment",
-    "evaluate_classification",
-    "evaluate_alignment",
-    "evaluate_verification",
 ]
 
 ALIGNMENT = "alignment"
@@ -148,9 +147,9 @@ class OptimizerState:
     Building the state moves the parameters' values into one contiguous
     buffer, ``params``, and leaves each ``p.data`` a view into it; the
     gradient and velocity buffers, ``grad`` and ``velocity``, share that
-    layout (``grads`` and ``velocities`` hold the per-parameter views). A
-    step is then six whole-array ufunc calls, through the gradient buffer
-    and one scratch buffer, so that it allocates nothing.
+    layout (``grads`` holds the per-parameter gradient views). A step is
+    then six whole-array ufunc calls, through the gradient buffer and one
+    scratch buffer, so that it allocates nothing.
     """
 
     def __init__(self, parameters, learning_rate: float, momentum: float = 0.9):
@@ -160,7 +159,7 @@ class OptimizerState:
         n = sum(p.data.size for p in self.parameters)
         self.params, self.grad, self.velocity = np.empty(n), np.zeros(n), np.zeros(n)
         self.scratch = np.empty(n)
-        self.grads, self.velocities = [], []
+        self.grads = []
         start = 0
         for p in self.parameters:
             end = start + p.data.size
@@ -168,7 +167,6 @@ class OptimizerState:
             view[...] = p.data
             p.data = view
             self.grads.append(self.grad[start:end].reshape(view.shape))
-            self.velocities.append(self.velocity[start:end].reshape(view.shape))
             start = end
 
     @classmethod
@@ -300,49 +298,38 @@ def _teacher_targets(teacher: Network, feats: np.ndarray) -> tuple[np.ndarray, n
     return logits, emb
 
 
-def _distill_cls(net, train: Split, cfg, stage, targets):
-    """Train ``net`` in place on hard labels, plus the soft term from the
-    teacher's (logits, embedding) ``targets``, (None, None) without a teacher."""
+def _train(net, label, train: Split, cfg, stage, triplets_per_epoch, targets):
+    """Train ``net`` in place on its stage label's task term (softmax, keypoint
+    regression, triplet hinge, or triplet hinge plus softmax for the joint
+    table), plus the soft and hidden terms from the teacher's (logits,
+    embedding) ``targets``, (None, None) without a teacher."""
     t_logits, t_emb = targets
     if t_logits is not None and (t_emb.shape[1] != net.spec.embedding_dim
                                  or t_logits.shape[1] != net.spec.num_classes):
         raise ValueError("student and teacher must share embedding_dim and num_classes")
-    x, onehot = net.standardize(train.features), one_hot(train.ids, net.spec.num_classes)
-    soft = soft_targets(t_logits, cfg)
-
-    def step(idx):
-        with tc.Tape():
-            out = net._forward(x[idx], regression=False)
-            return classification_objective(out.logits, onehot[idx], _rows(soft, idx), cfg)
-
-    _run_training(net, stage, _index_batches(len(x), stage.batch_size), step)
-    return net
-
-
-def _task_batches(task, train: Split, stage: StageConfig, triplets_per_epoch: int):
-    """Alignment batches are row indices; verification batches are
-    deduplicated triplets, (unique rows, anchor, positive, negative)."""
-    if task == ALIGNMENT:
-        return _index_batches(len(train), stage.batch_size)
-    count = triplets_per_epoch if triplets_per_epoch > 0 else len(train)
-    dedup = _dedup_lookup(len(train))
-
-    def make_epoch(rng):
-        # fresh uniformly drawn triplets every epoch
-        a, p, n_ = make_triplets(train, count, int(rng.integers(2 ** 62)))
-        for start in range(0, count, stage.batch_size):
-            sl = slice(start, start + stage.batch_size)
-            yield dedup(a[sl], p[sl], n_[sl])
-    return make_epoch
-
-
-def _train_task(net, task, train: Split, cfg, stage, include_softmax, triplets_per_epoch, targets):
-    """Fine-tune ``net`` in place on the task objective, plus the distillation
-    terms from the teacher's (logits, embedding) ``targets``, (None, None)
-    without a teacher."""
-    t_logits, t_emb = targets[0], targets[1] if cfg.beta else None  # only the hidden term reads it
     x, soft = net.standardize(train.features), soft_targets(t_logits, cfg)
-    if task == ALIGNMENT:
+    t_emb = t_emb if cfg.beta else None  # only the hidden term reads it
+    hard = label in ("cls", f"{VERIFICATION}_joint")
+    onehot = one_hot(train.ids, net.spec.num_classes) if hard else None
+    if label in ("cls", ALIGNMENT):  # batches of row indices
+        make_epoch = _index_batches(len(train), stage.batch_size)
+    else:  # deduplicated triplets: (unique rows, anchor, positive, negative)
+        count = triplets_per_epoch if triplets_per_epoch > 0 else len(train)
+        dedup = _dedup_lookup(len(train))
+
+        def make_epoch(rng):
+            # fresh uniformly drawn triplets every epoch
+            a, p, n_ = make_triplets(train, count, int(rng.integers(2 ** 62)))
+            for start in range(0, count, stage.batch_size):
+                sl = slice(start, start + stage.batch_size)
+                yield dedup(a[sl], p[sl], n_[sl])
+
+    if label == "cls":
+        def step(idx):
+            with tc.Tape():
+                out = net._forward(x[idx], regression=False)
+                return classification_objective(out.logits, onehot[idx], _rows(soft, idx), cfg)
+    elif label == ALIGNMENT:
         kps = train.keypoints
 
         def step(idx):
@@ -351,16 +338,14 @@ def _train_task(net, task, train: Split, cfg, stage, include_softmax, triplets_p
                 return alignment_objective(out.logits, out.embedding, out.regression,
                                            _rows(soft, idx), _rows(t_emb, idx), kps[idx], cfg)
     else:
-        onehot = one_hot(train.ids, net.spec.num_classes) if include_softmax else None
-
         def step(batch):
             uniq, *triplets = batch
             with tc.Tape():
-                out = net._forward(x[uniq], logits=cfg.alpha != 0 or include_softmax, regression=False)
+                out = net._forward(x[uniq], logits=cfg.alpha != 0 or hard, regression=False)
                 return verification_objective(out.logits, out.embedding, _rows(soft, uniq),
                                               _rows(t_emb, uniq), triplets, cfg, _rows(onehot, uniq))
 
-    _run_training(net, stage, _task_batches(task, train, stage, triplets_per_epoch), step)
+    _run_training(net, stage, make_epoch, step)
     return net
 
 
@@ -388,29 +373,6 @@ def select_targets(metric_per_config, higher_is_better: bool = True) -> tuple[in
     alpha = 1 if better(probes[(1.0, 0.0)], base) else 0
     beta = 1 if better(probes[(0.0, 1.0)], base) else 0
     return alpha, beta
-
-
-# Evaluation ----------------------------------------------------------------------
-
-def evaluate_classification(net: Network, split: Split, pairs=None) -> dict[str, float]:
-    out = net.forward(split.features)
-    result = {"top1": top1_accuracy(out.logits, split.ids)}
-    if pairs is not None:
-        result["pair_acc"] = pair_verification_accuracy(out.embedding, *pairs)
-    return result
-
-
-def evaluate_alignment(net: Network, split: Split) -> dict[str, float]:
-    kps = split.keypoints
-    return {"nrmse": nrmse(net.forward(split.features).regression, kps, reference_distances(kps))}
-
-
-def evaluate_verification(net: Network, split: Split, pairs=None) -> dict[str, float]:
-    out = net.forward(split.features)
-    result = {"verif_top1": verification_top1(out.embedding, split.ids)}
-    if pairs is not None:
-        result["pair_acc"] = pair_verification_accuracy(out.embedding, *pairs)
-    return result
 
 
 # Experiment plans ------------------------------------------------------------------
@@ -512,8 +474,8 @@ class ExperimentPlan:
         if len(set(labels)) != len(labels):
             raise ValueError(f"each task table needs its own label, got {labels}")
 
-    def stage_plan(self, task: str) -> StagePlan:
-        return self.alignment_stage if task == ALIGNMENT else self.verification_stage
+    def stage_plan(self, label: str) -> StagePlan:
+        return self.alignment_stage if label == ALIGNMENT else self.verification_stage
 
 
 # Stage graph -----------------------------------------------------------------------
@@ -544,11 +506,19 @@ class Run:
         return self._targets[key]
 
     def evaluate(self, label: str, net: Network) -> dict[str, float]:
-        """Test-split metrics of a stage label: ``cls`` or a task table label."""
+        """Test-split metrics of a stage label from one forward: top-1 for
+        ``cls``, NRMSE for alignment, verification top-1 for the verification
+        labels, and the pair accuracy for every label but alignment."""
+        test = self.data.test
+        out = net.forward(test.features)
         if label == ALIGNMENT:
-            return evaluate_alignment(net, self.data.test)
-        evaluate = evaluate_classification if label == "cls" else evaluate_verification
-        return evaluate(net, self.data.test, self.pairs)
+            return {"nrmse": nrmse(out.regression, test.keypoints, reference_distances(test.keypoints))}
+        if label == "cls":
+            metrics = {"top1": top1_accuracy(out.logits, test.ids)}
+        else:
+            metrics = {"verif_top1": verification_top1(out.embedding, test.ids)}
+        metrics["pair_acc"] = pair_verification_accuracy(out.embedding, *self.pairs)
+        return metrics
 
 
 @dataclass(frozen=True)
@@ -579,9 +549,7 @@ def stage(plan: ExperimentPlan, key: str) -> Stage:
     if m is None or (m[1] is None) != (m[3] is None):  # only student keys carry a suffix
         raise ValueError(f"unknown stage key {key!r}")
     divisor, label, kind = m.groups()
-    joint = label == f"{VERIFICATION}_joint"  # the verification table with a softmax term
-    task = VERIFICATION if joint else label
-    splan = plan.cls_stage if label == "cls" else plan.stage_plan(task)
+    splan = plan.cls_stage if label == "cls" else plan.stage_plan(label)
     d = int(divisor) if divisor else 1
     spec, grid = plan.teacher.student(d), _GRID_RUN.fullmatch(kind or "")
     distill, teacher, start, init, weights = plan.distill, None, None, kind, (0.0, 0.0)
@@ -617,10 +585,7 @@ def stage(plan: ExperimentPlan, key: str) -> Stage:
         # RSS of a `train student2_cls_scratch` process from 46.5 to 48.5 MB
         targets = run.targets(teacher, nets) if teacher else (None, None)
         net = clone(nets[start]) if start else _fresh(spec, cfg.seed, run.data.train.features)
-        if label == "cls":
-            return _distill_cls(net, run.data.train, distill, cfg, targets)
-        return _train_task(net, task, run.data.train, distill, cfg, joint, splan.triplets_per_epoch,
-                           targets)
+        return _train(net, label, run.data.train, distill, cfg, splan.triplets_per_epoch, targets)
 
     row = ("classification" if label == "cls" else label, f"student/{d}" if divisor else "teacher",
            init, *weights)

@@ -54,6 +54,11 @@ def test_defaults_cover_every_key():
     assert cfg["experiment.divisors"] == (2, 4, 8)
 
 
+def test_config_defaults_build_the_library_default_plan():
+    # every default is written twice, in config.DEFAULTS and in the dataclasses
+    assert experiment_plan(load_config()) == pipeline.ExperimentPlan()
+
+
 def test_unknown_key_is_named():
     with pytest.raises(ConfigError, match="unknown config key"):
         apply_set(default_config(), "net.depth=3")

@@ -1,4 +1,5 @@
-"""Every name the package and its public modules export in ``__all__`` resolves."""
+"""Every name the package and its public modules export in ``__all__`` resolves, and
+the package re-exports only names its submodules export."""
 import importlib
 import pkgutil
 
@@ -15,3 +16,12 @@ def test_every_exported_name_resolves():
         assert len(set(exported)) == len(exported), module.__name__
         missing = [name for name in exported if not hasattr(module, name)]
         assert not missing, (module.__name__, missing)
+
+
+def test_package_reexports_only_submodule_exports():
+    # a name a submodule stops exporting cannot linger as a package re-export
+    for name in distillforge.__all__:
+        if name == "__version__":
+            continue
+        module = importlib.import_module(getattr(distillforge, name).__module__)
+        assert name in module.__all__, (name, module.__name__)

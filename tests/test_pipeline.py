@@ -24,7 +24,8 @@ from distillforge.losses import (DistillConfig, alignment_distill_loss, alignmen
                                  classification_distill_loss, classification_objective, one_hot,
                                  soft_predictions, soft_targets, softmax_loss,
                                  verification_distill_loss, verification_objective)
-from distillforge.metrics import top1_accuracy
+from distillforge.metrics import (nrmse, pair_verification_accuracy, reference_distances,
+                                  top1_accuracy, verification_top1)
 from distillforge.nets import Network, NetworkOutputs, NetworkSpec, build, load_network, save_network
 from distillforge.pipeline import (
     ALIGNMENT,
@@ -36,7 +37,6 @@ from distillforge.pipeline import (
     StagePlan,
     TaskPlan,
     derive_seed,
-    evaluate_classification,
     nag_step,
     run_experiment,
     run_stage,
@@ -144,7 +144,7 @@ def test_nag_matches_allocating_reference(rng):
             vel[i] = 0.9 * vel[i] - lr_g
             theta[i] = theta[i] + (0.9 * vel[i] - lr_g)
             assert net.parameters[i].data.tobytes() == theta[i].tobytes()
-            assert opt.velocities[i].tobytes() == vel[i].tobytes()
+        assert opt.velocity.tobytes() == np.concatenate([v.ravel() for v in vel]).tobytes()
 
 
 def test_nag_step_allocates_no_arrays(rng):
@@ -223,9 +223,10 @@ def test_nag_over_flat_buffers_matches_per_parameter_update(rng):
             v[...] = 0.9 * v - lr_g
             p.data = p.data + (0.9 * v - lr_g)
             p.grad = None
-        for p, q, v, w in zip(net.parameters, ref.parameters, opt.velocities, vel):
-            assert p.data.tobytes() == q.data.tobytes() and v.tobytes() == w.tobytes()
+        for p, q in zip(net.parameters, ref.parameters):
+            assert p.data.tobytes() == q.data.tobytes()
             assert p.grad is None
+        assert opt.velocity.tobytes() == np.concatenate([v.ravel() for v in vel]).tobytes()
 
 
 # ----------------------------------------------------------------- stages
@@ -327,6 +328,18 @@ def test_teacher_task_zero_epochs_is_value_copy(data):
     assert t_task is not teacher
     for p, q in zip(t_task.parameters, teacher.parameters):
         assert np.array_equal(p.data, q.data)
+
+
+@pytest.mark.parametrize("key", ["student2_alignment_distill_a1_b0",
+                                 "student2_verification_joint_distill_a0_b1"])
+def test_task_stage_rejects_a_teacher_of_another_width(data, key):
+    # alpha alone reads only the logits and beta fails deep in the loss, so the body checks first
+    plan = _rich_plan()
+    node = stage(plan, key)
+    narrow_teacher, student = build(replace(SPEC, embedding_dim=4), 1), build(SPEC.student(2), 2)
+    nets = {dep: narrow_teacher if dep.startswith("teacher") else student for dep in node.deps}
+    with pytest.raises(ValueError, match=f"^stage {key}: student and teacher must share embedding_dim"):
+        run_stage(node, Run(plan, data), nets)
 
 
 def test_verification_stage_runs(data):
@@ -795,11 +808,19 @@ def test_pool_failures_name_the_stage_and_leave_no_worker(tmp_path, monkeypatch)
             assert name.endswith(".ckpt") and name[:-len(".ckpt")] in cls_keys, name
             assert (out / name).read_bytes() == (serial / name).read_bytes(), name
 
-    def fail(*args):
+    train_body = pipeline._train
+
+    def task_stages_run(body):
+        # classification stages train as before; a task stage runs ``body``
+        def train(net, label, *args):
+            return train_body(net, label, *args) if label == "cls" else body()
+        return train
+
+    def fail():
         raise ValueError("boom")
 
-    # workers are forked after the patch, so they run the patched task body
-    monkeypatch.setattr(pipeline, "_train_task", fail)
+    # workers are forked after the patch, so they run the patched training body
+    monkeypatch.setattr(pipeline, "_train", task_stages_run(fail))
     with pytest.raises(ValueError, match="^stage teacher_alignment: boom$"):
         run_experiment(plan, tmp_path / "failed", workers=2)
     assert multiprocessing.active_children() == []
@@ -818,14 +839,14 @@ def test_pool_failures_name_the_stage_and_leave_no_worker(tmp_path, monkeypatch)
             writing.touch()
             time.sleep(60)
 
-    def die_during_that_write(*args):
+    def die_during_that_write():
         deadline = time.monotonic() + 60
         while not writing.exists() and time.monotonic() < deadline:
             time.sleep(0.01)
         os._exit(3)
 
     monkeypatch.setattr(pipeline, "save_network", stalled_save)
-    monkeypatch.setattr(pipeline, "_train_task", die_during_that_write)
+    monkeypatch.setattr(pipeline, "_train", task_stages_run(die_during_that_write))
     with pytest.raises(RuntimeError, match="worker process died while running stages .*teacher_alignment"):
         run_experiment(plan, tmp_path / "died", workers=2)
     assert writing.exists()
@@ -981,7 +1002,19 @@ def test_training_arrays_are_read_only(data):
 
 # ------------------------------------------------------------- evaluation
 
-def test_evaluate_classification_consistent_with_metrics(data):
-    net = _train(_tiny_plan(), "teacher_cls", data)
-    got = evaluate_classification(net, data.test)
-    assert got["top1"] == top1_accuracy(net.forward(data.test.features).logits.data, data.test.ids)
+def test_run_evaluate_matches_the_metrics_on_one_forward(data):
+    # every label's scores are the metrics functions on the test-split forward
+    plan = _rich_plan()
+    run, net = Run(plan, data), _train(plan, "teacher_cls", data)
+    out, test = net.forward(data.test.features), data.test
+    pair_acc = pair_verification_accuracy(out.embedding, *run.pairs)
+    verif = {"verif_top1": verification_top1(out.embedding, test.ids), "pair_acc": pair_acc}
+    expected = {
+        "cls": {"top1": top1_accuracy(out.logits.data, test.ids), "pair_acc": pair_acc},
+        ALIGNMENT: {"nrmse": nrmse(out.regression, test.keypoints,
+                                   reference_distances(test.keypoints))},
+        VERIFICATION: verif,
+        f"{VERIFICATION}_joint": verif,
+    }
+    for label, metrics in expected.items():
+        assert run.evaluate(label, net) == metrics, label
