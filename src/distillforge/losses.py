@@ -12,23 +12,23 @@ Conventions shared by every loss here:
 * teacher activations are treated as constants: distillation losses detach
   them, so no gradient ever reaches teacher parameters.
 
-The combined objectives compose as
-task_term + alpha * soft_term + beta * hidden_term, with terms skipped
-exactly (not multiplied by zero) when their weight is 0, so e.g. the
-classification objective at alpha=0 is bit-identical to the plain softmax
-loss.
-
-Each combined objective has one body (``classification_objective``,
-``alignment_objective``, ``verification_objective``) over constant target
-rows: one-hot labels (``one_hot``) and the softened teacher
-(``soft_targets``, None at alpha=0). The public losses build the rows from
-their arguments; a training stage builds them once per stage, as tables
-whose rows are bitwise the per-batch rows, and runs only the network heads
-its objective reads, since an unread head gets no gradient.
+Every combined objective is composed by one function, ``objective``:
+task_term + alpha * soft_term + beta * hidden_term, then the hard softmax
+term when one-hot label rows are given (the joint verification table).
+Terms are skipped exactly (not multiplied by zero) when their weight is 0,
+so e.g. the classification loss at alpha=0 is bit-identical to the plain
+softmax loss. The caller computes the task term (the hard term for
+classification, the keypoint error for alignment, the triplet hinge for
+verification) and hands over constant target rows: the softened teacher
+(``soft_targets``, None at alpha=0), the teacher embedding (None at
+beta=0) and one-hot labels (``one_hot``). The public losses build the rows
+from their arguments; a training stage builds them once per stage, as
+tables whose rows are bitwise the per-batch rows, and runs only the network
+heads its objective reads, since an unread head gets no gradient.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -111,7 +111,7 @@ def soft_targets(teacher_logits, cfg: DistillConfig) -> np.ndarray | None:
 def softmax_loss(logits, labels) -> Tensor:
     """Hard-label cross-entropy on softmax probabilities."""
     logits = tc.as_tensor(logits)
-    return _hard_term(logits, one_hot(labels, logits.shape[1]))
+    return hard_term(logits, one_hot(labels, logits.shape[1]))
 
 
 def classification_distill_loss(student_logits, teacher_logits, labels, cfg: DistillConfig) -> Tensor:
@@ -124,22 +124,25 @@ def classification_distill_loss(student_logits, teacher_logits, labels, cfg: Dis
     if student_logits.shape != teacher_logits.shape:
         raise ValueError(
             f"student and teacher logits differ in shape: {student_logits.shape} vs {teacher_logits.shape}")
-    return classification_objective(student_logits, one_hot(labels, student_logits.shape[1]),
-                                    soft_targets(teacher_logits, cfg), cfg)
+    hard = hard_term(student_logits, one_hot(labels, student_logits.shape[1]))
+    return objective(hard, student_logits, None, soft_targets(teacher_logits, cfg), None,
+                     replace(cfg, beta=0.0))
 
 
-def classification_objective(logits, onehot, soft, cfg: DistillConfig) -> Tensor:
-    """hard + alpha * soft, from one-hot label rows and softened teacher rows."""
-    return _weighted_sum(_hard_term(logits, onehot), (cfg.alpha, lambda: _soft_term(logits, soft, cfg.tau)))
-
-
-def _hard_term(logits, onehot) -> Tensor:
+def hard_term(logits, onehot) -> Tensor:
+    """Cross-entropy of softmax(logits) against one-hot label rows."""
     return tc.softmax_cross_entropy(logits, onehot, 1.0, LOG_EPS)
 
 
-def _soft_term(student_logits, soft, tau: float) -> Tensor:
-    """Cross-entropy of the softened student against the softened teacher rows."""
-    return tc.softmax_cross_entropy(student_logits, soft, tau, LOG_EPS)
+def objective(task, logits, emb, soft, teacher_emb, cfg: DistillConfig, onehot=None) -> Tensor:
+    """task + alpha * soft + beta * hidden, then + the hard term when one-hot
+    label rows are given: the one composition every objective uses. The soft
+    term is the cross-entropy of the softened student against the softened
+    teacher rows ``soft``; the hidden term matches ``teacher_emb``."""
+    total = _weighted_sum(task,
+                          (cfg.alpha, lambda: tc.softmax_cross_entropy(logits, soft, cfg.tau, LOG_EPS)),
+                          (cfg.beta, lambda: hidden_match_loss(emb, teacher_emb)))
+    return total if onehot is None else tc.add(total, hard_term(logits, onehot))
 
 
 def _weighted_sum(total, *terms) -> Tensor:
@@ -169,15 +172,8 @@ def alignment_distill_loss(student_outputs, teacher_outputs, targets, cfg: Disti
     alpha == beta == 0 this is exactly euclidean_loss(regression, targets).
     """
     s_logits, s_emb, s_reg = student_outputs
-    return alignment_objective(s_logits, s_emb, s_reg, soft_targets(teacher_outputs[0], cfg),
-                               teacher_outputs[1], targets, cfg)
-
-
-def alignment_objective(logits, emb, regression, soft, teacher_emb, targets, cfg: DistillConfig) -> Tensor:
-    """euclidean + alpha * soft + beta * hidden, from softened teacher rows."""
-    return _weighted_sum(euclidean_loss(regression, targets),
-                         (cfg.alpha, lambda: _soft_term(logits, soft, cfg.tau)),
-                         (cfg.beta, lambda: hidden_match_loss(emb, teacher_emb)))
+    return objective(euclidean_loss(s_reg, targets), s_logits, s_emb,
+                     soft_targets(teacher_outputs[0], cfg), teacher_outputs[1], cfg)
 
 
 def triplet_loss(anchor_emb, positive_emb, negative_emb, margin: float) -> Tensor:
@@ -214,18 +210,8 @@ def verification_distill_loss(student_outputs, teacher_outputs, triplet_indices,
         raise ValueError("include_softmax requires labels")
     s_logits, s_emb = tc.as_tensor(student_outputs[0]), tc.as_tensor(student_outputs[1])
     onehot = one_hot(labels, s_logits.shape[1]) if include_softmax else None
-    return verification_objective(s_logits, s_emb, soft_targets(teacher_outputs[0], cfg),
-                                  teacher_outputs[1], triplet_indices, cfg, onehot)
-
-
-def verification_objective(logits, emb, soft, teacher_emb, triplet_indices, cfg: DistillConfig,
-                           onehot=None) -> Tensor:
-    """triplet + alpha * soft + beta * hidden, then the hard term when one-hot
-    label rows are given, from softened teacher rows."""
-    total = _weighted_sum(tc.triplet_hinge(emb, *triplet_indices, cfg.lambda_margin),
-                          (cfg.alpha, lambda: _soft_term(logits, soft, cfg.tau)),
-                          (cfg.beta, lambda: hidden_match_loss(emb, teacher_emb)))
-    return total if onehot is None else tc.add(total, _hard_term(logits, onehot))
+    return objective(tc.triplet_hinge(s_emb, *triplet_indices, cfg.lambda_margin), s_logits, s_emb,
+                     soft_targets(teacher_outputs[0], cfg), teacher_outputs[1], cfg, onehot)
 
 
 def general_distill_loss(task_loss, soft_term, hidden_term, cfg: DistillConfig) -> Tensor:

@@ -25,10 +25,10 @@ exists, as a table over the training split, and each batch indexes its
 rows: the features standardized by the network's normalizer, the one-hot
 labels, the softened teacher targets softmax(logits / tau) when alpha > 0,
 and, for verification, a dedup lookup that maps a triplet batch to its
-unique rows. The step runs only the heads its objective reads: the
-regression head only for alignment, the class head only for a soft or
-softmax term. Every table row and every gradient is bitwise what the
-per-batch build and the all-heads forward give.
+unique rows. One step serves every label, and runs only the heads that
+``losses.objective`` reads: the regression head only for alignment, the
+class head only for a soft or softmax term. Every table row and every
+gradient is bitwise what the per-batch build and the all-heads forward give.
 
 Each stage is named by a run key (``teacher_cls``, ``student4_cls_full_init``,
 ``student8_alignment_distill_a0_b1``, ...). ``stage(plan, key)`` gives its
@@ -38,7 +38,8 @@ initialization and transfer), get the teacher targets if the stage has a
 teacher, and call the one training body, ``_train``, keyed by the stage
 label (``cls``, ``alignment``, ``verification``, ``verification_joint``),
 which trains that network in place; a stage without a teacher has alpha
-and beta 0. ``Run.evaluate`` scores every label from one forward.
+and beta 0, and a classification stage beta 0. ``Run.evaluate`` scores
+every label from one forward.
 ``stages(plan)`` lists a plan's stages, dependencies first. This one graph
 is the only way to train a stage: ``run_experiment`` and the CLI's
 ``train`` both run it, so their checkpoints are the same bytes. One stage
@@ -73,8 +74,7 @@ import numpy as np
 from . import tensor as tc
 from ._atomic import remove_partial_writes
 from .data import GeneratorParams, Split, SplitDataset, generate, make_pairs, make_triplets
-from .losses import (DistillConfig, alignment_objective, classification_objective, one_hot,
-                     soft_targets, verification_objective)
+from .losses import DistillConfig, euclidean_loss, hard_term, objective, one_hot, soft_targets
 from .metrics import (MetricsReport, nrmse, pair_verification_accuracy, reference_distances,
                       top1_accuracy, verification_top1)
 from .nets import Network, NetworkSpec, build, clone, load_network, save_network
@@ -242,7 +242,7 @@ def _index_batches(n: int, batch_size: int):
     def make_epoch(rng):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
-            yield order[start:start + batch_size]
+            yield (order[start:start + batch_size],)
     return make_epoch
 
 
@@ -299,21 +299,23 @@ def _teacher_targets(teacher: Network, feats: np.ndarray) -> tuple[np.ndarray, n
 
 
 def _train(net, label, train: Split, cfg, stage, triplets_per_epoch, targets):
-    """Train ``net`` in place on its stage label's task term (softmax, keypoint
-    regression, triplet hinge, or triplet hinge plus softmax for the joint
-    table), plus the soft and hidden terms from the teacher's (logits,
-    embedding) ``targets``, (None, None) without a teacher."""
+    """Train ``net`` in place on ``losses.objective`` with the stage label's
+    task term (softmax for ``cls``, keypoint regression for alignment, the
+    triplet hinge, plus softmax for the joint table, for verification) and
+    the teacher's (logits, embedding) ``targets``, (None, None) without one.
+    A batch is ``(rows,)``, or ``(rows, anchor, positive, negative)``."""
     t_logits, t_emb = targets
     if t_logits is not None and (t_emb.shape[1] != net.spec.embedding_dim
                                  or t_logits.shape[1] != net.spec.num_classes):
         raise ValueError("student and teacher must share embedding_dim and num_classes")
     x, soft = net.standardize(train.features), soft_targets(t_logits, cfg)
     t_emb = t_emb if cfg.beta else None  # only the hidden term reads it
-    hard = label in ("cls", f"{VERIFICATION}_joint")
-    onehot = one_hot(train.ids, net.spec.num_classes) if hard else None
-    if label in ("cls", ALIGNMENT):  # batches of row indices
+    joint = label == f"{VERIFICATION}_joint"
+    onehot = one_hot(train.ids, net.spec.num_classes) if label == "cls" or joint else None
+    heads = {"logits": cfg.alpha != 0 or onehot is not None, "regression": label == ALIGNMENT}
+    if label in ("cls", ALIGNMENT):
         make_epoch = _index_batches(len(train), stage.batch_size)
-    else:  # deduplicated triplets: (unique rows, anchor, positive, negative)
+    else:
         count = triplets_per_epoch if triplets_per_epoch > 0 else len(train)
         dedup = _dedup_lookup(len(train))
 
@@ -324,26 +326,18 @@ def _train(net, label, train: Split, cfg, stage, triplets_per_epoch, targets):
                 sl = slice(start, start + stage.batch_size)
                 yield dedup(a[sl], p[sl], n_[sl])
 
-    if label == "cls":
-        def step(idx):
-            with tc.Tape():
-                out = net._forward(x[idx], regression=False)
-                return classification_objective(out.logits, onehot[idx], _rows(soft, idx), cfg)
-    elif label == ALIGNMENT:
-        kps = train.keypoints
-
-        def step(idx):
-            with tc.Tape():
-                out = net._forward(x[idx], logits=cfg.alpha != 0)
-                return alignment_objective(out.logits, out.embedding, out.regression,
-                                           _rows(soft, idx), _rows(t_emb, idx), kps[idx], cfg)
-    else:
-        def step(batch):
-            uniq, *triplets = batch
-            with tc.Tape():
-                out = net._forward(x[uniq], logits=cfg.alpha != 0 or hard, regression=False)
-                return verification_objective(out.logits, out.embedding, _rows(soft, uniq),
-                                              _rows(t_emb, uniq), triplets, cfg, _rows(onehot, uniq))
+    def step(batch):
+        rows, *triplets = batch
+        with tc.Tape():
+            out = net._forward(x[rows], **heads)
+            if label == "cls":
+                task = hard_term(out.logits, onehot[rows])
+            elif label == ALIGNMENT:
+                task = euclidean_loss(out.regression, train.keypoints[rows])
+            else:
+                task = tc.triplet_hinge(out.embedding, *triplets, cfg.lambda_margin)
+            return objective(task, out.logits, out.embedding, _rows(soft, rows), _rows(t_emb, rows),
+                             cfg, _rows(onehot, rows) if joint else None)
 
     _run_training(net, stage, make_epoch, step)
     return net
@@ -423,6 +417,8 @@ class TaskPlan:
         bad = [i for i in self.inits if i not in ("scratch", "pretrain", "distill")]
         if bad:
             raise ValueError(f"unknown task init modes {bad}")
+        if any(d < 1 for d in self.divisors):
+            raise ValueError(f"divisors must be >= 1, got {self.divisors}")
         if any(not 0 <= w < math.inf or float(f"{w:g}") != w for point in self.grid for w in point):
             raise ValueError("grid weights must be finite, nonnegative and exact in a run key's "
                              f"%g form, got {self.grid}")
@@ -467,6 +463,10 @@ class ExperimentPlan:
         if n_test < 2:  # evaluation pairs need two test samples of one identity
             raise ValueError(f"samples_per_identity {gen.samples_per_identity} leaves {n_test} test "
                              "samples per identity; evaluation needs at least 2")
+        if any(d < 1 for d in self.cls_divisors):
+            raise ValueError(f"cls_divisors must be >= 1, got {self.cls_divisors}")
+        if self.eval_pairs < 1:  # the pair count per class of the evaluation pairs
+            raise ValueError(f"eval_pairs must be >= 1, got {self.eval_pairs}")
         bad = [i for i in self.cls_inits if i not in ("scratch", "full_init")]
         if bad:
             raise ValueError(f"unknown classification init modes {bad}")
@@ -561,7 +561,7 @@ def stage(plan: ExperimentPlan, key: str) -> Stage:
         # init is softmax only; full_init continues from a value copy of init
         teacher = None if kind == "init" else "teacher_cls"
         start = f"student{d}_cls_init" if kind == "full_init" else None
-        weights = (plan.distill.alpha, 0.0)
+        distill, weights = replace(plan.distill, beta=0.0), (plan.distill.alpha, 0.0)  # no hidden term
     elif grid is not None and label != "cls":
         init = grid[1]
         try:

@@ -1,9 +1,14 @@
-"""Every name the package and its public modules export in ``__all__`` resolves, and
-the package re-exports only names its submodules export."""
+"""Every name the package and its public modules export in ``__all__`` resolves,
+the package re-exports only names its submodules export, and no source file
+imports a name it never reads."""
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import distillforge
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_exported_name_resolves():
@@ -25,3 +30,35 @@ def test_package_reexports_only_submodule_exports():
             continue
         module = importlib.import_module(getattr(distillforge, name).__module__)
         assert name in module.__all__, (name, module.__name__)
+
+
+def _unread_imports(source: str) -> list[str]:
+    """Names a module imports but never reads; a name in ``__all__`` counts as read."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:  # `import a.b` binds `a`
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update({alias.asname or alias.name: node.lineno for alias in node.names})
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    files = [path for folder in ("src/distillforge", "tests", "demos")
+             for path in sorted((ROOT / folder).glob("*.py"))]
+    assert len(files) > 20
+    unread = {str(path.relative_to(ROOT)): names for path in files
+              if (names := _unread_imports(path.read_text(encoding="utf-8")))}
+    assert not unread, unread
+
+
+def test_unread_import_check_sees_stale_and_exported_names():
+    source = ("from __future__ import annotations\n"
+              "import os.path\nfrom x import a, b as c, d\n__all__ = ['d']\nos.sep\nc()\n")
+    assert _unread_imports(source) == ["a (line 3)"]

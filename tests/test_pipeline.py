@@ -20,10 +20,9 @@ import distillforge.pipeline as pipeline
 import distillforge.tensor as tc
 from distillforge._atomic import atomic_write
 from distillforge.data import GeneratorParams, generate
-from distillforge.losses import (DistillConfig, alignment_distill_loss, alignment_objective,
-                                 classification_distill_loss, classification_objective, one_hot,
-                                 soft_predictions, soft_targets, softmax_loss,
-                                 verification_distill_loss, verification_objective)
+from distillforge.losses import (DistillConfig, alignment_distill_loss, classification_distill_loss,
+                                 euclidean_loss, hard_term, objective, one_hot, soft_predictions,
+                                 soft_targets, softmax_loss, verification_distill_loss)
 from distillforge.metrics import (nrmse, pair_verification_accuracy, reference_distances,
                                   top1_accuracy, verification_top1)
 from distillforge.nets import Network, NetworkOutputs, NetworkSpec, build, load_network, save_network
@@ -440,7 +439,8 @@ def test_dedup_lookup_matches_unique(rng):
 
 def _objective_cases(rng, n, spec):
     """(name, heads it reads, its loss over the full forward through the public
-    wrappers, and over the skipped-head forward through the bodies)."""
+    wrappers, and over the skipped-head forward through ``objective`` with the
+    task term a training step computes)."""
     c, e = spec.num_classes, spec.embedding_dim
     t_logits, t_emb = rng.normal(size=(n, c)) * 2, rng.normal(size=(n, e))
     labels, kps = rng.integers(0, c, size=n), rng.normal(size=(n, spec.num_keypoint_coords))
@@ -452,17 +452,19 @@ def _objective_cases(rng, n, spec):
         if beta == 0.0:
             yield (f"cls a{alpha:g}", (True, False),
                    lambda o, cfg=cfg: classification_distill_loss(o.logits, t_logits, labels, cfg),
-                   lambda o, cfg=cfg, soft=soft: classification_objective(o.logits, onehot, soft, cfg))
+                   lambda o, cfg=cfg, soft=soft: objective(
+                       hard_term(o.logits, onehot), o.logits, o.embedding, soft, None, cfg))
         yield (f"alignment a{alpha:g} b{beta:g}", (alpha != 0, True),
                lambda o, cfg=cfg: alignment_distill_loss(o, (t_logits, t_emb), kps, cfg),
-               lambda o, cfg=cfg, soft=soft: alignment_objective(
-                   o.logits, o.embedding, o.regression, soft, t_emb, kps, cfg))
+               lambda o, cfg=cfg, soft=soft: objective(
+                   euclidean_loss(o.regression, kps), o.logits, o.embedding, soft, t_emb, cfg))
         for joint in (False, True):
             yield (f"verification a{alpha:g} b{beta:g} joint={joint}", (alpha != 0 or joint, False),
                    lambda o, cfg=cfg, joint=joint: verification_distill_loss(
                        o, (t_logits, t_emb), trips, cfg, joint, labels),
-                   lambda o, cfg=cfg, soft=soft, joint=joint: verification_objective(
-                       o.logits, o.embedding, soft, t_emb, trips, cfg, onehot if joint else None))
+                   lambda o, cfg=cfg, soft=soft, joint=joint: objective(
+                       tc.triplet_hinge(o.embedding, *trips, cfg.lambda_margin), o.logits, o.embedding,
+                       soft, t_emb, cfg, onehot if joint else None))
 
 
 def _every_head_forward(net, batch):
@@ -547,7 +549,8 @@ def test_non_finite_loss_fails_before_backward(data):
     fail_at = 2 * n_batches + 2  # phase 2, its second epoch, second step
     calls = []
 
-    def step(idx):
+    def step(batch):
+        (idx,) = batch
         calls.append(idx)
         with tc.Tape():
             loss = softmax_loss(net.forward(feats[idx]).logits, ids[idx])
@@ -617,6 +620,33 @@ def test_plan_validates_generator_against_teacher():
         _tiny_plan(teacher=NetworkSpec(32, (32, 16), 8, 6, 6))
     with pytest.raises(ValueError):
         _tiny_plan(teacher=SPEC.student(2))
+
+
+@pytest.mark.parametrize("field, value", [("eval_pairs", 0), ("cls_divisors", (0,)),
+                                          ("cls_divisors", (2, -2))], ids=["pairs", "zero", "negative"])
+def test_plan_rejects_nonpositive_counts_naming_the_field(field, value):
+    # before the check these failed late: eval_pairs=0 after training
+    # teacher_cls, a divisor of 0 as an unknown run key 'student0_cls_scratch'
+    with pytest.raises(ValueError, match=f"^{field} must be >= 1"):
+        _tiny_plan(**{field: value})
+
+
+@pytest.mark.parametrize("divisors", [(0,), (2, -2)], ids=["zero", "negative"])
+def test_task_plan_rejects_nonpositive_divisors(divisors):
+    with pytest.raises(ValueError, match="^divisors must be >= 1"):
+        TaskPlan(ALIGNMENT, divisors)
+
+
+def test_cls_stage_checkpoint_does_not_depend_on_beta(data, tmp_path):
+    # classification has no hidden term: stage() gives its stages beta 0
+    teacher = _train(_tiny_plan(), "teacher_cls", data)
+    checkpoints = set()
+    for beta in (0.0, 1.0, 3.0):
+        plan = _tiny_plan(distill=DistillConfig(beta=beta))
+        net, _ = run_stage(stage(plan, "student4_cls_scratch"), Run(plan, data), {"teacher_cls": teacher})
+        save_network(net, tmp_path / "student.ckpt")
+        checkpoints.add((tmp_path / "student.ckpt").read_bytes())
+    assert len(checkpoints) == 1
 
 
 def test_experiment_report_covers_grid():
