@@ -25,10 +25,11 @@ exists, as a table over the training split, and each batch indexes its
 rows: the features standardized by the network's normalizer, the one-hot
 labels, the softened teacher targets softmax(logits / tau) when alpha > 0,
 and, for verification, a dedup lookup that maps a triplet batch to its
-unique rows. One step serves every label, and runs only the heads that
-``losses.objective`` reads: the regression head only for alignment, the
-class head only for a soft or softmax term. Every table row and every
-gradient is bitwise what the per-batch build and the all-heads forward give.
+unique rows. One loop in ``_train``, phase by epoch by batch, trains every
+label, and its step runs only the heads that ``losses.objective`` reads:
+the regression head only for alignment, the class head only for a soft or
+softmax term. Every table row and every gradient is bitwise what the
+per-batch build and the all-heads forward give.
 
 Each stage is named by a run key (``teacher_cls``, ``student4_cls_full_init``,
 ``student8_alignment_distill_a0_b1``, ...). ``stage(plan, key)`` gives its
@@ -112,6 +113,13 @@ def derive_seed(seed: int, name: str) -> int:
     return (int(seed) ^ int.from_bytes(digest, "big")) & 0x7FFF_FFFF_FFFF_FFFF
 
 
+def _check_count(name: str, value, low: int) -> None:
+    """Raise a ValueError naming ``name`` unless ``value``, or each of its items, is an int >= ``low``."""
+    if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < low
+           for v in (value if isinstance(value, (tuple, list)) else (value,))):
+        raise ValueError(f"{name} must be >= {low} and integral, got {value!r}")
+
+
 @dataclass(frozen=True)
 class StageConfig:
     """One training stage: minibatch size and an ordered (rate, epochs) schedule."""
@@ -122,17 +130,15 @@ class StageConfig:
     momentum: float = 0.9
 
     def __post_init__(self):
+        _check_count("batch_size", self.batch_size, 1)
+        _check_count("lr_schedule epoch counts", tuple(n for _, n in self.lr_schedule), 0)
         object.__setattr__(self, "lr_schedule",
                            tuple((float(lr), int(n)) for lr, n in self.lr_schedule))
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be positive, got {self.batch_size}")
         if not self.lr_schedule:
             raise ValueError("lr_schedule must be non-empty")
-        for lr, n in self.lr_schedule:
+        for lr, _ in self.lr_schedule:
             if lr <= 0:
                 raise ValueError(f"learning rates must be positive, got {lr}")
-            if n < 0:
-                raise ValueError(f"phase epoch counts must be nonnegative, got {n}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
 
@@ -214,38 +220,6 @@ class TrainingLog:
     step_losses: list[float] = field(default_factory=list)
 
 
-def _run_training(net, stage: StageConfig, make_epoch, step_fn) -> TrainingLog:
-    opt = OptimizerState.for_network(net, stage.lr_schedule[0][0], stage.momentum)
-    rng = np.random.default_rng(stage.seed)
-    log = TrainingLog()
-    for phase, (lr, n_epochs) in enumerate(stage.lr_schedule, 1):
-        opt.learning_rate = lr
-        for epoch in range(1, n_epochs + 1):
-            for step, batch in enumerate(make_epoch(rng), 1):
-                loss = step_fn(batch)
-                value = loss.item()
-                if not math.isfinite(value):
-                    raise RuntimeError(
-                        f"non-finite training loss {value} in learning-rate phase {phase} "
-                        f"(lr {lr:g}), epoch {epoch}, step {step}")
-                # heads untouched by this objective keep a genuinely zero gradient
-                opt.zero_grad()
-                tc.backward(loss)
-                nag_step(net, opt)
-                log.step_lrs.append(lr)
-                log.step_losses.append(value)
-    net.training_log = log
-    return log
-
-
-def _index_batches(n: int, batch_size: int):
-    def make_epoch(rng):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            yield (order[start:start + batch_size],)
-    return make_epoch
-
-
 def _dedup_lookup(n: int):
     """A function from a triplet batch of row indices below ``n`` to the
     sorted unique rows and the (anchor, positive, negative) positions in
@@ -299,11 +273,16 @@ def _teacher_targets(teacher: Network, feats: np.ndarray) -> tuple[np.ndarray, n
 
 
 def _train(net, label, train: Split, cfg, stage, triplets_per_epoch, targets):
-    """Train ``net`` in place on ``losses.objective`` with the stage label's
-    task term (softmax for ``cls``, keypoint regression for alignment, the
-    triplet hinge, plus softmax for the joint table, for verification) and
-    the teacher's (logits, embedding) ``targets``, (None, None) without one.
-    A batch is ``(rows,)``, or ``(rows, anchor, positive, negative)``."""
+    """Train ``net`` in place by minibatch Nesterov steps on ``losses.objective``
+    with the stage label's task term (softmax for ``cls``, keypoint regression
+    for alignment, the triplet hinge, plus softmax for the joint table, for
+    verification) and the teacher's (logits, embedding) ``targets``, (None,
+    None) without one; the per-step log goes to ``net.training_log``.
+
+    The one loop runs phase, epoch, batch. Each epoch draws a permutation of
+    the training rows or, for verification, ``triplets_per_epoch`` fresh
+    triplets (0: one per row), and each batch takes the next slice of them.
+    A non-finite loss stops training before its backward pass."""
     t_logits, t_emb = targets
     if t_logits is not None and (t_emb.shape[1] != net.spec.embedding_dim
                                  or t_logits.shape[1] != net.spec.num_classes):
@@ -313,33 +292,40 @@ def _train(net, label, train: Split, cfg, stage, triplets_per_epoch, targets):
     joint = label == f"{VERIFICATION}_joint"
     onehot = one_hot(train.ids, net.spec.num_classes) if label == "cls" or joint else None
     heads = {"logits": cfg.alpha != 0 or onehot is not None, "regression": label == ALIGNMENT}
-    if label in ("cls", ALIGNMENT):
-        make_epoch = _index_batches(len(train), stage.batch_size)
-    else:
-        count = triplets_per_epoch if triplets_per_epoch > 0 else len(train)
-        dedup = _dedup_lookup(len(train))
-
-        def make_epoch(rng):
-            # fresh uniformly drawn triplets every epoch
-            a, p, n_ = make_triplets(train, count, int(rng.integers(2 ** 62)))
-            for start in range(0, count, stage.batch_size):
+    dedup = None if label in ("cls", ALIGNMENT) else _dedup_lookup(len(train))
+    count = len(train) if dedup is None else triplets_per_epoch or len(train)
+    opt = OptimizerState.for_network(net, stage.lr_schedule[0][0], stage.momentum)
+    rng, log = np.random.default_rng(stage.seed), TrainingLog()
+    for phase, (lr, n_epochs) in enumerate(stage.lr_schedule, 1):
+        opt.learning_rate = lr
+        for epoch in range(1, n_epochs + 1):
+            order = (rng.permutation(count) if dedup is None
+                     else make_triplets(train, count, int(rng.integers(2 ** 62))))
+            for step, start in enumerate(range(0, count, stage.batch_size), 1):
                 sl = slice(start, start + stage.batch_size)
-                yield dedup(a[sl], p[sl], n_[sl])
-
-    def step(batch):
-        rows, *triplets = batch
-        with tc.Tape():
-            out = net._forward(x[rows], **heads)
-            if label == "cls":
-                task = hard_term(out.logits, onehot[rows])
-            elif label == ALIGNMENT:
-                task = euclidean_loss(out.regression, train.keypoints[rows])
-            else:
-                task = tc.triplet_hinge(out.embedding, *triplets, cfg.lambda_margin)
-            return objective(task, out.logits, out.embedding, _rows(soft, rows), _rows(t_emb, rows),
-                             cfg, _rows(onehot, rows) if joint else None)
-
-    _run_training(net, stage, make_epoch, step)
+                rows, *triplets = (order[sl],) if dedup is None else dedup(*(t[sl] for t in order))
+                with tc.Tape():
+                    out = net._forward(x[rows], **heads)
+                    if label == "cls":
+                        task = hard_term(out.logits, onehot[rows])
+                    elif label == ALIGNMENT:
+                        task = euclidean_loss(out.regression, train.keypoints[rows])
+                    else:
+                        task = tc.triplet_hinge(out.embedding, *triplets, cfg.lambda_margin)
+                    loss = objective(task, out.logits, out.embedding, _rows(soft, rows),
+                                     _rows(t_emb, rows), cfg, _rows(onehot, rows) if joint else None)
+                value = loss.item()
+                if not math.isfinite(value):
+                    raise RuntimeError(
+                        f"non-finite training loss {value} in learning-rate phase {phase} "
+                        f"(lr {lr:g}), epoch {epoch}, step {step}")
+                # heads untouched by this objective keep a genuinely zero gradient
+                opt.zero_grad()
+                tc.backward(loss)
+                nag_step(net, opt)
+                log.step_lrs.append(lr)
+                log.step_losses.append(value)
+    net.training_log = log
     return net
 
 
@@ -388,6 +374,10 @@ class StagePlan:
     momentum: float = 0.9
     triplets_per_epoch: int = 0  # 0: one triplet per train sample per epoch
 
+    def __post_init__(self):
+        for name, low in (("batch_size", 1), ("epochs_per_phase", 0), ("triplets_per_epoch", 0)):
+            _check_count(name, getattr(self, name), low)
+
     def stage(self, mode: str, seed: int) -> StageConfig:
         if mode == "scratch":
             schedule = ((self.scratch_lr, self.epochs_per_phase),
@@ -417,8 +407,7 @@ class TaskPlan:
         bad = [i for i in self.inits if i not in ("scratch", "pretrain", "distill")]
         if bad:
             raise ValueError(f"unknown task init modes {bad}")
-        if any(d < 1 for d in self.divisors):
-            raise ValueError(f"divisors must be >= 1, got {self.divisors}")
+        _check_count("divisors", self.divisors, 1)
         if any(not 0 <= w < math.inf or float(f"{w:g}") != w for point in self.grid for w in point):
             raise ValueError("grid weights must be finite, nonnegative and exact in a run key's "
                              f"%g form, got {self.grid}")
@@ -463,10 +452,8 @@ class ExperimentPlan:
         if n_test < 2:  # evaluation pairs need two test samples of one identity
             raise ValueError(f"samples_per_identity {gen.samples_per_identity} leaves {n_test} test "
                              "samples per identity; evaluation needs at least 2")
-        if any(d < 1 for d in self.cls_divisors):
-            raise ValueError(f"cls_divisors must be >= 1, got {self.cls_divisors}")
-        if self.eval_pairs < 1:  # the pair count per class of the evaluation pairs
-            raise ValueError(f"eval_pairs must be >= 1, got {self.eval_pairs}")
+        _check_count("cls_divisors", self.cls_divisors, 1)
+        _check_count("eval_pairs", self.eval_pairs, 1)  # evaluation pairs per class
         bad = [i for i in self.cls_inits if i not in ("scratch", "full_init")]
         if bad:
             raise ValueError(f"unknown classification init modes {bad}")

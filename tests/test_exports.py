@@ -1,6 +1,7 @@
 """Every name the package and its public modules export in ``__all__`` resolves,
-the package re-exports only names its submodules export, and no source file
-imports a name it never reads."""
+the package re-exports only names its submodules export, no source file
+imports a name it never reads, and every private top-level function or class
+of the package is referenced outside its own definition."""
 import ast
 import importlib
 import pkgutil
@@ -62,3 +63,49 @@ def test_unread_import_check_sees_stale_and_exported_names():
     source = ("from __future__ import annotations\n"
               "import os.path\nfrom x import a, b as c, d\n__all__ = ['d']\nos.sep\nc()\n")
     assert _unread_imports(source) == ["a (line 3)"]
+
+
+def _referenced_name(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def _unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
+    """``path: name`` of each private top-level function or class of a source under
+    ``src/`` that no top-level statement of any source but its own definition
+    references, as a name, an attribute, an imported name or a string
+    (``monkeypatch.setattr(module, "_name", ...)``)."""
+    defs, statements = [], []
+    for path, source in sources.items():
+        for stmt in ast.parse(source).body:
+            statements.append((stmt, {_referenced_name(node) for node in ast.walk(stmt)}))
+            if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and path.startswith("src/")
+                    and stmt.name.startswith("_") and not stmt.name.startswith("__")):
+                defs.append((path, stmt))
+    return [f"{path}: {stmt.name}" for path, stmt in defs
+            if not any(stmt.name in names for other, names in statements if other is not stmt)]
+
+
+def test_every_private_definition_has_a_reference():
+    # a branch with no caller goes: a private helper that nothing reads is dead
+    files = [path for folder in ("src/distillforge", "tests", "demos")
+             for path in sorted((ROOT / folder).glob("*.py"))]
+    sources = {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8") for path in files}
+    assert sum(path.startswith("src/") for path in sources) > 8
+    assert not _unreferenced_private_defs(sources)
+
+
+def test_unreferenced_private_check_sees_dead_definitions():
+    sources = {"src/m.py": ("def _dead():\n    return _dead()\n\ndef _called():\n    pass\n\n"
+                            "class _Patched:\n    pass\n\ndef _imported():\n    pass\n\n"
+                            "def public():\n    _called()\n\ndef __getattr__(name):\n    pass\n"),
+               "tests/t.py": "from m import _imported\nsetattr(m, '_Patched', None)\n_imported()\n",
+               "tests/u.py": "def _test_helper():\n    pass\n"}
+    assert _unreferenced_private_defs(sources) == ["src/m.py: _dead"]

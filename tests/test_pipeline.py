@@ -43,7 +43,7 @@ from distillforge.pipeline import (
     stage,
     stages,
 )
-from distillforge.pipeline import _dedup_lookup, _index_batches, _run_training, _teacher_targets
+from distillforge.pipeline import _dedup_lookup, _teacher_targets
 
 GEN = GeneratorParams(num_identities=6, samples_per_identity=10, input_dim=16,
                       latent_dim=4, pose_dim=2, num_keypoints=3, seed=0)
@@ -542,27 +542,57 @@ def test_stage_tables_are_built_once_per_stage(data, monkeypatch):
         assert set(built[0]) == expected[family], (family, built[0])
 
 
-def test_non_finite_loss_fails_before_backward(data):
-    net = build(SPEC, seed=0)
-    feats, ids = data.train.features, data.train.ids
+def test_non_finite_loss_fails_before_backward(data, monkeypatch):
+    plan = _tiny_plan(cls_stage=StagePlan(16, 3))  # phases (0.02, 3 epochs), (0.002, 3 epochs)
     n_batches = -(-len(data.train) // 16)
-    fail_at = 2 * n_batches + 2  # phase 2, its second epoch, second step
-    calls = []
+    fail_at = 4 * n_batches + 2  # phase 2, its second epoch, second step
+    losses, stepped = [], []
 
-    def step(batch):
-        (idx,) = batch
-        calls.append(idx)
-        with tc.Tape():
-            loss = softmax_loss(net.forward(feats[idx]).logits, ids[idx])
-            return tc.mul(loss, np.nan) if len(calls) == fail_at else loss
+    def failing_objective(*args):
+        losses.append(objective(*args))
+        return tc.mul(losses[-1], np.nan) if len(losses) == fail_at else losses[-1]
 
-    stage = StageConfig(batch_size=16, lr_schedule=((0.02, 1), (0.002, 3)), seed=0)
+    def counting_step(net, opt):
+        stepped.append(net)
+        nag_step(net, opt)
+
+    monkeypatch.setattr(pipeline, "objective", failing_objective)
+    monkeypatch.setattr(pipeline, "nag_step", counting_step)
     with pytest.raises(RuntimeError) as err:
-        _run_training(net, stage, _index_batches(len(data.train), 16), step)
+        _train(plan, "teacher_cls", data)
     assert str(err.value) == ("non-finite training loss nan in learning-rate phase 2 (lr 0.002), "
                               "epoch 2, step 2")
-    assert len(calls) == fail_at
-    assert all(p.grad is None for p in net.parameters)  # backward never ran on the bad loss
+    assert len(losses) == fail_at
+    # neither backward nor a step ran on the bad loss
+    assert len(stepped) == fail_at - 1
+    assert all(p.grad is None for p in stepped[-1].parameters)
+
+
+def test_step_and_triplet_counters_see_every_call(data, monkeypatch):
+    # the benchmark's traced pipeline.steps and data.make_triplets.calls wrap
+    # these two module globals, so every step and draw must go through them
+    counts = dict.fromkeys(("nag_step", "make_triplets"), 0)
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
+    n = len(data.train)
+    cases = {"teacher_cls": (StagePlan(7, 2), n),
+             "student2_verification_pretrain_base": (StagePlan(16, 2, triplets_per_epoch=30), 30),
+             "student2_verification_joint_pretrain_base": (StagePlan(10, 1), n)}
+    for key, (splan, count) in cases.items():
+        assert count % splan.batch_size, key  # every epoch ends on a short batch
+        plan = _tiny_plan(cls_stage=splan, verification_stage=splan)
+        counts.update(nag_step=0, make_triplets=0)
+        net = _train(plan, key, data)
+        epochs, batches = splan.stage("scratch", 0).epochs, -(-count // splan.batch_size)
+        assert counts["nag_step"] == len(net.training_log.step_losses) == epochs * batches, key
+        assert counts["make_triplets"] == (0 if key == "teacher_cls" else epochs), key
 
 
 # --------------------------------------------------------- select_targets
@@ -629,6 +659,34 @@ def test_plan_rejects_nonpositive_counts_naming_the_field(field, value):
     # teacher_cls, a divisor of 0 as an unknown run key 'student0_cls_scratch'
     with pytest.raises(ValueError, match=f"^{field} must be >= 1"):
         _tiny_plan(**{field: value})
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: _tiny_plan(cls_divisors=(2.0,)), "cls_divisors"),
+    (lambda: _tiny_plan(cls_divisors=(True,)), "cls_divisors"),
+    (lambda: _tiny_plan(eval_pairs=2.5), "eval_pairs"),
+    (lambda: TaskPlan(ALIGNMENT, (8.0,)), "divisors"),
+    (lambda: StageConfig(16, ((0.02, 1.5),)), "lr_schedule epoch counts"),
+    (lambda: StageConfig(16.5, ((0.02, 1),)), "batch_size"),
+    (lambda: StagePlan(16.5, 1), "batch_size"),
+    (lambda: StagePlan(16, 1.5), "epochs_per_phase"),
+    (lambda: StagePlan(16, -1), "epochs_per_phase"),
+    (lambda: StagePlan(16, 1, triplets_per_epoch=-3), "triplets_per_epoch"),
+], ids=["float-divisor", "bool-divisor", "float-pairs", "float-task-divisor", "float-epochs",
+        "float-batch", "float-plan-batch", "float-plan-epochs", "negative-plan-epochs",
+        "negative-triplets"])
+def test_plan_sizes_must_be_integers_in_range(make, field):
+    # before the check these failed late as an unknown run key or a bare
+    # TypeError, or were silently truncated (1.5 epochs trained 1) or read as 0
+    with pytest.raises(ValueError, match=f"^{field} must be >= [01] and integral"):
+        make()
+
+
+def test_plans_accept_numpy_integer_sizes():
+    cfg = StageConfig(np.int64(16), ((0.02, np.int64(2)),))
+    assert cfg.epochs == 2 and type(cfg.lr_schedule[0][1]) is int
+    plan = _tiny_plan(cls_divisors=(np.int64(2),), cls_stage=StagePlan(np.int64(16), np.int64(1)))
+    assert "student2_cls_full_init" in [node.key for node in stages(plan)]
 
 
 @pytest.mark.parametrize("divisors", [(0,), (2, -2)], ids=["zero", "negative"])
