@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._atomic import atomic_write
+from ._schema import check_fields, setting
 
 __all__ = [
     "GeneratorParams",
@@ -40,31 +41,24 @@ _FORMAT_VERSION = "v1"
 
 @dataclass(frozen=True)
 class GeneratorParams:
-    num_identities: int = 32
-    samples_per_identity: int = 50
-    input_dim: int = 64
-    latent_dim: int = 8
-    pose_dim: int = 4
-    num_keypoints: int = 5
-    identity_keypoint_scale: float = 0.1
-    pose_keypoint_scale: float = 1.0
-    noise_std: float = 0.1
-    seed: int = 0
+    num_identities: int = setting(int, 32, ge=2)
+    samples_per_identity: int = setting(int, 50, ge=2)
+    input_dim: int = setting(int, 64, ge=1)
+    latent_dim: int = setting(int, 8, ge=1)
+    pose_dim: int = setting(int, 4, ge=1)
+    num_keypoints: int = setting(int, 5, ge=1)
+    identity_keypoint_scale: float = setting(float, 0.1, ge=0)
+    pose_keypoint_scale: float = setting(float, 1.0, gt=0)
+    noise_std: float = setting(float, 0.1, ge=0)
+    seed: int = setting(int, 0, ge=0)
 
     def __post_init__(self):
-        for name in ("num_identities", "samples_per_identity", "input_dim",
-                     "latent_dim", "pose_dim", "num_keypoints"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be a positive integer, got {getattr(self, name)}")
-        if self.identity_keypoint_scale < 0:
-            raise ValueError("identity_keypoint_scale must be nonnegative")
+        check_fields(self)
         if self.pose_keypoint_scale <= self.identity_keypoint_scale:
             raise ValueError(
                 "pose_keypoint_scale must exceed identity_keypoint_scale "
                 f"(got {self.pose_keypoint_scale} vs {self.identity_keypoint_scale}): "
                 "keypoints are a pose-dominated signal")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be nonnegative")
 
     @property
     def num_keypoint_coords(self) -> int:
@@ -123,13 +117,17 @@ class LatentModel:
         angles = 2.0 * math.pi * np.arange(params.num_keypoints) / params.num_keypoints
         self.template = np.stack([np.cos(angles), np.sin(angles)], axis=1).reshape(-1)
 
-    def features(self, z: np.ndarray, pose: np.ndarray) -> np.ndarray:
-        return self.m_id @ z + self.m_pose @ pose
-
-    def keypoints(self, z: np.ndarray, pose: np.ndarray) -> np.ndarray:
-        return (self.template
-                + self.params.pose_keypoint_scale * (self.a_pose @ pose)
-                + self.params.identity_keypoint_scale * (self.b_id @ z))
+    def observe(self, z: np.ndarray, poses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Noise-free features and keypoints of identity ``z`` in each of
+        ``poses``, one row per pose. The identity terms are computed once;
+        each pose gets its own matrix-vector products, so a row is bitwise
+        what one sample drawn alone gives."""
+        m_z = self.m_id @ z
+        b_z = self.params.identity_keypoint_scale * (self.b_id @ z)
+        feats = np.array([m_z + self.m_pose @ pose for pose in poses])
+        kps = np.array([self.template + self.params.pose_keypoint_scale * (self.a_pose @ pose) + b_z
+                        for pose in poses])
+        return feats, kps
 
 
 def generate(params: GeneratorParams) -> SplitDataset:
@@ -138,15 +136,16 @@ def generate(params: GeneratorParams) -> SplitDataset:
     rng = np.random.default_rng(params.seed)
     model = LatentModel(params, rng)
     k, n_per = params.num_identities, params.samples_per_identity
-    d, kc = params.input_dim, params.num_keypoint_coords
+    p, d, kc = params.pose_dim, params.input_dim, params.num_keypoint_coords
     feats, kps = np.empty((k, n_per, d)), np.empty((k, n_per, kc))
     rows = np.empty((k, n_per), dtype=np.int64)
     for identity in range(k):
         z = rng.normal(size=params.latent_dim)
-        for j in range(n_per):
-            pose = rng.normal(size=params.pose_dim)
-            feats[identity, j] = model.features(z, pose) + params.noise_std * rng.normal(size=d)
-            kps[identity, j] = model.keypoints(z, pose) + params.noise_std * rng.normal(size=kc)
+        # one draw, in the stream order of per-sample pose, feature noise, keypoint noise
+        draws = rng.normal(size=(n_per, p + d + kc))
+        clean_feats, clean_kps = model.observe(z, draws[:, :p])
+        feats[identity] = clean_feats + params.noise_std * draws[:, p:p + d]
+        kps[identity] = clean_kps + params.noise_std * draws[:, p + d:]
         rows[identity] = identity * n_per + rng.permutation(n_per)
     feats, kps = feats.reshape(k * n_per, d), kps.reshape(k * n_per, kc)
     ids = np.repeat(np.arange(k, dtype=np.int64), n_per)

@@ -33,6 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensor as tc
+from ._schema import check_fields, setting
 from .tensor import Tensor
 
 __all__ = [
@@ -58,20 +59,13 @@ class DistillConfig:
     """Weights of the combined objective: soft weight alpha, hidden weight
     beta, softmax temperature tau, and the triplet margin; all finite."""
 
-    alpha: float = 1.0
-    beta: float = 1.0
-    tau: float = 3.0
-    lambda_margin: float = 0.4
+    alpha: float = setting(float, 1.0, ge=0)
+    beta: float = setting(float, 1.0, ge=0)
+    tau: float = setting(float, 3.0, ge=1)
+    lambda_margin: float = setting(float, 0.4, ge=0)
 
     def __post_init__(self):
-        if not 0 <= self.alpha < np.inf:
-            raise ValueError(f"alpha must be finite and nonnegative, got {self.alpha}")
-        if not 0 <= self.beta < np.inf:
-            raise ValueError(f"beta must be finite and nonnegative, got {self.beta}")
-        if not 1 <= self.tau < np.inf:
-            raise ValueError(f"tau must be finite and >= 1, got {self.tau}")
-        if not 0 <= self.lambda_margin < np.inf:
-            raise ValueError(f"lambda_margin must be finite and nonnegative, got {self.lambda_margin}")
+        check_fields(self)
 
 
 def soft_predictions(logits, tau: float) -> Tensor:

@@ -13,13 +13,14 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from . import tensor as tc
 from ._atomic import atomic_write
+from ._schema import check_fields, setting
 from .tensor import Tensor
 
 __all__ = [
@@ -34,32 +35,22 @@ __all__ = [
 ]
 
 _CKPT_MAGIC = "distillforge-ckpt v1"
-_SPEC_FIELDS = ("input_dim", "hidden_widths", "embedding_dim", "num_classes",
-                "num_keypoint_coords", "width_divisor")
 
 
 @dataclass(frozen=True)
 class NetworkSpec:
     """Architecture description; width_divisor compresses hidden widths only."""
 
-    input_dim: int
-    hidden_widths: tuple[int, ...]
-    embedding_dim: int
-    num_classes: int
-    num_keypoint_coords: int = 0
-    width_divisor: int = 1
+    input_dim: int = setting(int, ge=1)
+    hidden_widths: tuple[int, ...] = setting(int, each=True, nonempty=True, ge=1)
+    embedding_dim: int = setting(int, ge=1)
+    num_classes: int = setting(int, ge=1)
+    num_keypoint_coords: int = setting(int, 0, ge=0)
+    width_divisor: int = setting(int, 1, ge=1)
 
     def __post_init__(self):
+        check_fields(self)
         object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
-        for name in ("input_dim", "embedding_dim", "num_classes"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be a positive integer, got {getattr(self, name)}")
-        if not self.hidden_widths or any(w < 1 for w in self.hidden_widths):
-            raise ValueError(f"hidden_widths must be positive integers, got {self.hidden_widths}")
-        if self.num_keypoint_coords < 0:
-            raise ValueError(f"num_keypoint_coords must be nonnegative, got {self.num_keypoint_coords}")
-        if self.width_divisor < 1:
-            raise ValueError(f"width_divisor must be >= 1, got {self.width_divisor}")
 
     def divided_widths(self) -> tuple[int, ...]:
         """Hidden widths after ceil division by width_divisor; each is >= 1."""
@@ -176,7 +167,7 @@ def num_parameters(net: Network) -> int:
 
 def save_network(net: Network, path) -> None:
     """Write a versioned checkpoint that round-trips bit-exactly."""
-    header = {"spec": {name: getattr(net.spec, name) for name in _SPEC_FIELDS},
+    header = {"spec": asdict(net.spec),
               "param_shapes": [list(p.shape) for p in net.parameters]}
     with atomic_write(path, "wb") as fh:
         fh.write(_CKPT_MAGIC.encode() + b"\n")
@@ -188,14 +179,14 @@ def save_network(net: Network, path) -> None:
 
 
 def _header_spec(header) -> tuple[NetworkSpec, list[tuple[int, ...]]]:
-    """The spec and parameter shapes a checkpoint header declares."""
+    """The spec and parameter shapes a checkpoint header declares; ``NetworkSpec``
+    checks each spec value."""
     def ints(values) -> bool:
         return isinstance(values, list) and all(type(v) is int for v in values)
 
     spec = header.get("spec") if isinstance(header, dict) else None
-    if (not isinstance(spec, dict) or sorted(spec) != sorted(_SPEC_FIELDS)
-            or not ints([spec[k] for k in _SPEC_FIELDS if k != "hidden_widths"])
-            or not ints(spec["hidden_widths"]) or not isinstance(header.get("param_shapes"), list)
+    if (not isinstance(spec, dict) or sorted(spec) != sorted(f.name for f in fields(NetworkSpec))
+            or not isinstance(header.get("param_shapes"), list)
             or not all(ints(shape) for shape in header["param_shapes"])):
         raise ValueError("malformed checkpoint header")
     return NetworkSpec(**spec), [tuple(shape) for shape in header["param_shapes"]]

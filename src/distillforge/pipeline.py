@@ -74,6 +74,7 @@ import numpy as np
 
 from . import tensor as tc
 from ._atomic import remove_partial_writes
+from ._schema import check, check_fields, setting
 from .data import GeneratorParams, Split, SplitDataset, generate, make_pairs, make_triplets
 from .losses import DistillConfig, euclidean_loss, hard_term, objective, one_hot, soft_targets
 from .metrics import (MetricsReport, nrmse, pair_verification_accuracy, reference_distances,
@@ -113,34 +114,23 @@ def derive_seed(seed: int, name: str) -> int:
     return (int(seed) ^ int.from_bytes(digest, "big")) & 0x7FFF_FFFF_FFFF_FFFF
 
 
-def _check_count(name: str, value, low: int) -> None:
-    """Raise a ValueError naming ``name`` unless ``value``, or each of its items, is an int >= ``low``."""
-    if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < low
-           for v in (value if isinstance(value, (tuple, list)) else (value,))):
-        raise ValueError(f"{name} must be >= {low} and integral, got {value!r}")
-
-
 @dataclass(frozen=True)
 class StageConfig:
     """One training stage: minibatch size and an ordered (rate, epochs) schedule."""
 
-    batch_size: int
+    batch_size: int = setting(int, ge=1)
     lr_schedule: tuple[tuple[float, int], ...]
-    seed: int = 0
-    momentum: float = 0.9
+    seed: int = setting(int, 0, ge=0)
+    momentum: float = setting(float, 0.9, ge=0, lt=1)
 
     def __post_init__(self):
-        _check_count("batch_size", self.batch_size, 1)
-        _check_count("lr_schedule epoch counts", tuple(n for _, n in self.lr_schedule), 0)
-        object.__setattr__(self, "lr_schedule",
-                           tuple((float(lr), int(n)) for lr, n in self.lr_schedule))
+        check_fields(self)
         if not self.lr_schedule:
             raise ValueError("lr_schedule must be non-empty")
-        for lr, _ in self.lr_schedule:
-            if lr <= 0:
-                raise ValueError(f"learning rates must be positive, got {lr}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+        rates, counts = zip(*self.lr_schedule)
+        check("learning rates", {"type": float, "each": True, "gt": 0}, rates)
+        check("lr_schedule epoch counts", {"type": int, "each": True, "ge": 0}, counts)
+        object.__setattr__(self, "lr_schedule", tuple(zip(map(float, rates), map(int, counts))))
 
     @property
     def epochs(self) -> int:
@@ -367,16 +357,15 @@ class StagePlan:
     first epochs and training collapses to the bias solution.
     """
 
-    batch_size: int
-    epochs_per_phase: int
-    scratch_lr: float = 0.02
-    continue_lr: float = 0.002
-    momentum: float = 0.9
-    triplets_per_epoch: int = 0  # 0: one triplet per train sample per epoch
+    batch_size: int = setting(int, ge=1)
+    epochs_per_phase: int = setting(int, ge=0)
+    scratch_lr: float = setting(float, 0.02, gt=0)
+    continue_lr: float = setting(float, 0.002, gt=0)
+    momentum: float = setting(float, 0.9, ge=0, lt=1)
+    triplets_per_epoch: int = setting(int, 0, ge=0)  # 0: one triplet per train sample per epoch
 
     def __post_init__(self):
-        for name, low in (("batch_size", 1), ("epochs_per_phase", 0), ("triplets_per_epoch", 0)):
-            _check_count(name, getattr(self, name), low)
+        check_fields(self)
 
     def stage(self, mode: str, seed: int) -> StageConfig:
         if mode == "scratch":
@@ -393,21 +382,17 @@ class StagePlan:
 class TaskPlan:
     """One result table: a task, its student divisors, inits, and (alpha, beta) grid."""
 
-    task: str
-    divisors: tuple[int, ...]
-    inits: tuple[str, ...] = ("pretrain", "distill")
+    task: str = setting(str, among=_TASKS)
+    divisors: tuple[int, ...] = setting(int, each=True, ge=1)
+    inits: tuple[str, ...] = setting(str, ("pretrain", "distill"), each=True,
+                                     among=("scratch", "pretrain", "distill"))
     grid: tuple[tuple[float, float], ...] = ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0))
     include_softmax: bool = False
 
     def __post_init__(self):
-        if self.task not in _TASKS:
-            raise ValueError(f"unknown task {self.task!r}; expected one of {_TASKS}")
+        check_fields(self)
         if self.include_softmax and self.task != VERIFICATION:
             raise ValueError("include_softmax applies to verification only")
-        bad = [i for i in self.inits if i not in ("scratch", "pretrain", "distill")]
-        if bad:
-            raise ValueError(f"unknown task init modes {bad}")
-        _check_count("divisors", self.divisors, 1)
         if any(not 0 <= w < math.inf or float(f"{w:g}") != w for point in self.grid for w in point):
             raise ValueError("grid weights must be finite, nonnegative and exact in a run key's "
                              f"%g form, got {self.grid}")
@@ -425,8 +410,9 @@ class ExperimentPlan:
     # span the teacher's embedding space and hidden matching hits a rank floor
     teacher: NetworkSpec = NetworkSpec(64, (256, 256, 128), 16, 32, 10)
     distill: DistillConfig = DistillConfig()
-    cls_divisors: tuple[int, ...] = (2, 4, 8)
-    cls_inits: tuple[str, ...] = ("scratch", "full_init")
+    cls_divisors: tuple[int, ...] = setting(int, (2, 4, 8), each=True, ge=1)
+    cls_inits: tuple[str, ...] = setting(str, ("scratch", "full_init"), each=True,
+                                         among=("scratch", "full_init"))
     tasks: tuple[TaskPlan, ...] = (
         TaskPlan(ALIGNMENT, (8,)),
         TaskPlan(VERIFICATION, (2,)),
@@ -435,10 +421,11 @@ class ExperimentPlan:
     cls_stage: StagePlan = StagePlan(64, 15)
     alignment_stage: StagePlan = StagePlan(32, 30, scratch_lr=0.005, continue_lr=0.0002)
     verification_stage: StagePlan = StagePlan(32, 15, scratch_lr=0.005, continue_lr=0.001)
-    eval_pairs: int = 200
-    seed: int = 0
+    eval_pairs: int = setting(int, 200, ge=1)  # evaluation pairs per class
+    seed: int = setting(int, 0, ge=0)
 
     def __post_init__(self):
+        check_fields(self)
         if self.teacher.width_divisor != 1:
             raise ValueError("the teacher spec must use width_divisor=1")
         gen, teacher = self.generator, self.teacher
@@ -452,11 +439,6 @@ class ExperimentPlan:
         if n_test < 2:  # evaluation pairs need two test samples of one identity
             raise ValueError(f"samples_per_identity {gen.samples_per_identity} leaves {n_test} test "
                              "samples per identity; evaluation needs at least 2")
-        _check_count("cls_divisors", self.cls_divisors, 1)
-        _check_count("eval_pairs", self.eval_pairs, 1)  # evaluation pairs per class
-        bad = [i for i in self.cls_inits if i not in ("scratch", "full_init")]
-        if bad:
-            raise ValueError(f"unknown classification init modes {bad}")
         labels = [tp.label for tp in self.tasks]
         if len(set(labels)) != len(labels):
             raise ValueError(f"each task table needs its own label, got {labels}")

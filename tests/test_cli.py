@@ -1,12 +1,15 @@
 """Config parsing and the command-line front end, run in-process via
 ``cli.main``. A miniature benchmark (6 identities, 16-dim inputs, one
 epoch per phase) keeps every command under a second."""
+import functools
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import re
 import shutil
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +19,8 @@ import distillforge.pipeline as pipeline
 from distillforge import cli
 from distillforge.config import (ConfigError, DEFAULTS, apply_set, default_config,
                                  describe_keys, experiment_plan, load_config)
-from distillforge.data import load_dataset
+from distillforge.data import GeneratorParams, load_dataset
+from distillforge.losses import DistillConfig
 from distillforge.nets import load_network
 
 TINY = [
@@ -55,7 +59,9 @@ def test_defaults_cover_every_key():
 
 
 def test_config_defaults_build_the_library_default_plan():
-    # every default is written twice, in config.DEFAULTS and in the dataclasses
+    # config.DEFAULTS reads each plan default from the dataclasses, so this holds
+    # by construction; only the task lists and verification modes are written in
+    # the config as well as in ExperimentPlan.tasks
     assert experiment_plan(load_config()) == pipeline.ExperimentPlan()
 
 
@@ -98,6 +104,119 @@ def test_describe_keys_lists_everything():
     text = describe_keys()
     for key in DEFAULTS:
         assert key in text
+
+
+_LISTING = """\
+alignment.batch_size              default: 32  (>= 1)
+alignment.continue_lr             default: 0.0002  (> 0)
+alignment.epochs_per_phase        default: 30  (>= 0)
+alignment.scratch_lr              default: 0.005  (> 0)
+cls.batch_size                    default: 64  (>= 1)
+cls.continue_lr                   default: 0.002  (> 0)
+cls.epochs_per_phase              default: 15  (>= 0)
+cls.scratch_lr                    default: 0.02  (> 0)
+data.identity_keypoint_scale      default: 0.1  (>= 0)
+data.input_dim                    default: 64  (>= 1)
+data.latent_dim                   default: 8  (>= 1)
+data.noise_std                    default: 0.1  (>= 0)
+data.num_identities               default: 32  (>= 2)
+data.num_keypoints                default: 5  (>= 1)
+data.pose_dim                     default: 4  (>= 1)
+data.pose_keypoint_scale          default: 1.0  (> 0)
+data.samples_per_identity         default: 50  (>= 2)
+distill.alpha                     default: 1.0  (>= 0)
+distill.beta                      default: 1.0  (>= 0)
+distill.lambda_margin             default: 0.4  (>= 0)
+distill.tau                       default: 3.0  (>= 1)
+experiment.alignment_divisors     default: 8  (each >= 1)
+experiment.divisors               default: 2,4,8  (each >= 1)
+experiment.eval_pairs             default: 200  (>= 1)
+experiment.verification_divisors  default: 2  (each >= 1)
+experiment.verification_modes     default: single,joint  (each 'single' or 'joint')
+net.embedding_dim                 default: 16  (>= 1)
+net.hidden_widths                 default: 256,256,128  (non-empty, each >= 1)
+optimizer.momentum                default: 0.9  (in [0, 1))
+out                               default: runs  (non-empty)
+seed                              default: 0  (>= 0)
+verification.batch_size           default: 32  (>= 1)
+verification.continue_lr          default: 0.001  (> 0)
+verification.epochs_per_phase     default: 15  (>= 0)
+verification.scratch_lr           default: 0.005  (> 0)
+verification.triplets_per_epoch   default: 0  (>= 0)
+"""
+
+
+def test_config_listing_matches_the_recorded_listing():
+    assert describe_keys() == _LISTING
+
+
+def _out_of_bound(bound) -> list:
+    """Values a field with ``bound`` rejects: one step past each limit, an
+    unlisted choice, an empty value where one is needed, and values of the
+    wrong type (2.5 and True for an int, nan, inf and True for a float)."""
+    kind = bound["type"]
+    bad = [bound["ge"] - (1 if kind is int else 0.5)] if "ge" in bound else []
+    bad += [bound[limit] for limit in ("gt", "lt") if limit in bound]
+    bad += ["bogus"] if "among" in bound else []
+    bad += {int: [2.5, True], float: [math.nan, math.inf, True], str: []}[kind]
+    if bound.get("each"):
+        bad = [(value,) for value in bad]
+    if bound.get("nonempty"):
+        bad.append(() if bound.get("each") else "")
+    return bad
+
+
+@pytest.mark.parametrize("key", sorted(DEFAULTS))
+def test_every_key_rejects_out_of_bound_values(tmp_path, capsys, monkeypatch, key):
+    # in a config file or a --set, the value fails with one line naming the key
+    # and where it was set; given to the field the key sets, it fails naming the field
+    path, key_field = DEFAULTS[key]
+    run_dir, cfg_file = tmp_path / "run", tmp_path / "bad.cfg"
+    run_dir.mkdir()
+    monkeypatch.chdir(run_dir)
+    values = _out_of_bound(key_field.metadata)
+    assert values
+    for value in values:
+        raw = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        cfg_file.write_text(f"# out of bound\n{key} = {raw}\n")
+        for argv, where in ((["--set", f"{key}={raw}"], "--set"),
+                            (["--config", str(cfg_file)], f"{cfg_file}:2")):
+            code, out, err = _run(capsys, "train", "teacher_cls", *argv)
+            assert code == 1 and out == "" and os.listdir(run_dir) == [], (key, value, argv, err)
+            assert err.startswith(f"error: {where}: ") and key in err and err.count("\n") == 1, err
+        if path is not None:
+            *owner, name = path.split(".")
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                replace(functools.reduce(getattr, owner, pipeline.ExperimentPlan()), **{name: value})
+
+
+@pytest.mark.parametrize("plan", [
+    GeneratorParams(), pipeline.ExperimentPlan().teacher, DistillConfig(),
+    pipeline.StageConfig(16, ((0.1, 1),)), pipeline.StagePlan(16, 1),
+    pipeline.TaskPlan(pipeline.ALIGNMENT, (2,)), pipeline.ExperimentPlan(),
+], ids=lambda plan: type(plan).__name__)
+def test_every_bounded_field_rejects_out_of_bound_values(plan):
+    # among the cases: GeneratorParams(num_identities=2.5), num_identities=True,
+    # noise_std=nan, pose_keypoint_scale=inf, NetworkSpec(input_dim=2.5) and
+    # DistillConfig(alpha=True), all once accepted
+    bounded = [f for f in fields(plan) if f.metadata]
+    assert bounded
+    for f in bounded:
+        for value in _out_of_bound(f.metadata):
+            with pytest.raises(ValueError, match=f"^{f.name} must be"):
+                replace(plan, **{f.name: value})
+
+
+def test_out_is_stripped_and_must_not_be_empty(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("out = myrun\n")
+    assert _run(capsys, "generate", "--config", "run.cfg", *_sets())[0] == 0
+    assert sorted(os.listdir(tmp_path)) == ["myrun", "run.cfg"]
+    for argv in (["--set", "out="], ["--set", "out= "], ["--out", ""]):
+        code, out, err = _run(capsys, "generate", *argv, *_sets())
+        assert code == 1 and out == "", (argv, err)
+        assert err == f"error: {argv[0]}: out must be non-empty, got ''\n"
+    assert sorted(os.listdir(tmp_path)) == ["myrun", "run.cfg"]
 
 
 # --------------------------------------------------------------- commands
@@ -407,7 +526,7 @@ def test_corrupt_checkpoint_fails_cleanly(tmp_path, capsys):
 
 
 def test_config_floats_must_be_finite(tmp_path, capsys):
-    float_keys = [key for key, (_, default, _, _) in DEFAULTS.items() if isinstance(default, float)]
+    float_keys = [key for key, (_, f) in DEFAULTS.items() if f.metadata["type"] is float]
     assert {"data.noise_std", "distill.tau", "cls.scratch_lr"} <= set(float_keys)
     for key in float_keys:
         for value in ("inf", "1e999"):

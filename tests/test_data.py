@@ -53,7 +53,10 @@ def test_split_ratio_per_identity():
 
 
 def test_split_sizes_match_generated_rows():
-    for n, sizes in ((1, (1, 0)), (2, (2, 0)), (5, (4, 1)), (7, (6, 1)), (8, (6, 2)), (50, (40, 10))):
+    # one sample per identity leaves no positive pair, so the generator rejects it
+    with pytest.raises(ValueError, match="^samples_per_identity must be >= 2"):
+        GeneratorParams(num_identities=3, samples_per_identity=1, seed=1)
+    for n, sizes in ((2, (2, 0)), (5, (4, 1)), (7, (6, 1)), (8, (6, 2)), (50, (40, 10))):
         params = GeneratorParams(num_identities=3, samples_per_identity=n, seed=1)
         ds = generate(params)
         assert params.split_sizes == sizes
@@ -99,8 +102,8 @@ def test_degenerate_generator_equal_pose_equal_keypoints():
     params = GeneratorParams(noise_std=0.0, identity_keypoint_scale=0.0)
     model = LatentModel(params, np.random.default_rng(params.seed))
     pose = np.linspace(-1, 1, params.pose_dim)
-    kp_a = model.keypoints(np.zeros(params.latent_dim), pose)
-    kp_b = model.keypoints(np.full(params.latent_dim, 3.0), pose)
+    kp_a = model.observe(np.zeros(params.latent_dim), [pose])[1]
+    kp_b = model.observe(np.full(params.latent_dim, 3.0), [pose])[1]
     assert np.array_equal(kp_a, kp_b)
 
 
@@ -108,19 +111,22 @@ def test_pose_dominates_keypoints():
     params = GeneratorParams(noise_std=0.0)
     model = LatentModel(params, np.random.default_rng(params.seed))
     z = np.ones(params.latent_dim)
-    base = model.keypoints(z, np.zeros(params.pose_dim))
-    pose_moved = model.keypoints(z, np.ones(params.pose_dim))
-    id_moved = model.keypoints(z * 3, np.zeros(params.pose_dim))
+    base, pose_moved = model.observe(z, [np.zeros(params.pose_dim), np.ones(params.pose_dim)])[1]
+    id_moved = model.observe(z * 3, [np.zeros(params.pose_dim)])[1][0]
     assert np.linalg.norm(pose_moved - base) > np.linalg.norm(id_moved - base)
 
 
 def test_generator_params_validation():
-    with pytest.raises(ValueError):
-        GeneratorParams(pose_keypoint_scale=0.05, identity_keypoint_scale=0.1)
-    with pytest.raises(ValueError):
-        GeneratorParams(num_identities=0)
-    with pytest.raises(ValueError):
-        GeneratorParams(noise_std=-0.1)
+    for kwargs, message in (
+            ({"pose_keypoint_scale": 0.05, "identity_keypoint_scale": 0.1}, "pose_keypoint_scale must exceed"),
+            ({"num_identities": 0}, "num_identities must be >= 2"),
+            ({"num_identities": 2.5}, "num_identities must be >= 2 and integral"),
+            ({"num_identities": True}, "num_identities must be >= 2 and integral"),
+            ({"noise_std": -0.1}, "noise_std must be >= 0"),
+            ({"noise_std": float("nan")}, "noise_std must be >= 0 and finite"),
+            ({"pose_keypoint_scale": float("inf")}, "pose_keypoint_scale must be > 0 and finite")):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            GeneratorParams(**kwargs)
 
 
 # -------------------------------------------------------------------- triplets
