@@ -1,13 +1,16 @@
 """One schema for plan settings: each default and bound lives on its field.
 
 ``setting(int, 32, ge=2)`` is a dataclass field with default 32 whose
-metadata is its bound: the value type (``int``, ``float`` or ``str``) and
-any of ``ge``/``gt`` (lower), ``lt`` (upper), ``among`` (the allowed
-values), ``each`` (the value is a tuple or list and the bound holds for
-every item) and ``nonempty``. An ``int`` is integral, a ``float`` a finite
-real, and neither may be a bool. Each plan dataclass calls
-``check_fields(self)`` from ``__post_init__``; the config reads the same
-metadata to parse, check and list its keys.
+metadata is its bound: the value type (``int``, ``float``, ``str`` or
+``bool``) and any of ``ge``/``gt`` (lower), ``lt`` (upper), ``among`` (the
+allowed values), ``each`` (the value is a tuple or list and the bound holds
+for every item) and ``nonempty``. An ``int`` is integral, a ``float`` a
+finite real, and neither may be a bool; a ``bool`` is True or False. Each
+plan dataclass calls ``check_fields(self)`` from ``__post_init__``, which
+stores every checked value as its declared type (``np.int64(3)`` as ``3``,
+a list as a tuple), so plans compare, hash and serialize alike however
+they were built; the config reads the same metadata to parse, check and
+list its keys.
 """
 from __future__ import annotations
 
@@ -15,8 +18,8 @@ import math
 from dataclasses import MISSING, field, fields
 from numbers import Integral, Real
 
-_TYPES = {int: Integral, float: Real, str: str}
-_TYPE_WORDS = {int: "integral", float: "finite"}
+_TYPES = {int: Integral, float: Real, str: str, bool: bool}
+_TYPE_WORDS = {int: "integral", float: "finite", bool: "True or False"}
 
 
 def setting(kind: type, default=MISSING, **bound):
@@ -45,7 +48,7 @@ def bound_text(bound, listing: bool = True) -> str:
 
 def _fits(bound, value) -> bool:
     kind = bound["type"]
-    return (not isinstance(value, bool) and isinstance(value, _TYPES[kind])
+    return (isinstance(value, _TYPES[kind]) and isinstance(value, bool) == (kind is bool)
             and (kind is not float or math.isfinite(value))
             and ("among" not in bound or value in bound["among"])
             and ("ge" not in bound or value >= bound["ge"])
@@ -53,18 +56,20 @@ def _fits(bound, value) -> bool:
             and ("lt" not in bound or value < bound["lt"]))
 
 
-def check(name: str, bound, value) -> None:
-    """Raise a ValueError naming ``name`` unless ``value`` is within ``bound``."""
-    if bound.get("each"):
-        ok = isinstance(value, (tuple, list)) and all(_fits(bound, v) for v in value)
-    else:
-        ok = _fits(bound, value)
+def check(name: str, bound, value):
+    """Raise a ValueError naming ``name`` unless ``value`` is within ``bound``;
+    return ``value`` as the bound's type (a tuple of them for ``each``)."""
+    kind, each = bound["type"], bound.get("each")
+    ok = (isinstance(value, (tuple, list)) and all(_fits(bound, v) for v in value) if each
+          else _fits(bound, value))
     if not ok or (bound.get("nonempty") and not value):
         raise ValueError(f"{name} must be {bound_text(bound, listing=False)}, got {value!r}")
+    return tuple(map(kind, value)) if each else kind(value)
 
 
 def check_fields(obj) -> None:
-    """``check`` every field of the dataclass instance ``obj`` that carries a bound."""
+    """``check`` every field of the dataclass instance ``obj`` that carries a
+    bound, and store its value as the bound's type."""
     for f in fields(obj):
         if f.metadata:
-            check(f.name, f.metadata, getattr(obj, f.name))
+            object.__setattr__(obj, f.name, check(f.name, f.metadata, getattr(obj, f.name)))

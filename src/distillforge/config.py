@@ -5,10 +5,11 @@ line; blank lines and lines starting with ``#`` are skipped. Precedence:
 built-in defaults, then the file, then ``--set key=value`` overrides.
 
 A key's default, type and bound are those of the plan field it sets
-(``_schema``), so the config accepts what the library accepts. ``out``,
-``experiment.*_divisors`` (which become ``TaskPlan``s, with the bound of
-``TaskPlan.divisors``) and ``experiment.verification_modes`` set no single
-field and keep their defaults here.
+(``_schema``), so the config accepts what the library accepts.
+``experiment.*_divisors`` and ``experiment.verification_modes`` become
+``TaskPlan``s: the divisors have the bound of ``TaskPlan.divisors``, and
+all three read their defaults from the default plan's tasks. ``out`` sets
+no plan field and keeps its default here.
 
 The single ``seed`` key drives everything downstream: the dataset draw
 and every training stage's named substream.
@@ -42,7 +43,8 @@ def _plan(path: str):
 
 
 _DIVISORS = next(f.metadata for f in fields(TaskPlan) if f.name == "divisors")
-_MODES = ("single", "joint")
+_MODES = ("single", "joint")  # the verification_modes values, indexed by include_softmax
+_TABLES = {t.label: t for t in ExperimentPlan().tasks}  # the default plan's result tables
 
 # key -> (the dotted ExperimentPlan path it sets, or None; a field with its default and bound)
 DEFAULTS: dict[str, tuple] = {
@@ -78,9 +80,12 @@ DEFAULTS: dict[str, tuple] = {
     "verification.triplets_per_epoch": _plan("verification_stage.triplets_per_epoch"),
     "optimizer.momentum": _plan("cls_stage.momentum"),
     "experiment.divisors": _plan("cls_divisors"),
-    "experiment.alignment_divisors": (None, field(default=(8,), metadata=_DIVISORS)),
-    "experiment.verification_divisors": (None, field(default=(2,), metadata=_DIVISORS)),
-    "experiment.verification_modes": (None, setting(str, _MODES, each=True, among=_MODES)),
+    "experiment.alignment_divisors": (None, field(default=_TABLES[ALIGNMENT].divisors, metadata=_DIVISORS)),
+    "experiment.verification_divisors": (None, field(default=_TABLES[VERIFICATION].divisors,
+                                                      metadata=_DIVISORS)),
+    "experiment.verification_modes": (None, setting(
+        str, tuple(_MODES[t.include_softmax] for t in _TABLES.values() if t.task == VERIFICATION),
+        each=True, among=_MODES)),
     "experiment.eval_pairs": _plan("eval_pairs"),
 }
 
@@ -112,10 +117,9 @@ def apply_set(cfg: dict, assignment: str, where: str = "--set") -> None:
     except ValueError as exc:
         raise ConfigError(f"{where}: bad value for {key!r}: {raw!r} ({exc})") from exc
     try:
-        check(key, bound, value)
+        cfg[key] = check(key, bound, value)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    cfg[key] = value
 
 
 def load_config(path=None, sets=()) -> dict:

@@ -77,11 +77,13 @@ def soft_predictions(logits, tau: float) -> Tensor:
 
 
 def cross_entropy(pred, target) -> Tensor:
-    """Mean over the batch of -sum_k target_k * ln(max(pred_k, 1e-12))."""
-    target = tc.as_tensor(target)
+    """Mean over the batch of -sum_k target_k * ln(max(pred_k, 1e-12)); no gradient where clamped."""
+    pred, target = tc.as_tensor(pred), tc.as_tensor(target)
+    if pred.shape != target.shape or pred.data.ndim != 2:
+        raise ValueError(f"cross_entropy: need matching 2-D shapes, got {pred.shape} and {target.shape}")
     if np.any(target.data < 0):
         raise ValueError("cross_entropy: target rows must be nonnegative")
-    return tc.clamped_cross_entropy(pred, target, LOG_EPS)
+    return tc.mul(tc.tsum(tc.mul(target, tc.log(tc.clamp_min(pred, LOG_EPS)))), -1.0 / pred.shape[0])
 
 
 def one_hot(labels, num_classes: int) -> np.ndarray:

@@ -50,7 +50,6 @@ class NetworkSpec:
 
     def __post_init__(self):
         check_fields(self)
-        object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
 
     def divided_widths(self) -> tuple[int, ...]:
         """Hidden widths after ceil division by width_divisor; each is >= 1."""
@@ -58,7 +57,7 @@ class NetworkSpec:
 
     def student(self, divisor: int) -> "NetworkSpec":
         """The same architecture with hidden widths divided by ``divisor``."""
-        return replace(self, width_divisor=int(divisor))
+        return replace(self, width_divisor=divisor)
 
     def layer_dims(self) -> tuple[int, ...]:
         return (self.input_dim, *self.divided_widths(), self.embedding_dim)

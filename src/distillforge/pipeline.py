@@ -128,9 +128,9 @@ class StageConfig:
         if not self.lr_schedule:
             raise ValueError("lr_schedule must be non-empty")
         rates, counts = zip(*self.lr_schedule)
-        check("learning rates", {"type": float, "each": True, "gt": 0}, rates)
-        check("lr_schedule epoch counts", {"type": int, "each": True, "ge": 0}, counts)
-        object.__setattr__(self, "lr_schedule", tuple(zip(map(float, rates), map(int, counts))))
+        object.__setattr__(self, "lr_schedule", tuple(zip(
+            check("learning rates", {"type": float, "each": True, "gt": 0}, rates),
+            check("lr_schedule epoch counts", {"type": int, "each": True, "ge": 0}, counts))))
 
     @property
     def epochs(self) -> int:
@@ -387,7 +387,7 @@ class TaskPlan:
     inits: tuple[str, ...] = setting(str, ("pretrain", "distill"), each=True,
                                      among=("scratch", "pretrain", "distill"))
     grid: tuple[tuple[float, float], ...] = ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0))
-    include_softmax: bool = False
+    include_softmax: bool = setting(bool, False)
 
     def __post_init__(self):
         check_fields(self)

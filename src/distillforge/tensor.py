@@ -44,7 +44,6 @@ __all__ = [
     "sum_rows",
     "mean",
     "take_rows",
-    "clamped_cross_entropy",
     "softmax_cross_entropy",
     "squared_error_mean",
     "triplet_hinge",
@@ -445,37 +444,6 @@ def take_rows(a, indices) -> Tensor:
     return _maybe_record(out, (a,), backward_fn)
 
 
-# Losses -------------------------------------------------------------------------
-
-def clamped_cross_entropy(pred, target, floor: float) -> Tensor:
-    """Batch mean of -sum_k target_k * ln(max(pred_k, floor)), as one tape entry.
-
-    Values and gradients are bitwise those of the unfused chain
-    mul(tsum(mul(target, log(clamp_min(pred, floor)))), -1 / batch); the
-    gradient through the clamp is 0 wherever the floor is active.
-    """
-    pred, target = as_tensor(pred), as_tensor(target)
-    pd, td = pred.data, target.data
-    if pd.shape != td.shape or pd.ndim != 2:
-        raise ValueError(f"clamped_cross_entropy: need matching 2-D shapes, got {pd.shape} and {td.shape}")
-    floor = float(floor)
-    if not floor > 0.0:
-        raise ValueError(f"clamped_cross_entropy: floor must be positive, got {floor}")
-    scale = -1.0 / pd.shape[0]
-    clamped = np.maximum(pd, floor)
-    logp = np.log(clamped)
-    out = Tensor((td * logp).sum() * scale)
-
-    def backward_fn(g: np.ndarray) -> None:
-        g = g * scale
-        if target.requires_grad:
-            _accumulate(target, g * logp)
-        if pred.requires_grad:
-            _accumulate(pred, g * td / clamped * (pd > floor))
-
-    return _maybe_record(out, (pred, target), backward_fn)
-
-
 # Fused objective terms ----------------------------------------------------------
 # Each is one tape entry that runs its unfused chain's float operations in the
 # chain's order. The chain also adds 0.0 to every gradient it first stores in
@@ -488,10 +456,10 @@ def softmax_cross_entropy(logits, target, tau: float, floor: float) -> Tensor:
     """Batch mean of -sum_k target_k * ln(max(p_k, floor)) with p = softmax(logits / tau),
     as one tape entry.
 
-    The target is a constant: no gradient reaches it. Values and gradients
-    are bitwise those of the unfused chain
-    clamped_cross_entropy(softmax_rows(div_scalar(logits, tau)), detach(target), floor),
-    and at tau = 1 (x / 1 is x) those of clamped_cross_entropy(softmax_rows(logits), ...).
+    The target is a constant: no gradient reaches it. Values and gradients are
+    bitwise those of the unfused chain mul(tsum(mul(detach(target), log(clamp_min(p,
+    floor)))), -1 / batch) with p = softmax_rows(div_scalar(logits, tau)), or with
+    p = softmax_rows(logits) at tau = 1 (x / 1 is x).
     """
     logits = as_tensor(logits)
     ld, q = logits.data, as_tensor(target).data

@@ -153,12 +153,13 @@ def test_config_listing_matches_the_recorded_listing():
 def _out_of_bound(bound) -> list:
     """Values a field with ``bound`` rejects: one step past each limit, an
     unlisted choice, an empty value where one is needed, and values of the
-    wrong type (2.5 and True for an int, nan, inf and True for a float)."""
+    wrong type (2.5 and True for an int, nan, inf and True for a float, "no",
+    1 and None for a bool)."""
     kind = bound["type"]
     bad = [bound["ge"] - (1 if kind is int else 0.5)] if "ge" in bound else []
     bad += [bound[limit] for limit in ("gt", "lt") if limit in bound]
     bad += ["bogus"] if "among" in bound else []
-    bad += {int: [2.5, True], float: [math.nan, math.inf, True], str: []}[kind]
+    bad += {int: [2.5, True], float: [math.nan, math.inf, True], str: [], bool: ["no", 1, None]}[kind]
     if bound.get("each"):
         bad = [(value,) for value in bad]
     if bound.get("nonempty"):

@@ -1,13 +1,19 @@
 """Every name the package and its public modules export in ``__all__`` resolves,
 the package re-exports only names its submodules export, no source file
-imports a name it never reads, and every private top-level function or class
-of the package is referenced outside its own definition."""
+imports a name it never reads, every private top-level function or class
+of the package is referenced outside its own definition, and every plan
+field carries a schema bound unless it is a listed structured field."""
 import ast
+import dataclasses
 import importlib
 import pkgutil
 from pathlib import Path
 
 import distillforge
+from distillforge.data import GeneratorParams
+from distillforge.losses import DistillConfig
+from distillforge.nets import NetworkSpec
+from distillforge.pipeline import ExperimentPlan, StageConfig, StagePlan, TaskPlan
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -109,3 +115,21 @@ def test_unreferenced_private_check_sees_dead_definitions():
                "tests/t.py": "from m import _imported\nsetattr(m, '_Patched', None)\n_imported()\n",
                "tests/u.py": "def _test_helper():\n    pass\n"}
     assert _unreferenced_private_defs(sources) == ["src/m.py: _dead"]
+
+
+# plan fields whose values are nested plans, tables or schedules, checked by
+# their own dataclass or __post_init__ rather than by one schema bound
+_STRUCTURED_FIELDS = {
+    "ExperimentPlan.generator", "ExperimentPlan.teacher", "ExperimentPlan.distill",
+    "ExperimentPlan.tasks", "ExperimentPlan.cls_stage", "ExperimentPlan.alignment_stage",
+    "ExperimentPlan.verification_stage", "TaskPlan.grid", "StageConfig.lr_schedule",
+}
+
+
+def test_every_plan_field_is_bounded_or_structured():
+    # a scalar setting without a bound goes unchecked, as TaskPlan.include_softmax once did
+    plans = (GeneratorParams, NetworkSpec, DistillConfig, StageConfig, StagePlan, TaskPlan,
+             ExperimentPlan)
+    unbounded = {f"{plan.__name__}.{f.name}" for plan in plans for f in dataclasses.fields(plan)
+                 if "type" not in f.metadata}
+    assert unbounded == _STRUCTURED_FIELDS

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import distillforge.tensor as tc
+from distillforge import losses
 from distillforge.losses import (
     DistillConfig,
     alignment_distill_loss,
@@ -91,6 +92,24 @@ def test_cross_entropy_finite_on_degenerate_prediction():
     v = cross_entropy(p, t).data
     assert np.isfinite(v)
     assert v == pytest.approx(-math.log(1e-12), rel=1e-9)
+
+
+def test_cross_entropy_rejects_bad_input():
+    # (2, 3) against (3,) would broadcast per row in the chain; the loss refuses it
+    for pred, target in (((2, 3), (3, 2)), ((3,), (3,)), ((2, 3), (3,))):
+        with pytest.raises(ValueError, match="^cross_entropy: need matching 2-D shapes"):
+            cross_entropy(np.ones(pred), np.ones(target))
+    with pytest.raises(ValueError, match="^cross_entropy: target rows must be nonnegative"):
+        cross_entropy(np.ones((2, 3)), -np.ones((2, 3)))
+
+
+def test_grad_check_cross_entropy(rng, monkeypatch):
+    monkeypatch.setattr(losses, "LOG_EPS", 0.05)  # a floor the finite differences can see
+    target = rng.uniform(0.0, 1.0, (3, 4))
+    pred = rng.uniform(0.1, 1.0, (3, 4))
+    pred[0, 1] = pred[2, 3] = 0.01  # well below the floor: zero gradient there
+    assert tc.grad_check(lambda t: cross_entropy(t, target), pred).passed
+    assert tc.grad_check(lambda t: cross_entropy(pred, t), target).passed
 
 
 # --------------------------------------------------------------- softmax_loss

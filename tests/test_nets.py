@@ -203,3 +203,15 @@ def test_invalid_specs_rejected():
         NetworkSpec(4, (), 2, 2)
     with pytest.raises(ValueError):
         NetworkSpec(4, (4,), 2, 2).student(0)
+    # int(divisor) once truncated 2.5 to 2 and trained the /2 student
+    with pytest.raises(ValueError, match="^width_divisor must be >= 1 and integral, got 2.5$"):
+        NetworkSpec(4, (4,), 2, 2).student(2.5)
+
+
+def test_numpy_integer_spec_round_trips_a_checkpoint(tmp_path):
+    # the spec stores plain ints, so its checkpoint header is JSON
+    i = np.int64
+    spec = NetworkSpec(i(4), [i(6), i(5)], i(3), i(2), i(2), i(2))
+    assert spec == NetworkSpec(4, (6, 5), 3, 2, 2, 2) and type(spec.hidden_widths[0]) is int
+    save_network(build(spec, seed=0), tmp_path / "net.ckpt")
+    assert load_network(tmp_path / "net.ckpt").spec == spec

@@ -689,6 +689,12 @@ def test_plans_accept_numpy_integer_sizes():
     assert "student2_cls_full_init" in [node.key for node in stages(plan)]
 
 
+def test_plans_store_values_as_their_declared_types():
+    # a list of divisors once made an unequal, unhashable plan
+    plan = ExperimentPlan(cls_divisors=[2, 4, 8])
+    assert plan == ExperimentPlan() and hash(plan) == hash(ExperimentPlan())
+
+
 @pytest.mark.parametrize("divisors", [(0,), (2, -2)], ids=["zero", "negative"])
 def test_task_plan_rejects_nonpositive_divisors(divisors):
     with pytest.raises(ValueError, match="^divisors must be >= 1"):

@@ -320,55 +320,6 @@ def _unfused_ce(pred, target, floor):
     return tc.mul(tc.tsum(tc.mul(target, logp)), -1.0 / pred.shape[0])
 
 
-def test_clamped_cross_entropy_matches_unfused_bitwise(rng):
-    floor = 1e-12
-    for _ in range(60):
-        m, n = (int(v) for v in rng.integers(1, 8, size=2))
-        logits = rng.normal(size=(m, n)) * rng.choice([1.0, 40.0])  # large spread: clamp active
-        target = rng.uniform(0.0, 1.0, (m, n))
-        target[rng.random((m, n)) < 0.2] = 0.0
-        c = rng.normal(size=(m, n))
-
-        def via_softmax(ce):
-            # the prediction also feeds a second term, so its gradient accumulates twice
-            def build(x, t):
-                p = tc.softmax_rows(x)
-                return tc.add(ce(p, t, floor), tc.tsum(tc.mul(p, c)))
-            return build
-
-        def on_pred(ce):
-            return lambda p, t: ce(p, t, floor)
-
-        def self_target(ce):
-            return lambda p, _t: ce(p, p, floor)
-
-        pred = rng.uniform(0.0, 1.0, (m, n))
-        pred.flat[rng.integers(0, pred.size, 2)] = (0.0, floor)
-        pred[rng.random((m, n)) < 0.2] = 1e-14
-        for build, leaves in ((via_softmax, [logits, target]), (on_pred, [pred, target]),
-                              (self_target, [pred, target])):
-            for mask in ([True, False], [True, True]):
-                _assert_bitwise(build(tc.clamped_cross_entropy), build(_unfused_ce), leaves, mask)
-
-
-def test_clamped_cross_entropy_rejects_bad_input():
-    with pytest.raises(ValueError):
-        tc.clamped_cross_entropy(np.ones((2, 3)), np.ones((3, 2)), 1e-12)
-    with pytest.raises(ValueError):
-        tc.clamped_cross_entropy(np.ones(3), np.ones(3), 1e-12)
-    with pytest.raises(ValueError):
-        tc.clamped_cross_entropy(np.ones((2, 3)), np.ones((2, 3)), 0.0)
-
-
-def test_grad_check_clamped_cross_entropy(rng):
-    target = rng.uniform(0.0, 1.0, (3, 4))
-    pred = rng.uniform(0.1, 1.0, (3, 4))
-    pred[0, 1] = pred[2, 3] = 0.01  # well below the floor: zero gradient there
-    floor = 0.05
-    assert tc.grad_check(lambda t: tc.clamped_cross_entropy(t, target, floor), pred).passed
-    assert tc.grad_check(lambda t: tc.clamped_cross_entropy(pred, t, floor), target).passed
-
-
 def test_first_accumulation_is_positive_zero():
     x = tc.Tensor(np.array([1.0, -2.0]), requires_grad=True)
     with tc.Tape():
