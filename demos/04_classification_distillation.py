@@ -13,7 +13,7 @@ Small benchmark, so all four stages finish in a few seconds.
 """
 from distillforge.data import GeneratorParams, generate
 from distillforge.losses import DistillConfig
-from distillforge.nets import NetworkSpec, num_parameters
+from distillforge.nets import num_parameters
 from distillforge.pipeline import ExperimentPlan, Run, StagePlan, run_stage, stages
 
 LABELS = {"teacher_cls": "teacher",
@@ -27,8 +27,7 @@ def main():
         # noisy enough that the quarter-width student cannot match the teacher
         generator=GeneratorParams(num_identities=24, samples_per_identity=20, input_dim=32,
                                   noise_std=0.5, seed=7),
-        teacher=NetworkSpec(input_dim=32, hidden_widths=(96, 48), embedding_dim=12,
-                            num_classes=24, num_keypoint_coords=10),
+        hidden_widths=(96, 48), embedding_dim=12,
         distill=DistillConfig(alpha=1.0, tau=3.0),
         cls_divisors=(4,),
         tasks=(),

@@ -16,7 +16,6 @@ import tempfile
 
 from distillforge.data import GeneratorParams, generate
 from distillforge.losses import DistillConfig
-from distillforge.nets import NetworkSpec
 from distillforge.pipeline import (ALIGNMENT, ExperimentPlan, Run, StagePlan, TaskPlan,
                                    run_experiment, run_stage_from_checkpoints, select_targets,
                                    stage)
@@ -26,8 +25,7 @@ def main():
     plan = ExperimentPlan(
         generator=GeneratorParams(num_identities=12, samples_per_identity=30, input_dim=32,
                                   num_keypoints=5, seed=3),
-        teacher=NetworkSpec(input_dim=32, hidden_widths=(96, 48), embedding_dim=12,
-                            num_classes=12, num_keypoint_coords=10),
+        hidden_widths=(96, 48), embedding_dim=12,
         distill=DistillConfig(tau=3.0),
         cls_divisors=(4,),
         cls_inits=("full_init",),

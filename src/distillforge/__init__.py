@@ -26,8 +26,8 @@ from .metrics import (MetricsReport, nrmse, pair_verification_accuracy, referenc
                       top1_accuracy, verification_top1)
 from .nets import (Network, NetworkOutputs, NetworkSpec, build, clone, load_network,
                    num_parameters, save_network)
-from .pipeline import (ExperimentPlan, OptimizerState, StageConfig, StagePlan, TaskPlan,
-                       derive_seed, nag_step, run_experiment, select_targets)
+from .pipeline import (ExperimentPlan, OptimizerState, StagePlan, TaskPlan, derive_seed,
+                       nag_step, run_experiment, select_targets)
 from .tensor import Tape, Tensor, backward, grad_check
 
 __version__ = "0.1.0"
@@ -44,7 +44,7 @@ __all__ = [
     "make_triplets", "make_pairs", "save_dataset", "load_dataset",
     "top1_accuracy", "reference_distances", "nrmse", "verification_top1",
     "pair_verification_accuracy", "MetricsReport",
-    "derive_seed", "StageConfig", "OptimizerState", "nag_step",
+    "derive_seed", "OptimizerState", "nag_step",
     "select_targets", "StagePlan", "TaskPlan", "ExperimentPlan", "run_experiment",
     "__version__",
 ]

@@ -44,7 +44,7 @@ from .data import generate, load_dataset, save_dataset
 from .metrics import MetricsReport
 from .nets import load_network
 from .pipeline import (ALIGNMENT, VERIFICATION, Run, load_checkpoint, run_experiment,
-                       run_stage_from_checkpoints, stage)
+                       run_stage_from_checkpoints, stage, stages)
 
 __all__ = ["main"]
 
@@ -113,10 +113,12 @@ def _require_dataset(out_dir: str):
     return load_dataset(path)
 
 
-def _stage(plan, key: str):
+def _graph(make, *args):
+    """``make(*args)``, a stage or the stage list; a ValueError, from a key that
+    names no stage or a stage the plan cannot train, is a config error."""
     try:
-        return stage(plan, key)
-    except ValueError as exc:  # the key names no stage
+        return make(*args)
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -140,7 +142,7 @@ def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     out_dir = cfg["out"]
     plan = experiment_plan(cfg)
-    node = _stage(plan, args.stage)  # validate the key before touching files
+    node = _graph(stage, plan, args.stage)  # validate the key before touching files
     run, ckpt_dir = Run(plan, _require_dataset(out_dir)), _checkpoints(out_dir)
     os.makedirs(ckpt_dir, exist_ok=True)
     metrics = run_stage_from_checkpoints(node, run, ckpt_dir)
@@ -166,7 +168,7 @@ def cmd_evaluate(args) -> int:
         if net.spec.num_keypoint_coords:
             metrics.update(run.evaluate(ALIGNMENT, net))
     else:
-        label = _stage(plan, args.stage).label
+        label = _graph(stage, plan, args.stage).label
         metrics = run.evaluate(label, load_checkpoint(_checkpoints(out_dir), args.stage))
     _print_metrics(metrics)
     return 0
@@ -191,6 +193,7 @@ def cmd_reproduce(args) -> int:
     cfg = _load_cfg(args)
     out_dir = cfg["out"]
     plan = experiment_plan(cfg)
+    _graph(stages, plan)  # validate every stage before touching files
     os.makedirs(out_dir, exist_ok=True)
     data = generate(plan.generator)
     save_dataset(data, os.path.join(out_dir, "dataset.txt"))

@@ -21,7 +21,6 @@ from dataclasses import field, fields
 from ._schema import bound_text, check, setting
 from .data import GeneratorParams
 from .losses import DistillConfig
-from .nets import NetworkSpec
 from .pipeline import ALIGNMENT, VERIFICATION, ExperimentPlan, StagePlan, TaskPlan
 
 __all__ = ["ConfigError", "DEFAULTS", "load_config", "apply_set", "generator_params",
@@ -52,15 +51,15 @@ DEFAULTS: dict[str, tuple] = {
     "out": (None, setting(str, "runs", nonempty=True)),
     "data.num_identities": _plan("generator.num_identities"),
     "data.samples_per_identity": _plan("generator.samples_per_identity"),
-    "data.input_dim": _plan("teacher.input_dim"),
+    "data.input_dim": _plan("generator.input_dim"),
     "data.latent_dim": _plan("generator.latent_dim"),
     "data.pose_dim": _plan("generator.pose_dim"),
     "data.num_keypoints": _plan("generator.num_keypoints"),
     "data.identity_keypoint_scale": _plan("generator.identity_keypoint_scale"),
     "data.pose_keypoint_scale": _plan("generator.pose_keypoint_scale"),
     "data.noise_std": _plan("generator.noise_std"),
-    "net.hidden_widths": _plan("teacher.hidden_widths"),
-    "net.embedding_dim": _plan("teacher.embedding_dim"),
+    "net.hidden_widths": _plan("hidden_widths"),
+    "net.embedding_dim": _plan("embedding_dim"),
     "distill.alpha": _plan("distill.alpha"),
     "distill.beta": _plan("distill.beta"),
     "distill.tau": _plan("distill.tau"),
@@ -149,9 +148,8 @@ def _fields(cfg: dict, owner: str) -> dict:
 
 
 def generator_params(cfg: dict) -> GeneratorParams:
-    try:  # data.input_dim and seed set the teacher's and the plan's fields, and these too
-        return GeneratorParams(**_fields(cfg, "generator"), input_dim=cfg["data.input_dim"],
-                               seed=cfg["seed"])
+    try:  # seed sets the plan's seed, and the generator's too
+        return GeneratorParams(**_fields(cfg, "generator"), seed=cfg["seed"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -165,15 +163,12 @@ def experiment_plan(cfg: dict) -> ExperimentPlan:
             tasks.append(TaskPlan(VERIFICATION, cfg["experiment.verification_divisors"],
                                   include_softmax=(mode == "joint")))
     try:
-        teacher = NetworkSpec(**_fields(cfg, "teacher"), num_classes=cfg["data.num_identities"],
-                              num_keypoint_coords=2 * cfg["data.num_keypoints"])
         # optimizer.momentum sets the momentum of every stage plan
         stage_plans = {f"{section}_stage": StagePlan(**{"momentum": cfg["optimizer.momentum"],
                                                         **_fields(cfg, f"{section}_stage")})
                        for section in ("cls", "alignment", "verification")}
         return ExperimentPlan(**_fields(cfg, ""), **stage_plans, generator=generator_params(cfg),
-                              teacher=teacher, distill=DistillConfig(**_fields(cfg, "distill")),
-                              tasks=tuple(tasks))
+                              distill=DistillConfig(**_fields(cfg, "distill")), tasks=tuple(tasks))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -11,8 +11,13 @@ Stage layout mirrors the two-step transfer recipe:
    task-pretrained fresh build or the distilled classification student)
    and fine-tune with the combined objective.
 
-Scratch runs use the two-phase learning-rate schedule (scratch rate, then
-continuation rate); initialized runs use the continuation rate only.
+The teacher's architecture, ``ExperimentPlan.teacher``, is the dataset's
+input, identity and keypoint widths around the plan's hidden and embedding
+widths; students divide only the hidden widths. Each stage family's
+``StagePlan`` holds its batch size, momentum and rates, and
+``StagePlan.schedule`` gives a stage's (rate, epochs) phases: the scratch
+rate, then the continuation rate, for a fresh build; the continuation rate
+only for an initialized start.
 Every stage draws its randomness from a named substream of one top-level
 seed, so any run is reproducible in isolation. Trained networks carry
 their per-step loss history in ``net.training_log``.
@@ -74,7 +79,7 @@ import numpy as np
 
 from . import tensor as tc
 from ._atomic import remove_partial_writes
-from ._schema import check, check_fields, setting
+from ._schema import check_fields, setting
 from .data import GeneratorParams, Split, SplitDataset, generate, make_pairs, make_triplets
 from .losses import DistillConfig, euclidean_loss, hard_term, objective, one_hot, soft_targets
 from .metrics import (MetricsReport, nrmse, pair_verification_accuracy, reference_distances,
@@ -85,7 +90,6 @@ __all__ = [
     "ALIGNMENT",
     "VERIFICATION",
     "derive_seed",
-    "StageConfig",
     "OptimizerState",
     "nag_step",
     "TrainingLog",
@@ -112,29 +116,6 @@ def derive_seed(seed: int, name: str) -> int:
     """Named substream seed: top-level seed XOR a stable 64-bit hash of the name."""
     digest = hashlib.blake2b(name.encode(), digest_size=8).digest()
     return (int(seed) ^ int.from_bytes(digest, "big")) & 0x7FFF_FFFF_FFFF_FFFF
-
-
-@dataclass(frozen=True)
-class StageConfig:
-    """One training stage: minibatch size and an ordered (rate, epochs) schedule."""
-
-    batch_size: int = setting(int, ge=1)
-    lr_schedule: tuple[tuple[float, int], ...]
-    seed: int = setting(int, 0, ge=0)
-    momentum: float = setting(float, 0.9, ge=0, lt=1)
-
-    def __post_init__(self):
-        check_fields(self)
-        if not self.lr_schedule:
-            raise ValueError("lr_schedule must be non-empty")
-        rates, counts = zip(*self.lr_schedule)
-        object.__setattr__(self, "lr_schedule", tuple(zip(
-            check("learning rates", {"type": float, "each": True, "gt": 0}, rates),
-            check("lr_schedule epoch counts", {"type": int, "each": True, "ge": 0}, counts))))
-
-    @property
-    def epochs(self) -> int:
-        return sum(n for _, n in self.lr_schedule)
 
 
 class OptimizerState:
@@ -262,15 +243,17 @@ def _teacher_targets(teacher: Network, feats: np.ndarray) -> tuple[np.ndarray, n
     return logits, emb
 
 
-def _train(net, label, train: Split, cfg, stage, triplets_per_epoch, targets):
+def _train(net, label, train: Split, cfg, splan, schedule, seed, targets):
     """Train ``net`` in place by minibatch Nesterov steps on ``losses.objective``
     with the stage label's task term (softmax for ``cls``, keypoint regression
     for alignment, the triplet hinge, plus softmax for the joint table, for
     verification) and the teacher's (logits, embedding) ``targets``, (None,
     None) without one; the per-step log goes to ``net.training_log``.
 
-    The one loop runs phase, epoch, batch. Each epoch draws a permutation of
-    the training rows or, for verification, ``triplets_per_epoch`` fresh
+    The one loop runs the (rate, epochs) phases of ``schedule``, then epoch,
+    then batch, at the batch size and momentum of the ``StagePlan`` ``splan``
+    and from an RNG seeded by ``seed``. Each epoch draws a permutation of the
+    training rows or, for verification, ``splan.triplets_per_epoch`` fresh
     triplets (0: one per row), and each batch takes the next slice of them.
     A non-finite loss stops training before its backward pass."""
     t_logits, t_emb = targets
@@ -283,16 +266,16 @@ def _train(net, label, train: Split, cfg, stage, triplets_per_epoch, targets):
     onehot = one_hot(train.ids, net.spec.num_classes) if label == "cls" or joint else None
     heads = {"logits": cfg.alpha != 0 or onehot is not None, "regression": label == ALIGNMENT}
     dedup = None if label in ("cls", ALIGNMENT) else _dedup_lookup(len(train))
-    count = len(train) if dedup is None else triplets_per_epoch or len(train)
-    opt = OptimizerState.for_network(net, stage.lr_schedule[0][0], stage.momentum)
-    rng, log = np.random.default_rng(stage.seed), TrainingLog()
-    for phase, (lr, n_epochs) in enumerate(stage.lr_schedule, 1):
+    count = len(train) if dedup is None else splan.triplets_per_epoch or len(train)
+    opt = OptimizerState.for_network(net, schedule[0][0], splan.momentum)
+    rng, log = np.random.default_rng(seed), TrainingLog()
+    for phase, (lr, n_epochs) in enumerate(schedule, 1):
         opt.learning_rate = lr
         for epoch in range(1, n_epochs + 1):
             order = (rng.permutation(count) if dedup is None
                      else make_triplets(train, count, int(rng.integers(2 ** 62))))
-            for step, start in enumerate(range(0, count, stage.batch_size), 1):
-                sl = slice(start, start + stage.batch_size)
+            for step, start in enumerate(range(0, count, splan.batch_size), 1):
+                sl = slice(start, start + splan.batch_size)
                 rows, *triplets = (order[sl],) if dedup is None else dedup(*(t[sl] for t in order))
                 with tc.Tape():
                     out = net._forward(x[rows], **heads)
@@ -367,15 +350,11 @@ class StagePlan:
     def __post_init__(self):
         check_fields(self)
 
-    def stage(self, mode: str, seed: int) -> StageConfig:
-        if mode == "scratch":
-            schedule = ((self.scratch_lr, self.epochs_per_phase),
-                        (self.continue_lr, self.epochs_per_phase))
-        elif mode == "continue":
-            schedule = ((self.continue_lr, self.epochs_per_phase),)
-        else:
-            raise ValueError(f"unknown schedule mode {mode!r}")
-        return StageConfig(self.batch_size, schedule, seed, self.momentum)
+    def schedule(self, fresh: bool) -> tuple[tuple[float, int], ...]:
+        """The (rate, epochs) phases: the scratch rate, then the continuation
+        rate for a ``fresh`` build; the continuation rate only for a copied start."""
+        continued = ((self.continue_lr, self.epochs_per_phase),)
+        return ((self.scratch_lr, self.epochs_per_phase), *continued) if fresh else continued
 
 
 @dataclass(frozen=True)
@@ -393,6 +372,9 @@ class TaskPlan:
         check_fields(self)
         if self.include_softmax and self.task != VERIFICATION:
             raise ValueError("include_softmax applies to verification only")
+        if not isinstance(self.grid, tuple) or any(
+                not isinstance(point, tuple) or len(point) != 2 for point in self.grid):
+            raise ValueError(f"grid points must be (alpha, beta) pairs, got {self.grid!r}")
         if any(not 0 <= w < math.inf or float(f"{w:g}") != w for point in self.grid for w in point):
             raise ValueError("grid weights must be finite, nonnegative and exact in a run key's "
                              f"%g form, got {self.grid}")
@@ -405,10 +387,11 @@ class TaskPlan:
 @dataclass(frozen=True)
 class ExperimentPlan:
     generator: GeneratorParams = GeneratorParams()
+    hidden_widths: tuple[int, ...] = setting(int, (256, 256, 128), each=True, nonempty=True, ge=1)
     # embedding width <= narrowest student trunk layer (128/8 at divisor 8);
     # a student whose last trunk layer is narrower than the embedding cannot
     # span the teacher's embedding space and hidden matching hits a rank floor
-    teacher: NetworkSpec = NetworkSpec(64, (256, 256, 128), 16, 32, 10)
+    embedding_dim: int = setting(int, 16, ge=1)
     distill: DistillConfig = DistillConfig()
     cls_divisors: tuple[int, ...] = setting(int, (2, 4, 8), each=True, ge=1)
     cls_inits: tuple[str, ...] = setting(str, ("scratch", "full_init"), each=True,
@@ -426,22 +409,21 @@ class ExperimentPlan:
 
     def __post_init__(self):
         check_fields(self)
-        if self.teacher.width_divisor != 1:
-            raise ValueError("the teacher spec must use width_divisor=1")
-        gen, teacher = self.generator, self.teacher
-        if gen.input_dim != teacher.input_dim:
-            raise ValueError(f"generator input_dim {gen.input_dim} != teacher input_dim {teacher.input_dim}")
-        if gen.num_identities != teacher.num_classes:
-            raise ValueError(f"num_identities {gen.num_identities} != num_classes {teacher.num_classes}")
-        if gen.num_keypoint_coords != teacher.num_keypoint_coords:
-            raise ValueError("generator and teacher disagree on keypoint coordinate count")
-        n_test = gen.split_sizes[1]
+        n_test = self.generator.split_sizes[1]
         if n_test < 2:  # evaluation pairs need two test samples of one identity
-            raise ValueError(f"samples_per_identity {gen.samples_per_identity} leaves {n_test} test "
-                             "samples per identity; evaluation needs at least 2")
+            raise ValueError(f"samples_per_identity {self.generator.samples_per_identity} leaves "
+                             f"{n_test} test samples per identity; evaluation needs at least 2")
         labels = [tp.label for tp in self.tasks]
         if len(set(labels)) != len(labels):
             raise ValueError(f"each task table needs its own label, got {labels}")
+
+    @property
+    def teacher(self) -> NetworkSpec:
+        """The teacher's architecture: the dataset's input, identity and
+        keypoint widths around the plan's hidden and embedding widths."""
+        gen = self.generator
+        return NetworkSpec(gen.input_dim, self.hidden_widths, self.embedding_dim, gen.num_identities,
+                           gen.num_keypoint_coords)
 
     def stage_plan(self, label: str) -> StagePlan:
         return self.alignment_stage if label == ALIGNMENT else self.verification_stage
@@ -512,12 +494,16 @@ def stage(plan: ExperimentPlan, key: str) -> Stage:
 
     Keys outside the plan's report (``_report_keys``), such as another
     divisor or grid point, are stages too, with no report row. A key that
-    names no stage, or weights ``DistillConfig`` rejects, raises ValueError.
+    names no stage, or weights ``DistillConfig`` rejects, or an alignment key
+    on fewer than two keypoints raises ValueError.
     """
     m = _STAGE_KEY.fullmatch(key)
     if m is None or (m[1] is None) != (m[3] is None):  # only student keys carry a suffix
         raise ValueError(f"unknown stage key {key!r}")
     divisor, label, kind = m.groups()
+    if label == ALIGNMENT and plan.generator.num_keypoints < 2:
+        raise ValueError(f"stage {key} needs num_keypoints >= 2, got {plan.generator.num_keypoints}: "
+                         "NRMSE normalizes by the distance between the first two keypoints")
     splan = plan.cls_stage if label == "cls" else plan.stage_plan(label)
     d = int(divisor) if divisor else 1
     spec, grid = plan.teacher.student(d), _GRID_RUN.fullmatch(kind or "")
@@ -546,15 +532,14 @@ def stage(plan: ExperimentPlan, key: str) -> Stage:
         teacher = None
     if teacher is None:
         distill = replace(distill, alpha=0.0, beta=0.0)
-    # a fresh build runs the scratch schedule, a copied start the continuation rate only
-    cfg = splan.stage("continue" if start else "scratch", derive_seed(plan.seed, key))
+    schedule, seed = splan.schedule(fresh=start is None), derive_seed(plan.seed, key)
 
     def train(run: Run, nets: Mapping[str, Network]) -> Network:
         # the targets first: built after the start network, they raised the peak
         # RSS of a `train student2_cls_scratch` process from 46.5 to 48.5 MB
         targets = run.targets(teacher, nets) if teacher else (None, None)
-        net = clone(nets[start]) if start else _fresh(spec, cfg.seed, run.data.train.features)
-        return _train(net, label, run.data.train, distill, cfg, splan.triplets_per_epoch, targets)
+        net = clone(nets[start]) if start else _fresh(spec, seed, run.data.train.features)
+        return _train(net, label, run.data.train, distill, splan, schedule, seed, targets)
 
     row = ("classification" if label == "cls" else label, f"student/{d}" if divisor else "teacher",
            init, *weights)

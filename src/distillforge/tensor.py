@@ -10,14 +10,9 @@ every forward pass; a tape can be consumed by backward exactly once.
 Broadcasting is deliberately narrow: two operands must have equal shapes,
 or one of them is a scalar, or one is a length-n vector combined with an
 (m, n) matrix (per-row broadcast). Anything else is a shape error.
-
-A tape and the tensors recorded on it belong to one thread; independent
-tapes may run concurrently on different threads (the active-tape stack is
-thread-local and there is no shared mutable global state).
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -87,14 +82,7 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-_LOCAL = threading.local()
-
-
-def _stack() -> list["Tape"]:
-    stack = getattr(_LOCAL, "stack", None)
-    if stack is None:
-        stack = _LOCAL.stack = []
-    return stack
+_STACK: list["Tape"] = []  # the active tapes, innermost last
 
 
 class Tape:
@@ -105,11 +93,11 @@ class Tape:
         self._spent = False
 
     def __enter__(self) -> "Tape":
-        _stack().append(self)
+        _STACK.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        top = _stack().pop()
+        top = _STACK.pop()
         if top is not self:  # pragma: no cover - misuse guard
             raise RuntimeError("tape stack corrupted: exited a tape that is not innermost")
 
@@ -121,8 +109,7 @@ class Tape:
 
 
 def active_tape() -> Tape | None:
-    stack = _stack()
-    return stack[-1] if stack else None
+    return _STACK[-1] if _STACK else None
 
 
 def as_tensor(x) -> Tensor:

@@ -193,7 +193,7 @@ def test_every_key_rejects_out_of_bound_values(tmp_path, capsys, monkeypatch, ke
 
 @pytest.mark.parametrize("plan", [
     GeneratorParams(), pipeline.ExperimentPlan().teacher, DistillConfig(),
-    pipeline.StageConfig(16, ((0.1, 1),)), pipeline.StagePlan(16, 1),
+    pipeline.StagePlan(16, 1),
     pipeline.TaskPlan(pipeline.ALIGNMENT, (2,)), pipeline.ExperimentPlan(),
 ], ids=lambda plan: type(plan).__name__)
 def test_every_bounded_field_rejects_out_of_bound_values(plan):
@@ -403,6 +403,29 @@ def test_plan_needs_two_test_samples_per_identity(tmp_path, capsys):
     with pytest.raises(ConfigError, match="samples_per_identity 7 leaves 1 test samples"):
         experiment_plan(load_config(None, [*TINY, "data.samples_per_identity=7"]))
     assert experiment_plan(load_config(None, [*TINY, "data.samples_per_identity=8"])).generator.split_sizes == (6, 2)
+
+
+@pytest.mark.parametrize("command", [["reproduce"], ["train", "teacher_alignment"],
+                                     ["evaluate", "teacher_alignment"],
+                                     ["train", "student2_alignment_distill_a0_b1"]])
+def test_alignment_needs_two_keypoints(tmp_path, capsys, command):
+    # NRMSE normalizes by the distance between the first two keypoints; with
+    # one, reproduce once trained every classification stage first and then
+    # exited 2 in teacher_alignment
+    sets = _sets("data.num_keypoints=1")
+    out_dir = str(tmp_path)
+    assert _run(capsys, "generate", "--out", out_dir, *sets)[0] == 0
+    assert _run(capsys, "train", "teacher_cls", "--out", out_dir, *sets)[0] == 0
+    code, out, err = _run(capsys, *command, "--out", out_dir, *sets)
+    assert code == 1 and out == "", err
+    assert re.fullmatch(r"error: stage \w+ needs num_keypoints >= 2, got 1: .*\n", err), err
+    assert os.listdir(tmp_path / "checkpoints") == ["teacher_cls.ckpt"]
+
+
+def test_one_keypoint_runs_without_an_alignment_table(tmp_path, capsys):
+    sets = _sets("data.num_keypoints=1", "experiment.alignment_divisors=")
+    assert _run(capsys, "reproduce", "--out", str(tmp_path), *sets)[0] == 0
+    assert json.loads((tmp_path / "report.json").read_text())
 
 
 def _corrupt(text: str, kind: str, rng) -> str:

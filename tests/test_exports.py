@@ -13,7 +13,7 @@ import distillforge
 from distillforge.data import GeneratorParams
 from distillforge.losses import DistillConfig
 from distillforge.nets import NetworkSpec
-from distillforge.pipeline import ExperimentPlan, StageConfig, StagePlan, TaskPlan
+from distillforge.pipeline import ExperimentPlan, StagePlan, TaskPlan
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -117,19 +117,18 @@ def test_unreferenced_private_check_sees_dead_definitions():
     assert _unreferenced_private_defs(sources) == ["src/m.py: _dead"]
 
 
-# plan fields whose values are nested plans, tables or schedules, checked by
-# their own dataclass or __post_init__ rather than by one schema bound
+# plan fields whose values are nested plans or tables, checked by their own
+# dataclass or __post_init__ rather than by one schema bound
 _STRUCTURED_FIELDS = {
-    "ExperimentPlan.generator", "ExperimentPlan.teacher", "ExperimentPlan.distill",
-    "ExperimentPlan.tasks", "ExperimentPlan.cls_stage", "ExperimentPlan.alignment_stage",
-    "ExperimentPlan.verification_stage", "TaskPlan.grid", "StageConfig.lr_schedule",
+    "ExperimentPlan.generator", "ExperimentPlan.distill", "ExperimentPlan.tasks",
+    "ExperimentPlan.cls_stage", "ExperimentPlan.alignment_stage",
+    "ExperimentPlan.verification_stage", "TaskPlan.grid",
 }
 
 
 def test_every_plan_field_is_bounded_or_structured():
     # a scalar setting without a bound goes unchecked, as TaskPlan.include_softmax once did
-    plans = (GeneratorParams, NetworkSpec, DistillConfig, StageConfig, StagePlan, TaskPlan,
-             ExperimentPlan)
+    plans = (GeneratorParams, NetworkSpec, DistillConfig, StagePlan, TaskPlan, ExperimentPlan)
     unbounded = {f"{plan.__name__}.{f.name}" for plan in plans for f in dataclasses.fields(plan)
                  if "type" not in f.metadata}
     assert unbounded == _STRUCTURED_FIELDS

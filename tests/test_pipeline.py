@@ -32,7 +32,6 @@ from distillforge.pipeline import (
     ExperimentPlan,
     OptimizerState,
     Run,
-    StageConfig,
     StagePlan,
     TaskPlan,
     derive_seed,
@@ -232,22 +231,20 @@ def test_nag_over_flat_buffers_matches_per_parameter_update(rng):
 
 def test_stage_config_validation():
     with pytest.raises(ValueError):
-        StageConfig(batch_size=8, lr_schedule=())
+        StagePlan(batch_size=8, epochs_per_phase=3, scratch_lr=0.0)
     with pytest.raises(ValueError):
-        StageConfig(batch_size=8, lr_schedule=((0.0, 5),))
+        StagePlan(batch_size=8, epochs_per_phase=3, continue_lr=0.0)
     with pytest.raises(ValueError):
-        StageConfig(batch_size=0, lr_schedule=((0.1, 5),))
-    assert StageConfig(batch_size=8, lr_schedule=((0.1, 3), (0.01, 2))).epochs == 5
+        StagePlan(batch_size=0, epochs_per_phase=3)
+    assert StagePlan(8, 0).schedule(fresh=True) == ((0.02, 0), (0.002, 0))
 
 
 def test_stage_plan_modes():
+    # a fresh build runs the scratch rate, then the continuation rate; a copied
+    # start the continuation rate only
     plan = StagePlan(batch_size=8, epochs_per_phase=3, scratch_lr=0.1, continue_lr=0.01)
-    scratch = plan.stage("scratch", seed=1)
-    assert scratch.lr_schedule == ((0.1, 3), (0.01, 3))
-    cont = plan.stage("continue", seed=1)
-    assert cont.lr_schedule == ((0.01, 3),)
-    with pytest.raises(ValueError):
-        plan.stage("warm", seed=1)
+    assert plan.schedule(fresh=True) == ((0.1, 3), (0.01, 3))
+    assert plan.schedule(fresh=False) == ((0.01, 3),)
 
 
 def _train(plan, key, data, nets=None):
@@ -590,7 +587,7 @@ def test_step_and_triplet_counters_see_every_call(data, monkeypatch):
         plan = _tiny_plan(cls_stage=splan, verification_stage=splan)
         counts.update(nag_step=0, make_triplets=0)
         net = _train(plan, key, data)
-        epochs, batches = splan.stage("scratch", 0).epochs, -(-count // splan.batch_size)
+        epochs, batches = 2 * splan.epochs_per_phase, -(-count // splan.batch_size)
         assert counts["nag_step"] == len(net.training_log.step_losses) == epochs * batches, key
         assert counts["make_triplets"] == (0 if key == "teacher_cls" else epochs), key
 
@@ -630,7 +627,8 @@ def test_select_targets_requires_all_probes():
 def _tiny_plan(**overrides):
     kwargs = dict(
         generator=GEN,
-        teacher=SPEC,
+        hidden_widths=SPEC.hidden_widths,
+        embedding_dim=SPEC.embedding_dim,
         distill=DCFG,
         cls_divisors=(2,),
         cls_inits=("full_init",),
@@ -645,11 +643,10 @@ def _tiny_plan(**overrides):
     return ExperimentPlan(**kwargs)
 
 
-def test_plan_validates_generator_against_teacher():
-    with pytest.raises(ValueError):
-        _tiny_plan(teacher=NetworkSpec(32, (32, 16), 8, 6, 6))
-    with pytest.raises(ValueError):
-        _tiny_plan(teacher=SPEC.student(2))
+def test_plan_derives_the_teacher_from_the_dataset():
+    # the dataset gives the input, class and keypoint widths; the plan the rest
+    assert ExperimentPlan().teacher == NetworkSpec(64, (256, 256, 128), 16, 32, 10)
+    assert _tiny_plan().teacher == SPEC
 
 
 @pytest.mark.parametrize("field, value", [("eval_pairs", 0), ("cls_divisors", (0,)),
@@ -666,15 +663,12 @@ def test_plan_rejects_nonpositive_counts_naming_the_field(field, value):
     (lambda: _tiny_plan(cls_divisors=(True,)), "cls_divisors"),
     (lambda: _tiny_plan(eval_pairs=2.5), "eval_pairs"),
     (lambda: TaskPlan(ALIGNMENT, (8.0,)), "divisors"),
-    (lambda: StageConfig(16, ((0.02, 1.5),)), "lr_schedule epoch counts"),
-    (lambda: StageConfig(16.5, ((0.02, 1),)), "batch_size"),
     (lambda: StagePlan(16.5, 1), "batch_size"),
     (lambda: StagePlan(16, 1.5), "epochs_per_phase"),
     (lambda: StagePlan(16, -1), "epochs_per_phase"),
     (lambda: StagePlan(16, 1, triplets_per_epoch=-3), "triplets_per_epoch"),
-], ids=["float-divisor", "bool-divisor", "float-pairs", "float-task-divisor", "float-epochs",
-        "float-batch", "float-plan-batch", "float-plan-epochs", "negative-plan-epochs",
-        "negative-triplets"])
+], ids=["float-divisor", "bool-divisor", "float-pairs", "float-task-divisor", "float-plan-batch",
+        "float-plan-epochs", "negative-plan-epochs", "negative-triplets"])
 def test_plan_sizes_must_be_integers_in_range(make, field):
     # before the check these failed late as an unknown run key or a bare
     # TypeError, or were silently truncated (1.5 epochs trained 1) or read as 0
@@ -683,8 +677,8 @@ def test_plan_sizes_must_be_integers_in_range(make, field):
 
 
 def test_plans_accept_numpy_integer_sizes():
-    cfg = StageConfig(np.int64(16), ((0.02, np.int64(2)),))
-    assert cfg.epochs == 2 and type(cfg.lr_schedule[0][1]) is int
+    (rate, epochs), = StagePlan(np.int64(16), np.int64(2)).schedule(fresh=False)
+    assert (rate, epochs) == (0.002, 2) and type(epochs) is int
     plan = _tiny_plan(cls_divisors=(np.int64(2),), cls_stage=StagePlan(np.int64(16), np.int64(1)))
     assert "student2_cls_full_init" in [node.key for node in stages(plan)]
 
@@ -1060,6 +1054,10 @@ def test_plan_rejects_ambiguous_run_keys():
         _tiny_plan(tasks=(TaskPlan(ALIGNMENT, (2,)), TaskPlan(ALIGNMENT, (4,))))
     with pytest.raises(ValueError, match="grid weights"):
         TaskPlan(ALIGNMENT, (2,), grid=((0.1234567, 0.0),))
+    # once these built, or raised a bare TypeError, and failed in stages()
+    for grid in (((0.0,),), (0.5,), ((0.0, 1.0, 1.0),), 0.5):
+        with pytest.raises(ValueError, match=r"^grid points must be \(alpha, beta\) pairs"):
+            TaskPlan(ALIGNMENT, (2,), grid=grid)
 
 
 def test_experiment_runs_each_teacher_once_on_shared_read_only_targets(monkeypatch):
