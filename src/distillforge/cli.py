@@ -165,7 +165,7 @@ def cmd_evaluate(args) -> int:
             raise FileNotFoundError(f"checkpoint {args.stage} not found")
         net = load_network(args.stage)
         metrics = {**run.evaluate("cls", net), **run.evaluate(VERIFICATION, net)}
-        if net.spec.num_keypoint_coords:
+        if net.spec.num_keypoint_coords >= 4:  # NRMSE normalizes by the first two keypoints
             metrics.update(run.evaluate(ALIGNMENT, net))
     else:
         label = _graph(stage, plan, args.stage).label

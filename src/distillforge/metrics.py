@@ -36,18 +36,18 @@ def top1_accuracy(logits, labels) -> float:
     return float(np.mean(logits.argmax(axis=1) == labels))
 
 
-def reference_distances(true_keypoints, ref_a: int = 0, ref_b: int = 1,
-                        min_dist: float = 1e-6) -> np.ndarray:
-    """Per-sample normalization scale: distance between two reference
+_MIN_REFERENCE_DISTANCE = 1e-6  # a shorter reference distance is degenerate
+
+
+def reference_distances(true_keypoints) -> np.ndarray:
+    """Per-sample normalization scale: distance between the first two
     keypoints, with degenerate samples falling back to the dataset mean of
     the valid distances."""
     kp = _as_array(true_keypoints)
-    if kp.ndim != 2 or kp.shape[1] < 2 * (max(ref_a, ref_b) + 1):
+    if kp.ndim != 2 or kp.shape[1] < 4:
         raise ValueError(f"reference_distances: keypoint array {kp.shape} lacks reference points")
-    pa = kp[:, 2 * ref_a:2 * ref_a + 2]
-    pb = kp[:, 2 * ref_b:2 * ref_b + 2]
-    d = np.linalg.norm(pa - pb, axis=1)
-    valid = d >= min_dist
+    d = np.linalg.norm(kp[:, 0:2] - kp[:, 2:4], axis=1)
+    valid = d >= _MIN_REFERENCE_DISTANCE
     if not valid.any():
         raise ValueError("reference_distances: every sample is degenerate; no usable scale")
     if not valid.all():

@@ -425,9 +425,6 @@ class ExperimentPlan:
         return NetworkSpec(gen.input_dim, self.hidden_widths, self.embedding_dim, gen.num_identities,
                            gen.num_keypoint_coords)
 
-    def stage_plan(self, label: str) -> StagePlan:
-        return self.alignment_stage if label == ALIGNMENT else self.verification_stage
-
 
 # Stage graph -----------------------------------------------------------------------
 
@@ -504,10 +501,10 @@ def stage(plan: ExperimentPlan, key: str) -> Stage:
     if label == ALIGNMENT and plan.generator.num_keypoints < 2:
         raise ValueError(f"stage {key} needs num_keypoints >= 2, got {plan.generator.num_keypoints}: "
                          "NRMSE normalizes by the distance between the first two keypoints")
-    splan = plan.cls_stage if label == "cls" else plan.stage_plan(label)
+    splan = {"cls": plan.cls_stage, ALIGNMENT: plan.alignment_stage}.get(label, plan.verification_stage)
     d = int(divisor) if divisor else 1
     spec, grid = plan.teacher.student(d), _GRID_RUN.fullmatch(kind or "")
-    distill, teacher, start, init, weights = plan.distill, None, None, kind, (0.0, 0.0)
+    teacher, start, init, alpha, beta = None, None, kind, 0.0, 0.0
     if key == "teacher_cls":
         init = "scratch"
     elif divisor is None:  # a task teacher: a value copy of the classification teacher, fine-tuned
@@ -516,22 +513,19 @@ def stage(plan: ExperimentPlan, key: str) -> Stage:
         # init is softmax only; full_init continues from a value copy of init
         teacher = None if kind == "init" else "teacher_cls"
         start = f"student{d}_cls_init" if kind == "full_init" else None
-        distill, weights = replace(plan.distill, beta=0.0), (plan.distill.alpha, 0.0)  # no hidden term
+        alpha = plan.distill.alpha  # no hidden term
     elif grid is not None and label != "cls":
-        init = grid[1]
-        try:
-            distill = replace(plan.distill, alpha=float(grid[2]), beta=float(grid[3]))
-        except ValueError as exc:
-            raise ValueError(f"bad stage key {key!r}: {exc}") from exc
-        teacher, weights = f"teacher_{label}", (distill.alpha, distill.beta)
+        init, teacher, alpha, beta = grid[1], f"teacher_{label}", grid[2], grid[3]
         start = {"pretrain": f"student{d}_{label}_pretrain_base",
                  "distill": f"student{d}_cls_full_init"}.get(init)
     elif label == "cls" or kind != "pretrain_base":  # the pretrain base trains a fresh student
         raise ValueError(f"unknown stage key {key!r}")
-    if not any(weights):  # no term reads a target, so the stage needs no teacher
-        teacher = None
-    if teacher is None:
-        distill = replace(distill, alpha=0.0, beta=0.0)
+    try:
+        distill = replace(plan.distill, alpha=float(alpha), beta=float(beta))
+    except ValueError as exc:
+        raise ValueError(f"bad stage key {key!r}: {exc}") from exc
+    if teacher is None or not (distill.alpha or distill.beta):  # no term reads a target: no teacher
+        teacher, distill = None, replace(distill, alpha=0.0, beta=0.0)
     schedule, seed = splan.schedule(fresh=start is None), derive_seed(plan.seed, key)
 
     def train(run: Run, nets: Mapping[str, Network]) -> Network:
@@ -542,7 +536,7 @@ def stage(plan: ExperimentPlan, key: str) -> Stage:
         return _train(net, label, run.data.train, distill, splan, schedule, seed, targets)
 
     row = ("classification" if label == "cls" else label, f"student/{d}" if divisor else "teacher",
-           init, *weights)
+           init, distill.alpha, distill.beta)
     return Stage(key, tuple(dep for dep in (teacher, start) if dep), label,
                  row if key in _report_keys(plan) else None, train)
 

@@ -1,11 +1,13 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-Every array is a row-major numpy float64 buffer. Operations run eagerly;
-when a Tape is active (``with Tape(): ...``) and an input requires a
-gradient, the operation appends a backward rule to the tape. Calling
-``backward`` on a scalar loss replays the tape in reverse and accumulates
-gradients into every tensor that requires them. The tape is rebuilt on
-every forward pass; a tape can be consumed by backward exactly once.
+Every array is a row-major numpy float64 buffer. Operations run eagerly.
+Each op states its value and one gradient rule per input, and records them
+by one rule (``_record``): when a Tape is active (``with Tape(): ...``) and
+some input requires a gradient, the op appends one entry to the tape. Calling
+``backward`` on a scalar loss replays the tape in reverse; each entry adds
+``rule(g)`` to the gradient of every input that requires one, in the order
+the op lists them. The tape is rebuilt on every forward pass; a tape can be
+consumed by backward exactly once.
 
 Broadcasting is deliberately narrow: two operands must have equal shapes,
 or one of them is a scalar, or one is a length-n vector combined with an
@@ -74,9 +76,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         """A no-gradient view of the same values."""
         return Tensor(self.data)
-
-    def backward(self) -> None:
-        backward(self)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -164,6 +163,17 @@ def _maybe_record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tenso
     return out
 
 
+def _record(value: np.ndarray, *rules: tuple[Tensor, Callable[[np.ndarray], np.ndarray]]) -> Tensor:
+    """``value`` as a tensor whose backward adds ``rule(g)`` to the gradient
+    of each ``(input, rule)`` input that requires one, in the order given."""
+    def backward_fn(g: np.ndarray) -> None:
+        for t, rule in rules:
+            if t.requires_grad:
+                _accumulate(t, rule(g))
+
+    return _maybe_record(Tensor(value), tuple(t for t, _ in rules), backward_fn)
+
+
 # Elementwise arithmetic -----------------------------------------------------
 
 def _check_broadcast(a: np.ndarray, b: np.ndarray, op: str) -> None:
@@ -192,44 +202,23 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _check_broadcast(a.data, b.data, "add")
-    out = Tensor(a.data + b.data)
-
-    def backward_fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.data.shape))
-
-    return _maybe_record(out, (a, b), backward_fn)
+    return _record(a.data + b.data, (a, lambda g: _unbroadcast(g, a.data.shape)),
+                   (b, lambda g: _unbroadcast(g, b.data.shape)))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _check_broadcast(a.data, b.data, "sub")
-    out = Tensor(a.data - b.data)
-
-    def backward_fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, -_unbroadcast(g, b.data.shape))
-
-    return _maybe_record(out, (a, b), backward_fn)
+    return _record(a.data - b.data, (a, lambda g: _unbroadcast(g, a.data.shape)),
+                   (b, lambda g: -_unbroadcast(g, b.data.shape)))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _check_broadcast(a.data, b.data, "mul")
     ad, bd = a.data, b.data
-    out = Tensor(ad * bd)
-
-    def backward_fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * bd, ad.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * ad, bd.shape))
-
-    return _maybe_record(out, (a, b), backward_fn)
+    return _record(ad * bd, (a, lambda g: _unbroadcast(g * bd, ad.shape)),
+                   (b, lambda g: _unbroadcast(g * ad, bd.shape)))
 
 
 def div_scalar(a, s: float) -> Tensor:
@@ -238,13 +227,7 @@ def div_scalar(a, s: float) -> Tensor:
     s = float(s)
     if s == 0.0:
         raise ValueError("div_scalar: division by zero")
-    out = Tensor(a.data / s)
-
-    def backward_fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, g / s)
-
-    return _maybe_record(out, (a,), backward_fn)
+    return _record(a.data / s, (a, lambda g: g / s))
 
 
 # Linear algebra ---------------------------------------------------------------
@@ -254,15 +237,7 @@ def matmul(a, b) -> Tensor:
     ad, bd = a.data, b.data
     if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
         raise ValueError(f"matmul: shapes {ad.shape} and {bd.shape} do not align")
-    out = Tensor(ad @ bd)
-
-    def backward_fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, g @ bd.T)
-        if b.requires_grad:
-            _accumulate(b, ad.T @ g)
-
-    return _maybe_record(out, (a, b), backward_fn)
+    return _record(ad @ bd, (a, lambda g: g @ bd.T), (b, lambda g: ad.T @ g))
 
 
 def affine(h, w, b, rectify: bool) -> Tensor:
@@ -298,14 +273,7 @@ def affine(h, w, b, rectify: bool) -> Tensor:
 def relu(a) -> Tensor:
     a = as_tensor(a)
     ad = a.data
-    out = Tensor(np.maximum(ad, 0.0))
-
-    def backward_fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            # subgradient 0 at the kink
-            _accumulate(a, g * (ad > 0.0))
-
-    return _maybe_record(out, (a,), backward_fn)
+    return _record(np.maximum(ad, 0.0), (a, lambda g: g * (ad > 0.0)))  # subgradient 0 at the kink
 
 
 def log(a) -> Tensor:
@@ -313,13 +281,7 @@ def log(a) -> Tensor:
     ad = a.data
     if np.any(ad <= 0.0):
         raise ValueError("log: inputs must be strictly positive (clamp first)")
-    out = Tensor(np.log(ad))
-
-    def backward_fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, g / ad)
-
-    return _maybe_record(out, (a,), backward_fn)
+    return _record(np.log(ad), (a, lambda g: g / ad))
 
 
 def clamp_min(a, floor: float) -> Tensor:
@@ -327,13 +289,7 @@ def clamp_min(a, floor: float) -> Tensor:
     a = as_tensor(a)
     ad = a.data
     floor = float(floor)
-    out = Tensor(np.maximum(ad, floor))
-
-    def backward_fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, g * (ad > floor))
-
-    return _maybe_record(out, (a,), backward_fn)
+    return _record(np.maximum(ad, floor), (a, lambda g: g * (ad > floor)))
 
 
 def softmax_rows(a) -> Tensor:
@@ -343,13 +299,7 @@ def softmax_rows(a) -> Tensor:
     if ad.ndim != 2:
         raise ValueError(f"softmax_rows: expected a 2-D tensor, got shape {ad.shape}")
     y = _softmax(ad)
-    out = Tensor(y)
-
-    def backward_fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, _softmax_grad(y, g))
-
-    return _maybe_record(out, (a,), backward_fn)
+    return _record(y, (a, lambda g: _softmax_grad(y, g)))
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -367,13 +317,7 @@ def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
 def tsum(a) -> Tensor:
     """Sum of all elements, as a 0-d tensor."""
     a = as_tensor(a)
-    out = Tensor(a.data.sum())
-
-    def backward_fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
-
-    return _maybe_record(out, (a,), backward_fn)
+    return _record(a.data.sum(), (a, lambda g: np.broadcast_to(g, a.data.shape).copy()))
 
 
 def sum_rows(a) -> Tensor:
@@ -381,13 +325,7 @@ def sum_rows(a) -> Tensor:
     a = as_tensor(a)
     if a.data.ndim != 2:
         raise ValueError(f"sum_rows: expected a 2-D tensor, got shape {a.shape}")
-    out = Tensor(a.data.sum(axis=1))
-
-    def backward_fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, np.repeat(g[:, None], a.data.shape[1], axis=1))
-
-    return _maybe_record(out, (a,), backward_fn)
+    return _record(a.data.sum(axis=1), (a, lambda g: np.repeat(g[:, None], a.data.shape[1], axis=1)))
 
 
 def mean(a) -> Tensor:
@@ -396,13 +334,7 @@ def mean(a) -> Tensor:
     n = a.data.size
     if n == 0:
         raise ValueError("mean: empty tensor")
-    out = Tensor(a.data.mean())
-
-    def backward_fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, np.broadcast_to(g / n, a.data.shape).copy())
-
-    return _maybe_record(out, (a,), backward_fn)
+    return _record(a.data.mean(), (a, lambda g: np.broadcast_to(g / n, a.data.shape).copy()))
 
 
 def _row_indices(indices, n_rows: int, op: str) -> np.ndarray:
@@ -420,15 +352,13 @@ def take_rows(a, indices) -> Tensor:
     if a.data.ndim != 2:
         raise ValueError(f"take_rows: expected a 2-D tensor, got shape {a.shape}")
     idx = _row_indices(indices, a.data.shape[0], "take_rows")
-    out = Tensor(a.data[idx])
 
-    def backward_fn(g: np.ndarray) -> None:
-        if a.requires_grad:
-            acc = np.zeros_like(a.data)
-            np.add.at(acc, idx, g)
-            _accumulate(a, acc)
+    def rule(g: np.ndarray) -> np.ndarray:
+        acc = np.zeros_like(a.data)
+        np.add.at(acc, idx, g)
+        return acc
 
-    return _maybe_record(out, (a,), backward_fn)
+    return _record(a.data[idx], (a, rule))
 
 
 # Fused objective terms ----------------------------------------------------------
@@ -458,13 +388,8 @@ def softmax_cross_entropy(logits, target, tau: float, floor: float) -> Tensor:
     p = _softmax(ld / tau)
     scale = -1.0 / ld.shape[0]
     clamped = np.maximum(p, floor)
-    out = Tensor((q * np.log(clamped)).sum() * scale)
-
-    def backward_fn(g: np.ndarray) -> None:
-        g = g * scale * q / clamped * (p > floor)
-        _accumulate(logits, _softmax_grad(p, g) / tau)
-
-    return _maybe_record(out, (logits,), backward_fn)
+    return _record((q * np.log(clamped)).sum() * scale,
+                   (logits, lambda g: _softmax_grad(p, g * scale * q / clamped * (p > floor)) / tau))
 
 
 def squared_error_mean(pred, target) -> Tensor:
@@ -480,17 +405,12 @@ def squared_error_mean(pred, target) -> Tensor:
                          f"and {td.shape}")
     rows = float(pd.shape[0])
     d = pd - td
-    out = Tensor((d * d).sum() / rows)
 
-    def backward_fn(g: np.ndarray) -> None:
+    def rule(g: np.ndarray) -> np.ndarray:
         gd = g / rows * d
-        gd += gd  # mul(d, d): the same gradient reaches both operands
-        if pred.requires_grad:
-            _accumulate(pred, gd)
-        if target.requires_grad:
-            _accumulate(target, -gd)
+        return gd + gd  # mul(d, d): the same gradient reaches both operands
 
-    return _maybe_record(out, (pred, target), backward_fn)
+    return _record((d * d).sum() / rows, (pred, rule), (target, lambda g: -rule(g)))
 
 
 def triplet_hinge(emb, anchor, positive, negative, margin: float) -> Tensor:

@@ -428,6 +428,18 @@ def test_one_keypoint_runs_without_an_alignment_table(tmp_path, capsys):
     assert json.loads((tmp_path / "report.json").read_text())
 
 
+def test_evaluate_checkpoint_path_skips_nrmse_on_one_keypoint(tmp_path, capsys):
+    # the path form once scored NRMSE for any keypoint head and exited 2 in
+    # reference_distances, which needs two keypoints
+    sets, out_dir = _sets("data.num_keypoints=1"), str(tmp_path)
+    assert _run(capsys, "generate", "--out", out_dir, *sets)[0] == 0
+    assert _run(capsys, "train", "teacher_cls", "--out", out_dir, *sets)[0] == 0
+    ckpt = str(tmp_path / "checkpoints" / "teacher_cls.ckpt")
+    code, out, err = _run(capsys, "evaluate", ckpt, "--out", out_dir, *sets)
+    assert code == 0, err
+    assert re.findall(r"^(\w+) = ", out, re.M) == ["pair_acc", "top1", "verif_top1"]
+
+
 def _corrupt(text: str, kind: str, rng) -> str:
     """``text``, a saved dataset, with one corruption of ``kind`` at a place
     drawn from ``rng``."""

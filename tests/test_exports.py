@@ -1,8 +1,10 @@
 """Every name the package and its public modules export in ``__all__`` resolves,
 the package re-exports only names its submodules export, no source file
 imports a name it never reads, every private top-level function or class
-of the package is referenced outside its own definition, and every plan
-field carries a schema bound unless it is a listed structured field."""
+of the package is referenced outside its own definition, every plan
+field carries a schema bound unless it is a listed structured field, and
+only the ops that share one backward computation across their inputs record
+on the tape without ``tensor._record``."""
 import ast
 import dataclasses
 import importlib
@@ -115,6 +117,30 @@ def test_unreferenced_private_check_sees_dead_definitions():
                "tests/t.py": "from m import _imported\nsetattr(m, '_Patched', None)\n_imported()\n",
                "tests/u.py": "def _test_helper():\n    pass\n"}
     assert _unreferenced_private_defs(sources) == ["src/m.py: _dead"]
+
+
+def _tape_recorders(source: str) -> set[str]:
+    """Names of the top-level statements of ``source`` (a function's or class's
+    name, else ``line <n>``) that call ``_maybe_record``."""
+    return {getattr(stmt, "name", f"line {stmt.lineno}") for stmt in ast.parse(source).body
+            if any(isinstance(node, ast.Call) and _referenced_name(node.func) == "_maybe_record"
+                   for node in ast.walk(stmt))}
+
+
+def test_only_shared_backward_ops_record_without_the_helper():
+    # every other op states one gradient rule per input and records through _record;
+    # affine and triplet_hinge compute one backward for all of their inputs
+    source = (ROOT / "src/distillforge/tensor.py").read_text(encoding="utf-8")
+    assert _tape_recorders(source) == {"_record", "affine", "triplet_hinge"}
+
+
+def test_tape_recorder_scan_sees_every_call_site():
+    source = ("def op(a):\n    def backward_fn(g):\n        pass\n"
+              "    return _maybe_record(a, (a,), backward_fn)\n\n"
+              "class C:\n    def m(self):\n        tc._maybe_record(self, (), None)\n\n"
+              "f = lambda a: _maybe_record(a, (a,), None)\n\n"
+              "def _maybe_record(out, inputs, fn):\n    return out\n")
+    assert _tape_recorders(source) == {"op", "C", "line 10"}
 
 
 # plan fields whose values are nested plans or tables, checked by their own

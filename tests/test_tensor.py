@@ -1,5 +1,7 @@
 """Autodiff core: forward values, reverse-mode gradients, tape scoping,
-and the finite-difference checker itself (including a negative control)."""
+the finite-difference checker itself (including a negative control), and
+each op's values and gradients pinned bit for bit by digest."""
+import hashlib
 import math
 
 import numpy as np
@@ -158,6 +160,126 @@ def test_take_rows_routes_gradient():
         loss = tc.tsum(tc.take_rows(x, np.array([0, 0, 2])))
     tc.backward(loss)
     assert np.array_equal(x.grad, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
+
+
+# ------------------------------------------------------- recording, per op
+
+def _op_table():
+    """Every public op on seeded inputs: name -> (call, inputs, which inputs
+    require a gradient). Inputs include kinks, broadcasts, duplicate indices
+    and one tensor used as both operands."""
+    r = np.random.default_rng(2017)
+    # five rows: dividing by the row count is inexact, so the order of a division shows
+    x, y, w = r.normal(size=(5, 3)), r.normal(size=(5, 3)), r.normal(size=(3, 2))
+    x[0, 0] = 0.0                                   # relu kink
+    x[1, 1] = 0.25                                  # on the clamp floor
+    row, scalar, bias = r.normal(size=3), np.array(r.normal()), r.normal(size=2)
+    bias[0] = -(x @ w)[2, 0]                        # an exact-zero pre-activation
+    soft = tc.softmax_rows(r.normal(size=(5, 3))).data
+    idx = np.array([2, 0, 2, 3])
+    # at margin 0 the third triplet sits on the hinge's kink
+    ia, ip, in_ = np.array([0, 1, 2, 0]), np.array([1, 0, 3, 1]), np.array([3, 3, 3, 2])
+    return {  # "op/variant": (call, inputs, requires_grad mask)
+        "add": (tc.add, [x, y], [True, True]),
+        "add/row": (tc.add, [x, row], [True, True]),
+        "add/scalar": (tc.add, [scalar, x], [True, False]),
+        "sub": (tc.sub, [x, row], [True, True]),
+        "sub/scalar": (tc.sub, [x, scalar], [False, True]),
+        "mul": (tc.mul, [x, y], [True, True]),
+        "mul/row": (tc.mul, [row, x], [True, True]),
+        "mul/self": (lambda a: tc.mul(a, a), [x], [True]),
+        "div_scalar": (lambda a: tc.div_scalar(a, 3.0), [x], [True]),
+        "matmul": (tc.matmul, [x, w], [True, True]),
+        "affine": (lambda h, v, b: tc.affine(h, v, b, True), [x, w, bias], [True, True, True]),
+        "affine/linear": (lambda h, v, b: tc.affine(h, v, b, False), [x, w, scalar], [False, True, True]),
+        "relu": (tc.relu, [x], [True]),
+        "log": (tc.log, [np.abs(x) + 0.5], [True]),
+        "clamp_min": (lambda a: tc.clamp_min(a, 0.25), [x], [True]),
+        "softmax_rows": (tc.softmax_rows, [x], [True]),
+        "tsum": (tc.tsum, [x], [True]),
+        "sum_rows": (tc.sum_rows, [x], [True]),
+        "mean": (tc.mean, [x], [True]),
+        "take_rows": (lambda a: tc.take_rows(a, idx), [x], [True]),
+        "softmax_cross_entropy": (lambda a, t: tc.softmax_cross_entropy(a, t, 3.0, 1e-12),
+                                  [x * 40.0, soft], [True, False]),
+        "squared_error_mean": (tc.squared_error_mean, [x, y], [True, True]),
+        "triplet_hinge": (lambda e: tc.triplet_hinge(e, ia, ip, in_, 0.0), [x], [True]),
+    }
+
+
+_NOT_OPS = {"Tensor", "Tape", "active_tape", "as_tensor", "detach", "backward", "grad_check",
+            "GradCheckResult"}
+
+
+def _run_op(call, inputs, mask):
+    """The op's output, each input's gradient and the tape entries the call
+    made; the output is reduced against a fixed cotangent that is not 1."""
+    ts = [tc.Tensor(a.copy(), requires_grad=flag) for a, flag in zip(inputs, mask)]
+    with tc.Tape() as tape:
+        out = call(*ts)
+        entries = len(tape)
+        loss = tc.tsum(tc.mul(out, np.linspace(-0.7, 2.0, out.size).reshape(out.shape)))
+    if any(mask):
+        tc.backward(loss)
+    return out, [t.grad for t in ts], entries
+
+
+def _digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(b"none" if a is None else repr((a.shape, a.dtype.str)).encode() + a.tobytes())
+    return h.hexdigest()
+
+
+# recorded while each op still wrote its own backward closure: a match shows that
+# recording through _record kept every op's float operations and their order
+_OP_DIGESTS = {
+    "add": "65c5c4eba08b366d8cc7ba8e4ac53cbb6cd6edc5795366545927a27d138addb6",
+    "add/row": "e41bb427f091552976c79281b43db02e35c1767cc8dc328e4924d70ef92366a5",
+    "add/scalar": "65e2a170ca7af42aa790f2d27d648227b9d764b26f72084be7faffe109a22401",
+    "sub": "7819d6d92041f573a10aa3b0a893f11f760e7f5a4f6535371c056fc0557331e1",
+    "sub/scalar": "870a757f73230a6483b93224c4441a51a2b3ef58db9bb9a6dd19ddf2d76aaa66",
+    "mul": "418814ed86ae5d9c6077682495f4552c626ff2d87ce246e73ff83a0cae9e8e30",
+    "mul/row": "40e67f7659778505a6e7423e9c88e0806a07ae7c8a8be6d21adb3e37fe86635e",
+    "mul/self": "85142efe967d525ceb34a0f1ee96769811f945a68a3ce169af876ba0c5d52bf7",
+    "div_scalar": "0d8cc37941ad493c8e6d99a13591db7280e1be0cf665ed8bd8fc6ee6fc097daf",
+    "matmul": "42992d08352e43501e4fc5b6182ac701cdc5a085900ba98d62792060c9ff0e58",
+    "affine": "b60ea837dfe7b47af3519fd9b52213a82b222efbb2874c864635712cd72f44b3",
+    "affine/linear": "b253e6b963de85a90d5c67d0389e2fb004c8461aad3c9f3a2e09d8bb26f9360d",
+    "relu": "bb549d6f8ec753e82a04de8e0e7a8f1abd104a13b7822644cf51e0d7efd88a2a",
+    "log": "8af19f36f44f566e9b93599ecea35986e8ccfad6d1fbb0cee31ecb7ab00cce9b",
+    "clamp_min": "45ff937223fb7387f4153f2517f96a89a40f262f3c2252746a354b59c6de0a6c",
+    "softmax_rows": "3153f0d47d4ef77abac9e44ecdda2522294ae7e47ca511723328d5b2be0f560d",
+    "tsum": "eedfa72a25efe531ebcaa5dc1a3e487d8741fa038b03b154fddf36b1ccae0819",
+    "sum_rows": "55cccb0bb2dc395035d2bc9732aea0b70bbb32c3bf3586b5530ae5118e23bd10",
+    "mean": "c21e167a2d4ccf60080ebc51ac01117ea169548fa145e05f8d60c3728576ab75",
+    "take_rows": "40c6bf2033f4628aedfb94da4d96ade3317963f1dde3c3da7a4ffcbad6684037",
+    "softmax_cross_entropy": "b0c1ac4fa318e2fffd607e01d53b94f5e38580fce149af6bb4de6ead4fa0fecb",
+    "squared_error_mean": "4b0ae84680846fa0832bcf98e8df231fdfb7f45feb3478db82a5bf1a385756e2",
+    "triplet_hinge": "960f95b7a0a32105499d433fe3ab0f3417057caa57bc82bd9204047fd4822650",
+}
+
+
+def test_ops_match_recorded_digests():
+    table = _op_table()
+    assert {name.partition("/")[0] for name in table} == set(tc.__all__) - _NOT_OPS
+    digests = {}
+    for name, (call, inputs, mask) in table.items():
+        out, grads, _ = _run_op(call, inputs, mask)
+        digests[name] = _digest([out.data, *grads])
+    assert digests == _OP_DIGESTS
+
+
+def test_every_op_records_one_entry_and_only_requested_gradients():
+    for name, (call, inputs, mask) in _op_table().items():
+        differentiable = [i for i, flag in enumerate(mask) if flag]
+        for chosen in [()] + [(i,) for i in differentiable] + [tuple(differentiable)]:
+            flags = [i in chosen for i in range(len(inputs))]
+            out, grads, entries = _run_op(call, inputs, flags)
+            assert entries == (1 if chosen else 0), (name, flags)
+            assert out.requires_grad == bool(chosen) and (out._tape is None) != bool(chosen)
+            for i, g in enumerate(grads):
+                assert (g is None) != (i in chosen), (name, flags, i)
 
 
 # ---------------------------------------------------------------- grad_check
