@@ -8,9 +8,11 @@ Trains a teacher, then builds quarter-width students three ways:
   to convergence on hard labels (full initialization).
 
 The plan names these stages; the loop below runs them one at a time, each
-from the networks of the stages it depends on, as ``reproduce`` does.
+from the checkpoints of the stages it depends on, as ``reproduce`` does.
 Small benchmark, so all four stages finish in a few seconds.
 """
+import tempfile
+
 from distillforge.data import GeneratorParams, generate
 from distillforge.losses import DistillConfig
 from distillforge.nets import num_parameters
@@ -36,11 +38,10 @@ def main():
         cls_stage=StagePlan(32, 6, scratch_lr=0.02, continue_lr=0.002),
     )
     run = Run(plan, generate(plan.generator))
-    nets = {}
-    for node in stages(plan):
-        nets[node.key], metrics = run_stage(node, run, nets)
-        print(f"{LABELS[node.key]:37s}: {metrics['top1']:.3f} "
-              f"({num_parameters(nets[node.key])} params)")
+    with tempfile.TemporaryDirectory() as ckpt_dir:
+        for node in stages(plan):
+            net, metrics = run_stage(node, run, ckpt_dir)
+            print(f"{LABELS[node.key]:37s}: {metrics['top1']:.3f} ({num_parameters(net)} params)")
 
 
 if __name__ == "__main__":

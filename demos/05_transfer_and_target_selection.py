@@ -17,8 +17,7 @@ import tempfile
 from distillforge.data import GeneratorParams, generate
 from distillforge.losses import DistillConfig
 from distillforge.pipeline import (ALIGNMENT, ExperimentPlan, Run, StagePlan, TaskPlan,
-                                   run_experiment, run_stage_from_checkpoints, select_targets,
-                                   stage)
+                                   run_experiment, run_stage, select_targets, stage)
 
 
 def main():
@@ -54,7 +53,7 @@ def main():
         if (alpha, beta) not in probes:  # e.g. both solo probes helped -> run the combination
             # a stage outside the plan's report, trained from the run's checkpoints
             final = stage(plan, f"student4_alignment_distill_a{alpha}_b{beta}")
-            metrics = run_stage_from_checkpoints(final, Run(plan, data), ckpt_dir)
+            _, metrics = run_stage(final, Run(plan, data), ckpt_dir)
             print(f"student /4 nrmse at the selected weighting: {metrics['nrmse']:.4f}")
 
 

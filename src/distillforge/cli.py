@@ -22,8 +22,8 @@ run the same stage graph (``pipeline.stage``), so a checkpoint ``train``
 writes is bit-identical to the one ``reproduce`` writes for the same seed.
 Every command keeps checkpoints in one place, ``<out>/checkpoints/<key>.ckpt``,
 and ``train`` and ``reproduce`` run a stage the same way
-(``pipeline.run_stage_from_checkpoints``): load its dependencies from there,
-train it, and write its own checkpoint there as soon as it finishes.
+(``pipeline.run_stage``): load its dependencies from there, train it, and
+write its own checkpoint there as soon as it finishes.
 ``train`` also writes ``<out>/<key>.metrics.json``.
 
 ``reproduce`` runs the stages on one forked worker process per CPU it may
@@ -43,8 +43,8 @@ from .config import (ConfigError, apply_set, describe_keys, experiment_plan, gen
 from .data import generate, load_dataset, save_dataset
 from .metrics import MetricsReport
 from .nets import load_network
-from .pipeline import (ALIGNMENT, VERIFICATION, Run, load_checkpoint, run_experiment,
-                       run_stage_from_checkpoints, stage, stages)
+from .pipeline import (ALIGNMENT, VERIFICATION, Run, load_checkpoint, run_experiment, run_stage,
+                       stage, stages)
 
 __all__ = ["main"]
 
@@ -145,7 +145,7 @@ def cmd_train(args) -> int:
     node = _graph(stage, plan, args.stage)  # validate the key before touching files
     run, ckpt_dir = Run(plan, _require_dataset(out_dir)), _checkpoints(out_dir)
     os.makedirs(ckpt_dir, exist_ok=True)
-    metrics = run_stage_from_checkpoints(node, run, ckpt_dir)
+    metrics = run_stage(node, run, ckpt_dir)[1]
     with atomic_write(os.path.join(out_dir, f"{args.stage}.metrics.json"), "w",
                       encoding="utf-8") as fh:
         fh.write(json.dumps({"stage": args.stage, "metrics": metrics}, indent=2, sort_keys=True))

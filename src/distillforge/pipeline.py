@@ -37,31 +37,27 @@ softmax term. Every table row and every gradient is bitwise what the
 per-batch build and the all-heads forward give.
 
 Each stage is named by a run key (``teacher_cls``, ``student4_cls_full_init``,
-``student8_alignment_distill_a0_b1``, ...). ``stage(plan, key)`` gives its
-dependencies and a training closure with one contract: build the start
-network (a fresh build, or a value copy of a dependency for full
-initialization and transfer), get the teacher targets if the stage has a
-teacher, and call the one training body, ``_train``, keyed by the stage
-label (``cls``, ``alignment``, ``verification``, ``verification_joint``),
-which trains that network in place; a stage without a teacher has alpha
-and beta 0, and a classification stage beta 0. ``Run.evaluate`` scores
-every label from one forward.
-``stages(plan)`` lists a plan's stages, dependencies first. This one graph
-is the only way to train a stage: ``run_experiment`` and the CLI's
-``train`` both run it, so their checkpoints are the same bytes. One stage
-runs as ``run_stage(stage(plan, key), Run(plan, data), nets)``.
+``student8_alignment_distill_a0_b1``, ...). ``stage(plan, key)`` resolves it
+to a ``Stage``, a frozen record of everything the stage trains: its label
+(``cls``, ``alignment``, ``verification``, ``verification_joint``), spec,
+start (a fresh build, or a value copy of a dependency for full
+initialization and transfer), teacher, ``DistillConfig`` (a stage without a
+teacher has alpha and beta 0, a classification stage beta 0), ``StagePlan``
+and seed. The one training body, ``_train``, reads them from the record;
+``Run.evaluate`` scores every label from one forward. ``stages(plan)``
+lists a plan's stages, dependencies first; ``run_experiment`` and the CLI's
+``train`` both run this one graph, so their checkpoints are the same bytes.
 
-``run_experiment(plan, workers=N)`` walks the graph on N forked worker
-processes: a stage is submitted as soon as its dependencies have finished,
-and the report rows come out in ``stages(plan)`` order, so the report and
-checkpoint bytes do not depend on N. Networks pass between stages as
-checkpoint files: ``run_stage_from_checkpoints`` loads a stage's
-dependencies from a directory, trains it and writes ``<key>.ckpt`` there,
-as soon as the stage finishes. The in-process walk, a pool worker and the
-CLI's ``train`` all call it, so a stage runs one way everywhere and the
-parent of a pool holds only metrics. A run with one worker, or whose
-``run_stage`` has been wrapped (a span tracer, say), walks in-process, so
-the wrapper sees every stage.
+Networks pass between stages only as checkpoint files:
+``run_stage(stage(plan, key), Run(plan, data), ckpt_dir)`` loads a stage's
+dependencies from ``ckpt_dir``, trains it and writes ``<key>.ckpt`` there.
+The in-process walk, a pool worker and ``train`` all call it, so a stage
+runs one way everywhere. ``run_experiment(plan, workers=N)`` walks the
+graph on N forked worker processes: a stage is submitted as soon as its
+dependencies have finished, a worker returns only metrics, and the report
+rows come out in ``stages(plan)`` order, so no byte depends on N. A run
+with one worker, or whose ``run_stage`` has been wrapped (a span tracer,
+say), walks in-process, so the wrapper sees every stage.
 """
 from __future__ import annotations
 
@@ -71,7 +67,6 @@ import math
 import os
 import re
 import tempfile
-from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -79,7 +74,7 @@ import numpy as np
 
 from . import tensor as tc
 from ._atomic import remove_partial_writes
-from ._schema import check_fields, setting
+from ._schema import check, check_fields, setting
 from .data import GeneratorParams, Split, SplitDataset, generate, make_pairs, make_triplets
 from .losses import DistillConfig, euclidean_loss, hard_term, objective, one_hot, soft_targets
 from .metrics import (MetricsReport, nrmse, pair_verification_accuracy, reference_distances,
@@ -103,7 +98,6 @@ __all__ = [
     "stages",
     "run_stage",
     "load_checkpoint",
-    "run_stage_from_checkpoints",
     "run_experiment",
 ]
 
@@ -243,19 +237,22 @@ def _teacher_targets(teacher: Network, feats: np.ndarray) -> tuple[np.ndarray, n
     return logits, emb
 
 
-def _train(net, label, train: Split, cfg, splan, schedule, seed, targets):
-    """Train ``net`` in place by minibatch Nesterov steps on ``losses.objective``
-    with the stage label's task term (softmax for ``cls``, keypoint regression
-    for alignment, the triplet hinge, plus softmax for the joint table, for
-    verification) and the teacher's (logits, embedding) ``targets``, (None,
-    None) without one; the per-step log goes to ``net.training_log``.
+def _train(net, node: Stage, train: Split, targets):
+    """Train ``net`` in place as stage ``node`` says: minibatch Nesterov steps on
+    ``losses.objective`` with the label's task term (softmax for ``cls``,
+    keypoint regression for alignment, the triplet hinge, plus softmax for the
+    joint table, for verification), the stage's weights and the teacher's
+    (logits, embedding) ``targets``, (None, None) without one; the per-step
+    log goes to ``net.training_log``.
 
-    The one loop runs the (rate, epochs) phases of ``schedule``, then epoch,
-    then batch, at the batch size and momentum of the ``StagePlan`` ``splan``
-    and from an RNG seeded by ``seed``. Each epoch draws a permutation of the
-    training rows or, for verification, ``splan.triplets_per_epoch`` fresh
-    triplets (0: one per row), and each batch takes the next slice of them.
-    A non-finite loss stops training before its backward pass."""
+    The one loop runs the (rate, epochs) phases of ``node.splan.schedule``,
+    then epoch, then batch, at that plan's batch size and momentum and from
+    an RNG seeded by ``node.seed``. Each epoch draws a permutation of the
+    training rows or, for verification, ``triplets_per_epoch`` fresh triplets
+    (0: one per row), and each batch takes the next slice of them. A
+    non-finite loss stops training before its backward pass."""
+    label, cfg, splan = node.label, node.distill, node.splan
+    schedule = splan.schedule(fresh=node.start is None)
     t_logits, t_emb = targets
     if t_logits is not None and (t_emb.shape[1] != net.spec.embedding_dim
                                  or t_logits.shape[1] != net.spec.num_classes):
@@ -268,7 +265,7 @@ def _train(net, label, train: Split, cfg, splan, schedule, seed, targets):
     dedup = None if label in ("cls", ALIGNMENT) else _dedup_lookup(len(train))
     count = len(train) if dedup is None else splan.triplets_per_epoch or len(train)
     opt = OptimizerState.for_network(net, schedule[0][0], splan.momentum)
-    rng, log = np.random.default_rng(seed), TrainingLog()
+    rng, log = np.random.default_rng(node.seed), TrainingLog()
     for phase, (lr, n_epochs) in enumerate(schedule, 1):
         opt.learning_rate = lr
         for epoch in range(1, n_epochs + 1):
@@ -299,7 +296,6 @@ def _train(net, label, train: Split, cfg, splan, schedule, seed, targets):
                 log.step_lrs.append(lr)
                 log.step_losses.append(value)
     net.training_log = log
-    return net
 
 
 # Target selection ----------------------------------------------------------------
@@ -436,7 +432,8 @@ _GRID_RUN = re.compile(r"(scratch|pretrain|distill)_a([0-9.eE+-]+)_b([0-9.eE+-]+
 class Run:
     """The constants every stage of one run shares: the dataset, whose splits
     are read-only, and, each computed at most once, the evaluation pairs and
-    each teacher's targets, memoised by the teacher's run key."""
+    each teacher's targets, memoised by the teacher's run key (``targets``
+    loads the teacher's checkpoint only for a key it has not seen)."""
 
     def __init__(self, plan: ExperimentPlan, data: SplitDataset):
         self.plan = plan
@@ -448,9 +445,10 @@ class Run:
         return make_pairs(self.data.test, self.plan.eval_pairs,
                           derive_seed(self.plan.seed, "eval_pairs"))
 
-    def targets(self, key: str, nets: Mapping[str, Network]) -> tuple[np.ndarray, np.ndarray]:
+    def targets(self, key: str, ckpt_dir) -> tuple[np.ndarray, np.ndarray]:
         if key not in self._targets:
-            self._targets[key] = _teacher_targets(nets[key], self.data.train.features)
+            self._targets[key] = _teacher_targets(load_checkpoint(ckpt_dir, key),
+                                                  self.data.train.features)
         return self._targets[key]
 
     def evaluate(self, label: str, net: Network) -> dict[str, float]:
@@ -471,19 +469,30 @@ class Run:
 
 @dataclass(frozen=True)
 class Stage:
-    """One node of the stage graph.
+    """One node of the stage graph: everything ``stage()`` resolves for a run key.
 
-    ``train(run, nets)`` returns the stage's network; ``nets`` maps each key
-    in ``deps`` to its trained network, read at most once and never mutated.
-    ``label`` selects the metrics (``Run.evaluate``); ``row`` is the stage's
-    report row key, or None when the plan does not report it.
+    ``label`` selects the task term and the metrics (``Run.evaluate``);
+    ``row`` is the stage's report row key, or None when the plan does not
+    report it. The stage trains a value copy of the dependency ``start``, or
+    a fresh build of ``spec`` when ``start`` is None, on the targets of the
+    dependency ``teacher`` (None: no targets), with the weights ``distill``,
+    the sizes and rates of ``splan`` and the derived ``seed``. A stage
+    compares, hashes and pickles by these values.
     """
 
     key: str
-    deps: tuple[str, ...]
     label: str
     row: tuple | None
-    train: Callable[[Run, Mapping[str, Network]], Network] = field(compare=False, repr=False)
+    spec: NetworkSpec
+    start: str | None
+    teacher: str | None
+    distill: DistillConfig
+    splan: StagePlan
+    seed: int
+
+    @property
+    def deps(self) -> tuple[str, ...]:
+        return tuple(dep for dep in (self.teacher, self.start) if dep)
 
 
 def stage(plan: ExperimentPlan, key: str) -> Stage:
@@ -526,19 +535,10 @@ def stage(plan: ExperimentPlan, key: str) -> Stage:
         raise ValueError(f"bad stage key {key!r}: {exc}") from exc
     if teacher is None or not (distill.alpha or distill.beta):  # no term reads a target: no teacher
         teacher, distill = None, replace(distill, alpha=0.0, beta=0.0)
-    schedule, seed = splan.schedule(fresh=start is None), derive_seed(plan.seed, key)
-
-    def train(run: Run, nets: Mapping[str, Network]) -> Network:
-        # the targets first: built after the start network, they raised the peak
-        # RSS of a `train student2_cls_scratch` process from 46.5 to 48.5 MB
-        targets = run.targets(teacher, nets) if teacher else (None, None)
-        net = clone(nets[start]) if start else _fresh(spec, seed, run.data.train.features)
-        return _train(net, label, run.data.train, distill, splan, schedule, seed, targets)
-
     row = ("classification" if label == "cls" else label, f"student/{d}" if divisor else "teacher",
            init, distill.alpha, distill.beta)
-    return Stage(key, tuple(dep for dep in (teacher, start) if dep), label,
-                 row if key in _report_keys(plan) else None, train)
+    return Stage(key, label, row if key in _report_keys(plan) else None, spec, start, teacher,
+                 distill, splan, derive_seed(plan.seed, key))
 
 
 def _report_keys(plan: ExperimentPlan):
@@ -571,59 +571,45 @@ def stages(plan: ExperimentPlan) -> list[Stage]:
     return list(listed.values())
 
 
-def run_stage(node: Stage, run: Run, nets: Mapping[str, Network]) -> tuple[Network, dict[str, float]]:
-    """Train one stage from its dependencies' networks and evaluate it.
+def _checkpoint(ckpt_dir, key: str) -> str:
+    """The path of stage ``key``'s checkpoint in ``ckpt_dir``, which must exist."""
+    path = os.path.join(ckpt_dir, f"{key}.ckpt")
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"missing prerequisite checkpoint {path}; train '{key}' first")
+    return path
 
-    Any failure, a non-finite metric included, keeps its exception type
-    and names the run key.
+
+def load_checkpoint(ckpt_dir, key: str) -> Network:
+    """The network of stage ``key`` from ``<ckpt_dir>/<key>.ckpt``."""
+    return load_network(_checkpoint(ckpt_dir, key))
+
+
+def run_stage(node: Stage, run: Run, ckpt_dir) -> tuple[Network, dict[str, float]]:
+    """Train one stage on its dependencies' checkpoints in ``ckpt_dir``,
+    evaluate it and write its own, ``<ckpt_dir>/<key>.ckpt``, atomically.
+
+    A missing dependency file fails before any work is done; each dependency
+    is loaded only when the stage reads it (a teacher only if ``run`` has no
+    targets of it) and is not kept while the stage trains. Any failure, a
+    non-finite metric included, keeps its exception type and names the run key.
     """
+    for dep in node.deps:
+        _checkpoint(ckpt_dir, dep)
     try:
-        net = node.train(run, nets)
+        # the targets first: built after the start network, they raised the peak
+        # RSS of a `train student2_cls_scratch` process from 46.5 to 48.5 MB
+        targets = run.targets(node.teacher, ckpt_dir) if node.teacher else (None, None)
+        net = (clone(load_checkpoint(ckpt_dir, node.start)) if node.start
+               else _fresh(node.spec, node.seed, run.data.train.features))
+        _train(net, node, run.data.train, targets)
         metrics = run.evaluate(node.label, net)
         for name, value in metrics.items():
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
     except (RuntimeError, ValueError) as exc:
         raise type(exc)(f"stage {node.key}: {exc}") from exc
-    return net, metrics
-
-
-class _Checkpoints(Mapping):
-    """Run keys to the networks in ``<ckpt_dir>/<key>.ckpt``; every file must
-    exist, and a network is loaded at each read and kept only by the reader."""
-
-    def __init__(self, ckpt_dir, keys):
-        self.paths = {key: os.path.join(ckpt_dir, f"{key}.ckpt") for key in keys}
-        for key, path in self.paths.items():
-            if not os.path.exists(path):
-                raise FileNotFoundError(f"missing prerequisite checkpoint {path}; train '{key}' first")
-
-    def __getitem__(self, key: str) -> Network:
-        return load_network(self.paths[key])
-
-    def __iter__(self):
-        return iter(self.paths)
-
-    def __len__(self) -> int:
-        return len(self.paths)
-
-
-def load_checkpoint(ckpt_dir, key: str) -> Network:
-    """The network of stage ``key`` from ``<ckpt_dir>/<key>.ckpt``."""
-    return _Checkpoints(ckpt_dir, (key,))[key]
-
-
-def run_stage_from_checkpoints(node: Stage, run: Run, ckpt_dir) -> dict[str, float]:
-    """Run one stage on its dependencies' checkpoints in ``ckpt_dir`` and
-    write its own, ``<ckpt_dir>/<key>.ckpt``, atomically; return its metrics.
-
-    A missing dependency file fails before any work is done; each dependency
-    is loaded only when the stage reads it (a teacher only if ``run`` has no
-    targets of it) and is not kept while the stage trains.
-    """
-    net, metrics = run_stage(node, run, _Checkpoints(ckpt_dir, node.deps))
     save_network(net, os.path.join(ckpt_dir, f"{node.key}.ckpt"))
-    return metrics
+    return net, metrics
 
 
 def run_experiment(plan: ExperimentPlan, out_dir=None, workers: int = 1,
@@ -639,8 +625,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None, workers: int = 1,
     finishes, so a failed run keeps those of the finished stages; without
     ``out_dir`` they go to a temporary directory, removed when the run ends.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be a positive integer, got {workers}")
+    workers = check("workers", {"type": int, "ge": 1}, workers)
     run = Run(plan, generate(plan.generator) if data is None else data)
     listed = stages(plan)
     metrics: dict[str, dict[str, float]] = {}
@@ -651,7 +636,7 @@ def run_experiment(plan: ExperimentPlan, out_dir=None, workers: int = 1,
         # what a wrapper records in a forked worker never reaches this process
         if workers == 1 or hasattr(run_stage, "__wrapped__"):
             for node in listed:
-                metrics[node.key] = run_stage_from_checkpoints(node, run, ckpt_dir)
+                metrics[node.key] = run_stage(node, run, ckpt_dir)[1]
         else:
             _walk(listed, run, workers, ckpt_dir, metrics)
     report = MetricsReport()
@@ -670,8 +655,8 @@ def _adopt(run: Run) -> None:
     _worker_run = run
 
 
-def _run_adopted(key: str, ckpt_dir) -> dict[str, float]:
-    return run_stage_from_checkpoints(stage(_worker_run.plan, key), _worker_run, ckpt_dir)
+def _run_adopted(node: Stage, ckpt_dir) -> dict[str, float]:
+    return run_stage(node, _worker_run, ckpt_dir)[1]
 
 
 def _walk(listed: list[Stage], run: Run, workers: int, ckpt_dir, metrics: dict) -> None:
@@ -682,7 +667,7 @@ def _walk(listed: list[Stage], run: Run, workers: int, ckpt_dir, metrics: dict) 
     computed here first, without pickling them and without
     re-importing numpy and this package, which a spawned worker must do
     first; forking also means the caller should run no other threads. A
-    worker gets a run key and ``ckpt_dir``: it loads the stage's
+    worker gets a stage record and ``ckpt_dir``: it loads the stage's
     dependencies from their checkpoints there, writes the stage's own and
     returns only its metrics, so no network crosses the process boundary. A
     stage is submitted only after its dependencies' workers have returned,
@@ -705,7 +690,7 @@ def _walk(listed: list[Stage], run: Run, workers: int, ckpt_dir, metrics: dict) 
         while waiting or running:
             for node in [n for n in waiting if all(dep in metrics for dep in n.deps)]:
                 waiting.remove(node)
-                running[pool.submit(_run_adopted, node.key, ckpt_dir)] = node
+                running[pool.submit(_run_adopted, node, ckpt_dir)] = node
             done, _ = wait(running, return_when=FIRST_COMPLETED)
             if any(future.exception() is not None for future in done):
                 break

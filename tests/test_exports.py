@@ -2,9 +2,10 @@
 the package re-exports only names its submodules export, no source file
 imports a name it never reads, every private top-level function or class
 of the package is referenced outside its own definition, every plan
-field carries a schema bound unless it is a listed structured field, and
-only the ops that share one backward computation across their inputs record
-on the tape without ``tensor._record``."""
+field carries a schema bound unless it is a listed structured field, no
+dataclass field is left out of comparison, and only the ops that share one
+backward computation across their inputs record on the tape without
+``tensor._record``."""
 import ast
 import dataclasses
 import importlib
@@ -141,6 +142,32 @@ def test_tape_recorder_scan_sees_every_call_site():
               "f = lambda a: _maybe_record(a, (a,), None)\n\n"
               "def _maybe_record(out, inputs, fn):\n    return out\n")
     assert _tape_recorders(source) == {"op", "C", "line 10"}
+
+
+def _uncompared_fields(source: str) -> list[str]:
+    """``line <n>`` of each call in ``source`` that passes ``compare=False``, as
+    a dataclass field left out of equality and hashing is declared."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and any(
+                kw.arg == "compare" and isinstance(kw.value, ast.Constant) and kw.value.value is False
+                for kw in node.keywords)]
+
+
+def test_records_compare_on_every_field():
+    # a field left out of == and hash lets two records that differ in it compare
+    # and hash equal, so no fingerprint over a record could tell them apart
+    files = sorted((ROOT / "src/distillforge").glob("*.py"))
+    assert len(files) > 8
+    uncompared = {path.name: lines for path in files
+                  if (lines := _uncompared_fields(path.read_text(encoding="utf-8")))}
+    assert not uncompared, uncompared
+
+
+def test_uncompared_field_scan_sees_a_planted_field():
+    source = ("from dataclasses import dataclass, field\n\n@dataclass(frozen=True)\nclass R:\n"
+              "    key: str\n    fn: object = field(compare=False, repr=False)\n"
+              "    n: int = field(default=0, compare=True)\n")
+    assert _uncompared_fields(source) == ["line 6"]
 
 
 # plan fields whose values are nested plans or tables, checked by their own

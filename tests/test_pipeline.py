@@ -7,6 +7,8 @@ import functools
 import hashlib
 import multiprocessing
 import os
+import pickle
+import shutil
 import tempfile
 import time
 import tracemalloc
@@ -247,9 +249,18 @@ def test_stage_plan_modes():
     assert plan.schedule(fresh=False) == ((0.01, 3),)
 
 
+def _saved(nets, ckpt_dir):
+    """``ckpt_dir``, now holding each network of ``nets`` as ``<key>.ckpt``."""
+    for key, net in nets.items():
+        save_network(net, os.path.join(ckpt_dir, f"{key}.ckpt"))
+    return ckpt_dir
+
+
 def _train(plan, key, data, nets=None):
-    """The network of stage ``key``, trained as ``reproduce`` trains it."""
-    return stage(plan, key).train(Run(plan, data), nets or {})
+    """The network of stage ``key``, trained as ``reproduce`` trains it from
+    the networks ``nets`` of its dependencies."""
+    with tempfile.TemporaryDirectory() as ckpt_dir:
+        return run_stage(stage(plan, key), Run(plan, data), _saved(nets or {}, ckpt_dir))[0]
 
 
 def test_zero_epoch_stage_leaves_network_unchanged(data):
@@ -295,25 +306,24 @@ def test_training_loss_trends_down(data):
     assert np.mean(losses[-10:]) < np.mean(losses[:10])
 
 
-def test_distillation_does_not_touch_teacher(data):
+def test_distillation_does_not_touch_teacher(data, tmp_path):
+    # a stage reads its teacher's checkpoint and leaves it as it was
     plan = _tiny_plan()
-    teacher = _train(plan, "teacher_cls", data)
-    before = [p.data.copy() for p in teacher.parameters]
-    _train(plan, "student2_cls_scratch", data, {"teacher_cls": teacher})
-    for p, b in zip(teacher.parameters, before):
-        assert np.array_equal(p.data, b)
+    _saved({"teacher_cls": _train(plan, "teacher_cls", data)}, tmp_path)
+    before = (tmp_path / "teacher_cls.ckpt").read_bytes()
+    run_stage(stage(plan, "student2_cls_scratch"), Run(plan, data), tmp_path)
+    assert (tmp_path / "teacher_cls.ckpt").read_bytes() == before
 
 
-def test_task_distillation_copies_init(data):
+def test_task_distillation_copies_init(data, tmp_path):
     plan = _tiny_plan()
     teacher = _train(plan, "teacher_cls", data)
-    nets = {"teacher_alignment": _train(plan, "teacher_alignment", data, {"teacher_cls": teacher}),
-            "student2_cls_full_init": _train(plan, "student2_cls_init", data)}
-    s_init = nets["student2_cls_full_init"]
-    init_before = [p.data.copy() for p in s_init.parameters]
-    tuned = _train(plan, "student2_alignment_distill_a1_b1", data, nets)
-    for p, b in zip(s_init.parameters, init_before):
-        assert np.array_equal(p.data, b)
+    _saved({"teacher_alignment": _train(plan, "teacher_alignment", data, {"teacher_cls": teacher}),
+            "student2_cls_full_init": _train(plan, "student2_cls_init", data)}, tmp_path)
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    tuned, _ = run_stage(stage(plan, "student2_alignment_distill_a1_b1"), Run(plan, data), tmp_path)
+    assert {name: (tmp_path / name).read_bytes() for name in before} == before
+    s_init = load_network(tmp_path / "student2_cls_full_init.ckpt")
     assert any(not np.array_equal(p.data, q.data) for p, q in zip(tuned.parameters, s_init.parameters))
 
 
@@ -328,14 +338,14 @@ def test_teacher_task_zero_epochs_is_value_copy(data):
 
 @pytest.mark.parametrize("key", ["student2_alignment_distill_a1_b0",
                                  "student2_verification_joint_distill_a0_b1"])
-def test_task_stage_rejects_a_teacher_of_another_width(data, key):
+def test_task_stage_rejects_a_teacher_of_another_width(data, key, tmp_path):
     # alpha alone reads only the logits and beta fails deep in the loss, so the body checks first
     plan = _rich_plan()
     node = stage(plan, key)
     narrow_teacher, student = build(replace(SPEC, embedding_dim=4), 1), build(SPEC.student(2), 2)
     nets = {dep: narrow_teacher if dep.startswith("teacher") else student for dep in node.deps}
     with pytest.raises(ValueError, match=f"^stage {key}: student and teacher must share embedding_dim"):
-        run_stage(node, Run(plan, data), nets)
+        run_stage(node, Run(plan, data), _saved(nets, tmp_path))
 
 
 def test_verification_stage_runs(data):
@@ -557,8 +567,8 @@ def test_non_finite_loss_fails_before_backward(data, monkeypatch):
     monkeypatch.setattr(pipeline, "nag_step", counting_step)
     with pytest.raises(RuntimeError) as err:
         _train(plan, "teacher_cls", data)
-    assert str(err.value) == ("non-finite training loss nan in learning-rate phase 2 (lr 0.002), "
-                              "epoch 2, step 2")
+    assert str(err.value) == ("stage teacher_cls: non-finite training loss nan in learning-rate "
+                              "phase 2 (lr 0.002), epoch 2, step 2")
     assert len(losses) == fail_at
     # neither backward nor a step ran on the bad loss
     assert len(stepped) == fail_at - 1
@@ -697,13 +707,12 @@ def test_task_plan_rejects_nonpositive_divisors(divisors):
 
 def test_cls_stage_checkpoint_does_not_depend_on_beta(data, tmp_path):
     # classification has no hidden term: stage() gives its stages beta 0
-    teacher = _train(_tiny_plan(), "teacher_cls", data)
+    _saved({"teacher_cls": _train(_tiny_plan(), "teacher_cls", data)}, tmp_path)
     checkpoints = set()
     for beta in (0.0, 1.0, 3.0):
         plan = _tiny_plan(distill=DistillConfig(beta=beta))
-        net, _ = run_stage(stage(plan, "student4_cls_scratch"), Run(plan, data), {"teacher_cls": teacher})
-        save_network(net, tmp_path / "student.ckpt")
-        checkpoints.add((tmp_path / "student.ckpt").read_bytes())
+        run_stage(stage(plan, "student4_cls_scratch"), Run(plan, data), tmp_path)
+        checkpoints.add((tmp_path / "student4_cls_scratch.ckpt").read_bytes())
     assert len(checkpoints) == 1
 
 
@@ -736,13 +745,15 @@ def _rich_plan():
 def test_experiment_checkpoints_match_stages_trained_alone(tmp_path):
     plan = _rich_plan()
     run_experiment(plan, tmp_path / "run")
-    data = generate(plan.generator)
+    data, alone = generate(plan.generator), tmp_path / "alone"
     for node in stages(plan):
-        nets = {dep: load_network(tmp_path / "run" / f"{dep}.ckpt") for dep in node.deps}
-        net, _ = run_stage(node, Run(plan, data), nets)
-        save_network(net, tmp_path / "alone.ckpt")
-        assert ((tmp_path / "alone.ckpt").read_bytes()
+        alone.mkdir()
+        for dep in node.deps:
+            shutil.copy(tmp_path / "run" / f"{dep}.ckpt", alone)
+        run_stage(node, Run(plan, data), alone)
+        assert ((alone / f"{node.key}.ckpt").read_bytes()
                 == (tmp_path / "run" / f"{node.key}.ckpt").read_bytes()), node.key
+        shutil.rmtree(alone)
 
 
 # sha256 of every checkpoint of _digest_plan(), recorded with per-parameter
@@ -806,9 +817,9 @@ def test_serial_walk_holds_one_trained_network_at_a_time(tmp_path, monkeypatch):
     refs = []
     real = pipeline.run_stage
 
-    def recording(node, run, nets):
+    def recording(node, run, ckpt_dir):
         assert [ref() for ref in refs if ref() is not None] == []
-        net, metrics = real(node, run, nets)
+        net, metrics = real(node, run, ckpt_dir)
         refs.append(weakref.ref(net))
         return net, metrics
 
@@ -834,15 +845,16 @@ def test_checkpoint_stages_load_a_memoised_teacher_once(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "load_network", counting)
     run = Run(plan, generate(plan.generator))
     for key in keys:
-        pipeline.run_stage_from_checkpoints(stage(plan, key), run, tmp_path)
+        run_stage(stage(plan, key), run, tmp_path)
         assert (tmp_path / f"{key}.ckpt").read_bytes() == written[key], key
     # the start network for each stage, the teacher only for the first
     assert sorted(loads) == ["student2_cls_full_init.ckpt"] * 2 + ["teacher_alignment.ckpt"]
     # a missing dependency still fails before any training, memo or not
     os.remove(tmp_path / "teacher_alignment.ckpt")
-    monkeypatch.setattr(pipeline, "run_stage", lambda *args: pytest.fail("trained"))
+    for name in ("load_network", "_train"):
+        monkeypatch.setattr(pipeline, name, lambda *args, name=name: pytest.fail(name))
     with pytest.raises(FileNotFoundError, match="train 'teacher_alignment' first"):
-        pipeline.run_stage_from_checkpoints(stage(plan, keys[0]), run, tmp_path)
+        run_stage(stage(plan, keys[0]), run, tmp_path)
 
 
 def test_experiment_bytes_do_not_depend_on_worker_count(tmp_path):
@@ -881,6 +893,11 @@ def test_experiment_caps_workers_at_the_stage_count(monkeypatch):
     assert len(made) == 2 and not any(os.path.exists(name) for name in made)
     with pytest.raises(ValueError, match="workers"):
         run_experiment(plan, workers=0)
+    # checked before the dataset is drawn; 2.5 once started a pool and "2" raised a TypeError
+    monkeypatch.setattr(pipeline, "generate", lambda *args: pytest.fail("drew the dataset"))
+    for workers in (2.5, True, "2"):
+        with pytest.raises(ValueError, match=f"^workers must be >= 1 and integral, got {workers!r}$"):
+            run_experiment(plan, workers=workers)
 
 
 def test_pool_failures_name_the_stage_and_leave_no_worker(tmp_path, monkeypatch):
@@ -900,8 +917,8 @@ def test_pool_failures_name_the_stage_and_leave_no_worker(tmp_path, monkeypatch)
 
     def task_stages_run(body):
         # classification stages train as before; a task stage runs ``body``
-        def train(net, label, *args):
-            return train_body(net, label, *args) if label == "cls" else body()
+        def train(net, node, *args):
+            return train_body(net, node, *args) if node.label == "cls" else body()
         return train
 
     def fail():
@@ -962,11 +979,11 @@ def test_pool_hands_networks_over_as_checkpoint_files(tmp_path, monkeypatch):
 
 
 def test_pool_workers_share_the_run_constants(tmp_path, monkeypatch):
-    # the evaluation pairs are computed once, before the fork, and the workers
-    # train on the parent's training arrays, not on copies; a file collects
-    # the calls of every process
+    # the evaluation pairs and the stage records are made once, before the
+    # fork, and the workers train on the parent's training arrays, not on
+    # copies; a file collects the calls of every process
     log = tmp_path / "calls"
-    pairs, fresh = pipeline.make_pairs, pipeline._fresh
+    pairs, fresh, resolve = pipeline.make_pairs, pipeline._fresh, pipeline.stage
 
     def logged_pairs(*args):
         with open(log, "a", encoding="utf-8") as fh:
@@ -978,13 +995,21 @@ def test_pool_workers_share_the_run_constants(tmp_path, monkeypatch):
             fh.write(f"_fresh {os.getpid()} {feats.__array_interface__['data'][0]}\n")
         return fresh(spec, seed, feats)
 
+    def logged_stage(plan, key):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"stage {os.getpid()}\n")
+        return resolve(plan, key)
+
     monkeypatch.setattr(pipeline, "make_pairs", logged_pairs)
     monkeypatch.setattr(pipeline, "_fresh", logged_fresh)
+    monkeypatch.setattr(pipeline, "stage", logged_stage)
     plan = _tiny_plan()
     data = generate(plan.generator)
     run_experiment(plan, workers=2, data=data)
     calls = [line.split() for line in log.read_text().splitlines()]
     assert [call for call in calls if call[0] == "make_pairs"] == [["make_pairs", str(os.getpid())]]
+    stage_calls = [call for call in calls if call[0] == "stage"]
+    assert stage_calls and all(pid == str(os.getpid()) for _, pid in stage_calls)
     fresh_calls = [call for call in calls if call[0] == "_fresh"]
     assert fresh_calls and all(pid != str(os.getpid()) for _, pid, _ in fresh_calls)
     address = str(data.train.features.__array_interface__["data"][0])
@@ -999,9 +1024,9 @@ def test_wrapped_run_stage_walks_in_process(monkeypatch):
     inner = pipeline.run_stage
 
     @functools.wraps(inner)
-    def traced(node, run, nets):
+    def traced(node, run, ckpt_dir):
         seen.append((os.getpid(), node.key))
-        return inner(node, run, nets)
+        return inner(node, run, ckpt_dir)
 
     monkeypatch.setattr(pipeline, "run_stage", traced)
     run_experiment(plan, workers=2)
@@ -1026,6 +1051,21 @@ def test_stage_graph_of_default_plan():
         assert stage(plan, node.key) == node
     rows = [node.row for node in listed if node.row is not None]
     assert len(rows) == len(set(rows)) == 28  # 1 + 3 * 2 classification rows, 3 tables of 7
+
+
+def test_a_stage_is_a_value():
+    # a stage holds everything it trains: it survives a pickle round trip, and
+    # plans that train it differently give unequal stages
+    for node in stages(_rich_plan()):
+        copy = pickle.loads(pickle.dumps(node))
+        assert copy == node and hash(copy) == hash(node), node.key
+    plan = ExperimentPlan()
+    assert stage(plan, "teacher_cls") != stage(replace(plan, seed=1), "teacher_cls")
+    for key, family in (("student4_cls_scratch", "cls_stage"),
+                        ("student8_alignment_pretrain_base", "alignment_stage"),
+                        ("student2_verification_pretrain_base", "verification_stage")):
+        faster = replace(plan, **{family: replace(getattr(plan, family), scratch_lr=0.05)})
+        assert stage(plan, key) != stage(faster, key), key
 
 
 def test_stage_resolves_keys_outside_the_plan_and_rejects_unknown_keys():
