@@ -76,7 +76,6 @@ DEFAULTS: dict[str, tuple] = {
     "verification.epochs_per_phase": _plan("verification_stage.epochs_per_phase"),
     "verification.scratch_lr": _plan("verification_stage.scratch_lr"),
     "verification.continue_lr": _plan("verification_stage.continue_lr"),
-    "verification.triplets_per_epoch": _plan("verification_stage.triplets_per_epoch"),
     "optimizer.momentum": _plan("cls_stage.momentum"),
     "experiment.divisors": _plan("cls_divisors"),
     "experiment.alignment_divisors": (None, field(default=_TABLES[ALIGNMENT].divisors, metadata=_DIVISORS)),

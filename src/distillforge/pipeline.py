@@ -14,13 +14,11 @@ Stage layout mirrors the two-step transfer recipe:
 The teacher's architecture, ``ExperimentPlan.teacher``, is the dataset's
 input, identity and keypoint widths around the plan's hidden and embedding
 widths; students divide only the hidden widths. Each stage family's
-``StagePlan`` holds its batch size, momentum and rates, and
-``StagePlan.schedule`` gives a stage's (rate, epochs) phases: the scratch
-rate, then the continuation rate, for a fresh build; the continuation rate
-only for an initialized start.
-Every stage draws its randomness from a named substream of one top-level
-seed, so any run is reproducible in isolation. Trained networks carry
-their per-step loss history in ``net.training_log``.
+``StagePlan`` holds its batch size, momentum and rates, and ``Stage.phases``
+holds a stage's (rate, epochs) phases: the scratch rate, then the
+continuation rate, for a fresh build; the continuation rate only for an
+initialized start. Every stage draws its randomness from a named substream
+of one top-level seed, so any run is reproducible in isolation.
 
 Every stage trains on the dataset's training split and is scored on its
 test split, both read-only ``data.Split`` columns that all stages share.
@@ -42,9 +40,9 @@ to a ``Stage``, a frozen record of everything the stage trains: its label
 (``cls``, ``alignment``, ``verification``, ``verification_joint``), spec,
 start (a fresh build, or a value copy of a dependency for full
 initialization and transfer), teacher, ``DistillConfig`` (a stage without a
-teacher has alpha and beta 0, a classification stage beta 0), ``StagePlan``
-and seed. The one training body, ``_train``, reads them from the record;
-``Run.evaluate`` scores every label from one forward. ``stages(plan)``
+teacher has alpha and beta 0, a classification stage beta 0), ``StagePlan``,
+phases and seed. The one training body, ``_train``, reads them from the
+record; ``Run.evaluate`` scores every label from one forward. ``stages(plan)``
 lists a plan's stages, dependencies first; ``run_experiment`` and the CLI's
 ``train`` both run this one graph, so their checkpoints are the same bytes.
 
@@ -67,7 +65,7 @@ import math
 import os
 import re
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -87,7 +85,6 @@ __all__ = [
     "derive_seed",
     "OptimizerState",
     "nag_step",
-    "TrainingLog",
     "select_targets",
     "StagePlan",
     "TaskPlan",
@@ -179,12 +176,6 @@ def nag_step(net, opt: OptimizerState) -> None:
         p.grad = None
 
 
-@dataclass
-class TrainingLog:
-    step_lrs: list[float] = field(default_factory=list)
-    step_losses: list[float] = field(default_factory=list)
-
-
 def _dedup_lookup(n: int):
     """A function from a triplet batch of row indices below ``n`` to the
     sorted unique rows and the (anchor, positive, negative) positions in
@@ -242,17 +233,15 @@ def _train(net, node: Stage, train: Split, targets):
     ``losses.objective`` with the label's task term (softmax for ``cls``,
     keypoint regression for alignment, the triplet hinge, plus softmax for the
     joint table, for verification), the stage's weights and the teacher's
-    (logits, embedding) ``targets``, (None, None) without one; the per-step
-    log goes to ``net.training_log``.
+    (logits, embedding) ``targets``, (None, None) without one.
 
-    The one loop runs the (rate, epochs) phases of ``node.splan.schedule``,
-    then epoch, then batch, at that plan's batch size and momentum and from
+    The one loop runs the (rate, epochs) phases of ``node.phases``, then
+    epoch, then batch, at ``node.splan``'s batch size and momentum and from
     an RNG seeded by ``node.seed``. Each epoch draws a permutation of the
-    training rows or, for verification, ``triplets_per_epoch`` fresh triplets
-    (0: one per row), and each batch takes the next slice of them. A
-    non-finite loss stops training before its backward pass."""
-    label, cfg, splan = node.label, node.distill, node.splan
-    schedule = splan.schedule(fresh=node.start is None)
+    training rows or, for verification, one fresh triplet per row, and each
+    batch takes the next slice of them. A non-finite loss stops training
+    before its backward pass."""
+    label, cfg, splan, n = node.label, node.distill, node.splan, len(train)
     t_logits, t_emb = targets
     if t_logits is not None and (t_emb.shape[1] != net.spec.embedding_dim
                                  or t_logits.shape[1] != net.spec.num_classes):
@@ -262,16 +251,15 @@ def _train(net, node: Stage, train: Split, targets):
     joint = label == f"{VERIFICATION}_joint"
     onehot = one_hot(train.ids, net.spec.num_classes) if label == "cls" or joint else None
     heads = {"logits": cfg.alpha != 0 or onehot is not None, "regression": label == ALIGNMENT}
-    dedup = None if label in ("cls", ALIGNMENT) else _dedup_lookup(len(train))
-    count = len(train) if dedup is None else splan.triplets_per_epoch or len(train)
-    opt = OptimizerState.for_network(net, schedule[0][0], splan.momentum)
-    rng, log = np.random.default_rng(node.seed), TrainingLog()
-    for phase, (lr, n_epochs) in enumerate(schedule, 1):
+    dedup = None if label in ("cls", ALIGNMENT) else _dedup_lookup(n)
+    opt = OptimizerState.for_network(net, node.phases[0][0], splan.momentum)
+    rng = np.random.default_rng(node.seed)
+    for phase, (lr, n_epochs) in enumerate(node.phases, 1):
         opt.learning_rate = lr
         for epoch in range(1, n_epochs + 1):
-            order = (rng.permutation(count) if dedup is None
-                     else make_triplets(train, count, int(rng.integers(2 ** 62))))
-            for step, start in enumerate(range(0, count, splan.batch_size), 1):
+            order = (rng.permutation(n) if dedup is None
+                     else make_triplets(train, n, int(rng.integers(2 ** 62))))
+            for step, start in enumerate(range(0, n, splan.batch_size), 1):
                 sl = slice(start, start + splan.batch_size)
                 rows, *triplets = (order[sl],) if dedup is None else dedup(*(t[sl] for t in order))
                 with tc.Tape():
@@ -293,9 +281,6 @@ def _train(net, node: Stage, train: Split, targets):
                 opt.zero_grad()
                 tc.backward(loss)
                 nag_step(net, opt)
-                log.step_lrs.append(lr)
-                log.step_losses.append(value)
-    net.training_log = log
 
 
 # Target selection ----------------------------------------------------------------
@@ -328,7 +313,7 @@ def select_targets(metric_per_config, higher_is_better: bool = True) -> tuple[in
 
 @dataclass(frozen=True)
 class StagePlan:
-    """Stage sizing plus the two learning rates of the schedule family.
+    """Stage sizing plus the two learning rates of a stage family's phases.
 
     The default rates are desk-scale values picked empirically: at the
     reference scale (momentum 0.9, He-uniform init, these layer widths)
@@ -341,16 +326,9 @@ class StagePlan:
     scratch_lr: float = setting(float, 0.02, gt=0)
     continue_lr: float = setting(float, 0.002, gt=0)
     momentum: float = setting(float, 0.9, ge=0, lt=1)
-    triplets_per_epoch: int = setting(int, 0, ge=0)  # 0: one triplet per train sample per epoch
 
     def __post_init__(self):
         check_fields(self)
-
-    def schedule(self, fresh: bool) -> tuple[tuple[float, int], ...]:
-        """The (rate, epochs) phases: the scratch rate, then the continuation
-        rate for a ``fresh`` build; the continuation rate only for a copied start."""
-        continued = ((self.continue_lr, self.epochs_per_phase),)
-        return ((self.scratch_lr, self.epochs_per_phase), *continued) if fresh else continued
 
 
 @dataclass(frozen=True)
@@ -432,13 +410,14 @@ _GRID_RUN = re.compile(r"(scratch|pretrain|distill)_a([0-9.eE+-]+)_b([0-9.eE+-]+
 class Run:
     """The constants every stage of one run shares: the dataset, whose splits
     are read-only, and, each computed at most once, the evaluation pairs and
-    each teacher's targets, memoised by the teacher's run key (``targets``
-    loads the teacher's checkpoint only for a key it has not seen)."""
+    each teacher's targets, memoised by the teacher's checkpoint file
+    (``targets`` loads a checkpoint again only when its path, or the device,
+    inode, size or modification time at that path, is new)."""
 
     def __init__(self, plan: ExperimentPlan, data: SplitDataset):
         self.plan = plan
         self.data = data
-        self._targets: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._targets: dict[str, tuple[tuple, tuple[np.ndarray, np.ndarray]]] = {}
 
     @cached_property
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -446,10 +425,12 @@ class Run:
                           derive_seed(self.plan.seed, "eval_pairs"))
 
     def targets(self, key: str, ckpt_dir) -> tuple[np.ndarray, np.ndarray]:
-        if key not in self._targets:
-            self._targets[key] = _teacher_targets(load_checkpoint(ckpt_dir, key),
-                                                  self.data.train.features)
-        return self._targets[key]
+        path = _checkpoint(ckpt_dir, key)
+        st = os.stat(path)  # before the load: a file replaced in between is loaded again next time
+        stamp = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+        if path not in self._targets or self._targets[path][0] != stamp:
+            self._targets[path] = stamp, _teacher_targets(load_network(path), self.data.train.features)
+        return self._targets[path][1]
 
     def evaluate(self, label: str, net: Network) -> dict[str, float]:
         """Test-split metrics of a stage label from one forward: top-1 for
@@ -476,8 +457,10 @@ class Stage:
     report it. The stage trains a value copy of the dependency ``start``, or
     a fresh build of ``spec`` when ``start`` is None, on the targets of the
     dependency ``teacher`` (None: no targets), with the weights ``distill``,
-    the sizes and rates of ``splan`` and the derived ``seed``. A stage
-    compares, hashes and pickles by these values.
+    the batch size and momentum of ``splan``, the (rate, epochs) ``phases``
+    and the derived ``seed``. A fresh build runs ``splan``'s scratch rate,
+    then its continuation rate; a copied start only the continuation rate.
+    A stage compares, hashes and pickles by these values.
     """
 
     key: str
@@ -488,6 +471,7 @@ class Stage:
     teacher: str | None
     distill: DistillConfig
     splan: StagePlan
+    phases: tuple[tuple[float, int], ...]
     seed: int
 
     @property
@@ -529,6 +513,8 @@ def stage(plan: ExperimentPlan, key: str) -> Stage:
                  "distill": f"student{d}_cls_full_init"}.get(init)
     elif label == "cls" or kind != "pretrain_base":  # the pretrain base trains a fresh student
         raise ValueError(f"unknown stage key {key!r}")
+    n = splan.epochs_per_phase  # a copied start continues; a fresh build starts at the scratch rate
+    phases = ((splan.continue_lr, n),) if start else ((splan.scratch_lr, n), (splan.continue_lr, n))
     try:
         distill = replace(plan.distill, alpha=float(alpha), beta=float(beta))
     except ValueError as exc:
@@ -538,7 +524,7 @@ def stage(plan: ExperimentPlan, key: str) -> Stage:
     row = ("classification" if label == "cls" else label, f"student/{d}" if divisor else "teacher",
            init, distill.alpha, distill.beta)
     return Stage(key, label, row if key in _report_keys(plan) else None, spec, start, teacher,
-                 distill, splan, derive_seed(plan.seed, key))
+                 distill, splan, phases, derive_seed(plan.seed, key))
 
 
 def _report_keys(plan: ExperimentPlan):
@@ -590,7 +576,7 @@ def run_stage(node: Stage, run: Run, ckpt_dir) -> tuple[Network, dict[str, float
 
     A missing dependency file fails before any work is done; each dependency
     is loaded only when the stage reads it (a teacher only if ``run`` has no
-    targets of it) and is not kept while the stage trains. Any failure, a
+    targets of that file) and is not kept while the stage trains. Any failure, a
     non-finite metric included, keeps its exception type and names the run key.
     """
     for dep in node.deps:

@@ -142,7 +142,6 @@ verification.batch_size           default: 32  (>= 1)
 verification.continue_lr          default: 0.001  (> 0)
 verification.epochs_per_phase     default: 15  (>= 0)
 verification.scratch_lr           default: 0.005  (> 0)
-verification.triplets_per_epoch   default: 0  (>= 0)
 """
 
 
@@ -579,7 +578,6 @@ data.noise_std = 0.1
 net.hidden_widths = 16, 8
 distill.tau = 3.0
 cls.scratch_lr = 0.02
-verification.triplets_per_epoch = 40
 experiment.divisors = 2, 4
 experiment.verification_modes = single, joint
 """

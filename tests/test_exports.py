@@ -2,8 +2,9 @@
 the package re-exports only names its submodules export, no source file
 imports a name it never reads, every private top-level function or class
 of the package is referenced outside its own definition, every plan
-field carries a schema bound unless it is a listed structured field, no
-dataclass field is left out of comparison, and only the ops that share one
+field carries a schema bound unless it is a listed structured field, some
+code outside the schema reads every bounded plan field, no dataclass field
+is left out of comparison, and only the ops that share one
 backward computation across their inputs record on the tape without
 ``tensor._record``."""
 import ast
@@ -13,6 +14,7 @@ import pkgutil
 from pathlib import Path
 
 import distillforge
+from distillforge._schema import setting
 from distillforge.data import GeneratorParams
 from distillforge.losses import DistillConfig
 from distillforge.nets import NetworkSpec
@@ -179,9 +181,39 @@ _STRUCTURED_FIELDS = {
 }
 
 
+_PLANS = (GeneratorParams, NetworkSpec, DistillConfig, StagePlan, TaskPlan, ExperimentPlan)
+
+
 def test_every_plan_field_is_bounded_or_structured():
     # a scalar setting without a bound goes unchecked, as TaskPlan.include_softmax once did
-    plans = (GeneratorParams, NetworkSpec, DistillConfig, StagePlan, TaskPlan, ExperimentPlan)
-    unbounded = {f"{plan.__name__}.{f.name}" for plan in plans for f in dataclasses.fields(plan)
+    unbounded = {f"{plan.__name__}.{f.name}" for plan in _PLANS for f in dataclasses.fields(plan)
                  if "type" not in f.metadata}
     assert unbounded == _STRUCTURED_FIELDS
+
+
+def _unread_settings(plans, sources: dict[str, str]) -> list[str]:
+    """``Plan.field`` of each bounded field of ``plans`` that no source in
+    ``sources`` reads as an attribute (``obj.field`` in a load)."""
+    read = {node.attr for source in sources.values() for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [f"{plan.__name__}.{f.name}" for plan in plans for f in dataclasses.fields(plan)
+            if "type" in f.metadata and f.name not in read]
+
+
+def test_every_plan_setting_is_read():
+    # a setting that only the schema and the config read changes nothing a run does
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src/distillforge").glob("*.py")) if path.name != "_schema.py"}
+    assert len(sources) > 8
+    assert _unread_settings(_PLANS, sources) == []
+
+
+def test_unread_setting_scan_sees_a_planted_field():
+    @dataclasses.dataclass
+    class Planted:
+        read: int = setting(int, 1)
+        stored: int = setting(int, 2)
+        table: tuple = ()
+
+    source = "def f(p):\n    p.stored = 3\n    return p.read + getattr(p, 'stored')\n"
+    assert _unread_settings((Planted,), {"m.py": source}) == ["Planted.stored"]

@@ -21,6 +21,7 @@ import pytest
 import distillforge.pipeline as pipeline
 import distillforge.tensor as tc
 from distillforge._atomic import atomic_write
+from distillforge.config import experiment_plan, load_config
 from distillforge.data import GeneratorParams, generate
 from distillforge.losses import (DistillConfig, alignment_distill_loss, classification_distill_loss,
                                  euclidean_loss, hard_term, objective, one_hot, soft_predictions,
@@ -238,15 +239,116 @@ def test_stage_config_validation():
         StagePlan(batch_size=8, epochs_per_phase=3, continue_lr=0.0)
     with pytest.raises(ValueError):
         StagePlan(batch_size=0, epochs_per_phase=3)
-    assert StagePlan(8, 0).schedule(fresh=True) == ((0.02, 0), (0.002, 0))
+    assert stage(_tiny_plan(cls_stage=StagePlan(8, 0)), "teacher_cls").phases == ((0.02, 0), (0.002, 0))
 
 
 def test_stage_plan_modes():
     # a fresh build runs the scratch rate, then the continuation rate; a copied
     # start the continuation rate only
-    plan = StagePlan(batch_size=8, epochs_per_phase=3, scratch_lr=0.1, continue_lr=0.01)
-    assert plan.schedule(fresh=True) == ((0.1, 3), (0.01, 3))
-    assert plan.schedule(fresh=False) == ((0.01, 3),)
+    plan = _tiny_plan(cls_stage=StagePlan(batch_size=8, epochs_per_phase=3, scratch_lr=0.1,
+                                          continue_lr=0.01))
+    assert stage(plan, "student2_cls_init").phases == ((0.1, 3), (0.01, 3))
+    assert stage(plan, "student2_cls_full_init").phases == ((0.01, 3),)
+
+
+def test_fresh_builds_run_two_phases_and_copied_starts_one():
+    plan = ExperimentPlan()
+    fresh = {"teacher_cls"} | {f"student{d}_cls_{kind}" for d in plan.cls_divisors
+                               for kind in ("init", "scratch")}
+    for node in stages(plan):
+        n = node.splan.epochs_per_phase
+        if node.key in fresh or node.key.endswith("_pretrain_base"):
+            assert node.start is None, node.key
+            assert node.phases == ((node.splan.scratch_lr, n), (node.splan.continue_lr, n)), node.key
+        else:
+            assert node.start is not None, node.key
+            assert node.phases == ((node.splan.continue_lr, n),), node.key
+    assert sum(len(node.phases) == 2 for node in stages(plan)) == 10  # 7 cls stages, 3 pretrain bases
+
+
+def _planned_steps(node, n_train: int) -> int:
+    """The optimizer steps of stage ``node`` over ``n_train`` training rows,
+    from its record alone: one per batch of every epoch of every phase."""
+    return sum(epochs for _, epochs in node.phases) * -(-n_train // node.splan.batch_size)
+
+
+def _n_train(plan) -> int:
+    return plan.generator.split_sizes[0] * plan.generator.num_identities
+
+
+def test_planned_step_counts_of_the_default_and_benchmark_plans():
+    plan = ExperimentPlan()
+    assert _n_train(plan) == 1280
+    assert sum(_planned_steps(node, 1280) for node in stages(plan)) == 26_700
+    # perfbench/run.py's optimizer_steps for its scaled grid
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    grid = experiment_plan(load_config(os.path.join(root, "perfbench", "configs", "grid.cfg")))
+    assert sum(_planned_steps(node, _n_train(grid)) for node in stages(grid)) == 1_780
+
+
+def _recording(monkeypatch, name, read):
+    """A list that gets ``read(result, *args)`` of each call of ``pipeline.<name>``."""
+    seen, fn = [], getattr(pipeline, name)
+
+    def wrapper(*args):
+        result = fn(*args)
+        seen.append(read(result, *args))
+        return result
+    monkeypatch.setattr(pipeline, name, wrapper)
+    return seen
+
+
+def test_planned_step_counts_match_the_steps_taken(monkeypatch, tmp_path):
+    plan = _digest_plan()
+    steps = _recording(monkeypatch, "nag_step", lambda *_: None)
+    run = Run(plan, generate(plan.generator))
+    for node in stages(plan):
+        steps.clear()
+        run_stage(node, run, tmp_path)
+        assert len(steps) == _planned_steps(node, len(run.data.train)) > 0, node.key
+
+
+def test_a_stage_trains_the_phases_of_its_record(data, monkeypatch, tmp_path):
+    # _train reads the rates and epochs from the record, not from its start
+    plan = _tiny_plan()
+    lrs = _recording(monkeypatch, "nag_step", lambda _, net, opt: opt.learning_rate)
+    _saved({"teacher_cls": build(SPEC, 1), "student2_cls_init": build(SPEC.student(2), 2)}, tmp_path)
+    for key in ("teacher_cls", "student2_cls_scratch", "student2_cls_full_init"):
+        lrs.clear()
+        run_stage(replace(stage(plan, key), phases=((0.05, 1),)), Run(plan, data), tmp_path)
+        assert lrs == [0.05] * -(-len(data.train) // 16), key
+
+
+def test_run_reloads_the_targets_of_another_or_a_replaced_teacher(data, tmp_path):
+    # a Run reused for another checkpoint directory, or after the teacher's
+    # checkpoint is replaced, trains on the teacher in that file, as a fresh Run does
+    plan, key = _tiny_plan(), "student2_cls_scratch"
+    a, b, alone = tmp_path / "a", tmp_path / "b", tmp_path / "alone"
+    for ckpt_dir, seed in ((a, 0), (b, 5)):
+        ckpt_dir.mkdir()
+        _saved({"teacher_cls": _train(replace(plan, seed=seed), "teacher_cls", data)}, ckpt_dir)
+    alone.mkdir()
+    shutil.copy(b / "teacher_cls.ckpt", alone)
+    run_stage(stage(plan, key), Run(plan, data), alone)
+    expected = (alone / f"{key}.ckpt").read_bytes()
+    run = Run(plan, data)
+    run_stage(stage(plan, key), run, a)
+    assert (a / f"{key}.ckpt").read_bytes() != expected
+    run_stage(stage(plan, key), run, b)
+    assert (b / f"{key}.ckpt").read_bytes() == expected
+    save_network(load_network(b / "teacher_cls.ckpt"), a / "teacher_cls.ckpt")  # an atomic replace
+    run_stage(stage(plan, key), run, a)
+    assert (a / f"{key}.ckpt").read_bytes() == expected
+
+
+def test_a_trained_network_carries_only_its_values(data, tmp_path):
+    plan = _tiny_plan(tasks=(TaskPlan(ALIGNMENT, (2,)), TaskPlan(VERIFICATION, (2,)),
+                             TaskPlan(VERIFICATION, (2,), include_softmax=True)))
+    run = Run(plan, data)
+    for key in ("teacher_cls", "teacher_alignment", "teacher_verification",
+                "teacher_verification_joint"):
+        net, _ = run_stage(stage(plan, key), run, tmp_path)
+        assert sorted(vars(net)) == ["norm_mean", "norm_std", "parameters", "spec"], key
 
 
 def _saved(nets, ckpt_dir):
@@ -289,20 +391,20 @@ def test_training_deterministic_per_seed(data):
     assert any(not np.array_equal(p.data, q.data) for p, q in zip(a.parameters, c.parameters))
 
 
-def test_lr_schedule_honored(data):
-    net = _train(_tiny_plan(cls_stage=StagePlan(16, 1, scratch_lr=0.05, continue_lr=0.005)),
-                 "teacher_cls", data)
-    lrs = net.training_log.step_lrs
+def test_lr_schedule_honored(data, monkeypatch):
+    lrs = _recording(monkeypatch, "nag_step", lambda _, net, opt: opt.learning_rate)
+    _train(_tiny_plan(cls_stage=StagePlan(16, 1, scratch_lr=0.05, continue_lr=0.005)),
+           "teacher_cls", data)
     half = len(lrs) // 2  # equal epochs per phase
     assert half > 0
     assert set(lrs[:half]) == {0.05}
     assert set(lrs[half:]) == {0.005}
 
 
-def test_training_loss_trends_down(data):
-    net = _train(_tiny_plan(cls_stage=StagePlan(16, 6, scratch_lr=0.02, continue_lr=0.02)),
-                 "teacher_cls", data)
-    losses = net.training_log.step_losses
+def test_training_loss_trends_down(data, monkeypatch):
+    losses = _recording(monkeypatch, "objective", lambda loss, *_: loss.item())
+    _train(_tiny_plan(cls_stage=StagePlan(16, 6, scratch_lr=0.02, continue_lr=0.02)),
+           "teacher_cls", data)
     assert np.mean(losses[-10:]) < np.mean(losses[:10])
 
 
@@ -348,10 +450,10 @@ def test_task_stage_rejects_a_teacher_of_another_width(data, key, tmp_path):
         run_stage(node, Run(plan, data), _saved(nets, tmp_path))
 
 
-def test_verification_stage_runs(data):
-    plan = _tiny_plan(verification_stage=StagePlan(16, 1, triplets_per_epoch=30))
-    net = _train(plan, "student2_verification_pretrain_base", data)
-    assert len(net.training_log.step_losses) > 0
+def test_verification_stage_runs(data, monkeypatch):
+    losses = _recording(monkeypatch, "objective", lambda loss, *_: loss.item())
+    _train(_tiny_plan(verification_stage=StagePlan(16, 1)), "student2_verification_pretrain_base", data)
+    assert len(losses) == 2 * -(-len(data.train) // 16) and all(np.isfinite(losses))
 
 
 def _teacher_and_features(rng):
@@ -524,6 +626,7 @@ def test_stage_tables_are_built_once_per_stage(data, monkeypatch):
     for name in ("one_hot", "soft_targets", "_dedup_lookup"):
         monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
     monkeypatch.setattr(Network, "standardize", counting("standardize", Network.standardize))
+    taken = _recording(monkeypatch, "nag_step", lambda *_: None)
     teacher, student = build(SPEC, seed=1), build(SPEC.student(2), 2)
     families = {"cls distill": "student2_cls_scratch",
                 "alignment grid": "student2_alignment_distill_a1_b1",
@@ -536,13 +639,14 @@ def test_stage_tables_are_built_once_per_stage(data, monkeypatch):
     for family, key in families.items():
         built, steps = [], []
         for epochs in (1, 3):
-            splan = StagePlan(16, epochs, triplets_per_epoch=40)
+            splan = StagePlan(16, epochs)
             plan = _tiny_plan(cls_stage=splan, alignment_stage=splan, verification_stage=splan)
             deps = stage(plan, key).deps
             counts.clear()
-            net = _train(plan, key, data, {dep: teacher if dep.startswith("teacher") else student
-                                           for dep in deps})
-            steps.append(len(net.training_log.step_losses))
+            taken.clear()
+            _train(plan, key, data, {dep: teacher if dep.startswith("teacher") else student
+                                     for dep in deps})
+            steps.append(len(taken))
             built.append(dict(counts))
         assert steps[1] == 3 * steps[0] > 0, family
         assert built[0] == built[1], (family, built)
@@ -589,16 +693,16 @@ def test_step_and_triplet_counters_see_every_call(data, monkeypatch):
     for name in counts:
         monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
     n = len(data.train)
-    cases = {"teacher_cls": (StagePlan(7, 2), n),
-             "student2_verification_pretrain_base": (StagePlan(16, 2, triplets_per_epoch=30), 30),
-             "student2_verification_joint_pretrain_base": (StagePlan(10, 1), n)}
-    for key, (splan, count) in cases.items():
-        assert count % splan.batch_size, key  # every epoch ends on a short batch
+    cases = {"teacher_cls": StagePlan(7, 2),
+             "student2_verification_pretrain_base": StagePlan(10, 2),
+             "student2_verification_joint_pretrain_base": StagePlan(10, 1)}
+    for key, splan in cases.items():
+        assert n % splan.batch_size, key  # every epoch ends on a short batch
         plan = _tiny_plan(cls_stage=splan, verification_stage=splan)
         counts.update(nag_step=0, make_triplets=0)
-        net = _train(plan, key, data)
-        epochs, batches = 2 * splan.epochs_per_phase, -(-count // splan.batch_size)
-        assert counts["nag_step"] == len(net.training_log.step_losses) == epochs * batches, key
+        _train(plan, key, data)
+        epochs, batches = 2 * splan.epochs_per_phase, -(-n // splan.batch_size)
+        assert counts["nag_step"] == epochs * batches, key
         assert counts["make_triplets"] == (0 if key == "teacher_cls" else epochs), key
 
 
@@ -676,9 +780,8 @@ def test_plan_rejects_nonpositive_counts_naming_the_field(field, value):
     (lambda: StagePlan(16.5, 1), "batch_size"),
     (lambda: StagePlan(16, 1.5), "epochs_per_phase"),
     (lambda: StagePlan(16, -1), "epochs_per_phase"),
-    (lambda: StagePlan(16, 1, triplets_per_epoch=-3), "triplets_per_epoch"),
 ], ids=["float-divisor", "bool-divisor", "float-pairs", "float-task-divisor", "float-plan-batch",
-        "float-plan-epochs", "negative-plan-epochs", "negative-triplets"])
+        "float-plan-epochs", "negative-plan-epochs"])
 def test_plan_sizes_must_be_integers_in_range(make, field):
     # before the check these failed late as an unknown run key or a bare
     # TypeError, or were silently truncated (1.5 epochs trained 1) or read as 0
@@ -687,10 +790,10 @@ def test_plan_sizes_must_be_integers_in_range(make, field):
 
 
 def test_plans_accept_numpy_integer_sizes():
-    (rate, epochs), = StagePlan(np.int64(16), np.int64(2)).schedule(fresh=False)
-    assert (rate, epochs) == (0.002, 2) and type(epochs) is int
-    plan = _tiny_plan(cls_divisors=(np.int64(2),), cls_stage=StagePlan(np.int64(16), np.int64(1)))
+    plan = _tiny_plan(cls_divisors=(np.int64(2),), cls_stage=StagePlan(np.int64(16), np.int64(2)))
     assert "student2_cls_full_init" in [node.key for node in stages(plan)]
+    (rate, epochs), = stage(plan, "student2_cls_full_init").phases
+    assert (rate, epochs) == (0.002, 2) and type(epochs) is int
 
 
 def test_plans_store_values_as_their_declared_types():
