@@ -41,7 +41,6 @@ from ._atomic import atomic_write
 from .config import (ConfigError, apply_set, describe_keys, experiment_plan, generator_params,
                      load_config)
 from .data import generate, load_dataset, save_dataset
-from .metrics import MetricsReport
 from .nets import load_network
 from .pipeline import (ALIGNMENT, VERIFICATION, Run, load_checkpoint, run_experiment, run_stage,
                        stage, stages)
@@ -202,14 +201,9 @@ def cmd_reproduce(args) -> int:
     report_path = os.path.join(out_dir, "report.json")
     with atomic_write(report_path, "w", encoding="utf-8") as fh:
         fh.write(report.to_json())
-    tasks = sorted({key[0] for key, _ in report.rows()})
-    for task in tasks:
-        sub = MetricsReport()
-        for key, metrics in report.rows():
-            if key[0] == task:
-                sub.add(*key, **metrics)
+    for task, table in report.tables().items():
         with atomic_write(os.path.join(out_dir, f"report_{task}.txt"), "w", encoding="utf-8") as fh:
-            fh.write(sub.to_text())
+            fh.write(table + "\n")
     print(report.to_text(), end="")
     print(f"wrote {report_path}")
     return 0

@@ -173,11 +173,12 @@ class MetricsReport:
                        **row["metrics"])
         return report
 
-    def to_text(self) -> str:
+    def tables(self) -> dict[str, str]:
+        """Each task's aligned text table, by task, without a trailing newline."""
         by_task: dict[str, list] = {}
         for (task, network, init, alpha, beta), metrics in self.rows():
             by_task.setdefault(task, []).append((network, init, alpha, beta, metrics))
-        blocks = []
+        tables = {}
         for task in sorted(by_task):
             rows = by_task[task]
             metric_names = sorted({name for *_, m in rows for name in m})
@@ -194,5 +195,8 @@ class MetricsReport:
                 lines.append("  ".join(cell.ljust(widths[c]) for c, cell in enumerate(row)).rstrip())
                 if r == 0:
                     lines.append("  ".join("-" * widths[c] for c in range(len(header))))
-            blocks.append("\n".join(lines))
-        return "\n\n".join(blocks) + "\n"
+            tables[task] = "\n".join(lines)
+        return tables
+
+    def to_text(self) -> str:
+        return "\n\n".join(self.tables().values()) + "\n"

@@ -193,8 +193,8 @@ def _header_spec(header) -> tuple[NetworkSpec, list[tuple[int, ...]]]:
 
 def load_network(path) -> Network:
     """Read a checkpoint, its payload straight into one float buffer that the
-    normalizer and parameters view; malformed content raises a ValueError
-    naming the file."""
+    parameters view (the normalizer is copied out, so parameters moved
+    elsewhere free it); malformed content raises a ValueError naming the file."""
     try:
         with open(path, "rb") as fh:
             magic = fh.readline().rstrip(b"\n").decode(errors="replace")
@@ -220,6 +220,6 @@ def load_network(path) -> Network:
             raise ValueError("non-finite value in checkpoint payload")
         mean, std, *params = (a.reshape(shape)
                               for a, shape in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes))
-        return Network(spec, [Tensor(p, requires_grad=True) for p in params], mean, std)
+        return Network(spec, [Tensor(p, requires_grad=True) for p in params], mean.copy(), std.copy())
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -13,12 +13,12 @@ Stage layout mirrors the two-step transfer recipe:
 
 The teacher's architecture, ``ExperimentPlan.teacher``, is the dataset's
 input, identity and keypoint widths around the plan's hidden and embedding
-widths; students divide only the hidden widths. Each stage family's
-``StagePlan`` holds its batch size, momentum and rates, and ``Stage.phases``
-holds a stage's (rate, epochs) phases: the scratch rate, then the
-continuation rate, for a fresh build; the continuation rate only for an
-initialized start. Every stage draws its randomness from a named substream
-of one top-level seed, so any run is reproducible in isolation.
+widths; students divide only the hidden widths. A stage's record takes
+its batch size, momentum and (rate, epochs) phases from its family's
+``StagePlan``: the scratch rate, then the continuation rate, for a fresh
+build; the continuation rate only for an initialized start. Every stage
+draws its randomness from a named substream of one top-level seed, so any
+run is reproducible in isolation.
 
 Every stage trains on the dataset's training split and is scored on its
 test split, both read-only ``data.Split`` columns that all stages share.
@@ -26,25 +26,25 @@ test split, both read-only ``data.Split`` columns that all stages share.
 What stays fixed for a whole stage is built once, after its network
 exists, as a table over the training split, and each batch indexes its
 rows: the features standardized by the network's normalizer, the one-hot
-labels, the softened teacher targets softmax(logits / tau) when alpha > 0,
-and, for verification, a dedup lookup that maps a triplet batch to its
-unique rows. One loop in ``_train``, phase by epoch by batch, trains every
+labels and the softened teacher targets softmax(logits / tau) when
+alpha > 0. One loop in ``_train``, phase by epoch by batch, trains every
 label, and its step runs only the heads that ``losses.objective`` reads:
 the regression head only for alignment, the class head only for a soft or
-softmax term. Every table row and every gradient is bitwise what the
-per-batch build and the all-heads forward give.
+softmax term; a triplet batch forwards each of its distinct rows once.
+Every table row and every gradient is bitwise what the per-batch build and
+the all-heads forward give.
 
 Each stage is named by a run key (``teacher_cls``, ``student4_cls_full_init``,
 ``student8_alignment_distill_a0_b1``, ...). ``stage(plan, key)`` resolves it
 to a ``Stage``, a frozen record of everything the stage trains: its label
 (``cls``, ``alignment``, ``verification``, ``verification_joint``), spec,
-start (a fresh build, or a value copy of a dependency for full
+start (a fresh build, or the checkpoint of a dependency for full
 initialization and transfer), teacher, ``DistillConfig`` (a stage without a
-teacher has alpha and beta 0, a classification stage beta 0), ``StagePlan``,
-phases and seed. The one training body, ``_train``, reads them from the
-record; ``Run.evaluate`` scores every label from one forward. ``stages(plan)``
-lists a plan's stages, dependencies first; ``run_experiment`` and the CLI's
-``train`` both run this one graph, so their checkpoints are the same bytes.
+teacher has alpha and beta 0, a classification stage beta 0), batch size,
+momentum, phases and seed. The one training body, ``_train``, reads only
+the record; ``Run.evaluate`` scores every label from one forward.
+``stages(plan)`` lists a plan's stages, dependencies first; ``run_experiment``
+and the CLI's ``train`` both run this one graph, so their checkpoints match.
 
 Networks pass between stages only as checkpoint files:
 ``run_stage(stage(plan, key), Run(plan, data), ckpt_dir)`` loads a stage's
@@ -77,7 +77,7 @@ from .data import GeneratorParams, Split, SplitDataset, generate, make_pairs, ma
 from .losses import DistillConfig, euclidean_loss, hard_term, objective, one_hot, soft_targets
 from .metrics import (MetricsReport, nrmse, pair_verification_accuracy, reference_distances,
                       top1_accuracy, verification_top1)
-from .nets import Network, NetworkSpec, build, clone, load_network, save_network
+from .nets import Network, NetworkSpec, build, load_network, save_network
 
 __all__ = [
     "ALIGNMENT",
@@ -176,24 +176,6 @@ def nag_step(net, opt: OptimizerState) -> None:
         p.grad = None
 
 
-def _dedup_lookup(n: int):
-    """A function from a triplet batch of row indices below ``n`` to the
-    sorted unique rows and the (anchor, positive, negative) positions in
-    them, as ``np.unique(..., return_inverse=True)`` gives them; a mask and a
-    position array over the split, built once and reused by every batch."""
-    seen, pos = np.zeros(n, dtype=bool), np.empty(n, dtype=np.intp)
-
-    def dedup(a, p, n_):
-        rows = np.concatenate([a, p, n_])
-        seen[rows] = True
-        uniq = np.flatnonzero(seen)
-        seen[uniq] = False
-        pos[uniq] = np.arange(uniq.size)
-        inv, k = pos[rows], a.size
-        return uniq, inv[:k], inv[k:2 * k], inv[2 * k:]
-    return dedup
-
-
 def _rows(table, idx):
     return None if table is None else table[idx]
 
@@ -236,32 +218,35 @@ def _train(net, node: Stage, train: Split, targets):
     (logits, embedding) ``targets``, (None, None) without one.
 
     The one loop runs the (rate, epochs) phases of ``node.phases``, then
-    epoch, then batch, at ``node.splan``'s batch size and momentum and from
+    epoch, then batch, at ``node.batch_size`` and ``node.momentum`` and from
     an RNG seeded by ``node.seed``. Each epoch draws a permutation of the
     training rows or, for verification, one fresh triplet per row, and each
-    batch takes the next slice of them. A non-finite loss stops training
-    before its backward pass."""
-    label, cfg, splan, n = node.label, node.distill, node.splan, len(train)
+    batch takes the next slice of them; a triplet batch forwards each of its
+    distinct rows once. A non-finite loss stops training before its backward
+    pass."""
+    label, cfg, n = node.label, node.distill, len(train)
     t_logits, t_emb = targets
     if t_logits is not None and (t_emb.shape[1] != net.spec.embedding_dim
                                  or t_logits.shape[1] != net.spec.num_classes):
         raise ValueError("student and teacher must share embedding_dim and num_classes")
     x, soft = net.standardize(train.features), soft_targets(t_logits, cfg)
     t_emb = t_emb if cfg.beta else None  # only the hidden term reads it
-    joint = label == f"{VERIFICATION}_joint"
+    joint, verification = label == f"{VERIFICATION}_joint", label.startswith(VERIFICATION)
     onehot = one_hot(train.ids, net.spec.num_classes) if label == "cls" or joint else None
     heads = {"logits": cfg.alpha != 0 or onehot is not None, "regression": label == ALIGNMENT}
-    dedup = None if label in ("cls", ALIGNMENT) else _dedup_lookup(n)
-    opt = OptimizerState.for_network(net, node.phases[0][0], splan.momentum)
+    opt = OptimizerState.for_network(net, node.phases[0][0], node.momentum)
     rng = np.random.default_rng(node.seed)
     for phase, (lr, n_epochs) in enumerate(node.phases, 1):
         opt.learning_rate = lr
         for epoch in range(1, n_epochs + 1):
-            order = (rng.permutation(n) if dedup is None
-                     else make_triplets(train, n, int(rng.integers(2 ** 62))))
-            for step, start in enumerate(range(0, n, splan.batch_size), 1):
-                sl = slice(start, start + splan.batch_size)
-                rows, *triplets = (order[sl],) if dedup is None else dedup(*(t[sl] for t in order))
+            order = (make_triplets(train, n, int(rng.integers(2 ** 62))) if verification
+                     else rng.permutation(n))
+            for step, start in enumerate(range(0, n, node.batch_size), 1):
+                sl = slice(start, start + node.batch_size)
+                if verification:
+                    rows, inverse = np.unique(np.concatenate([t[sl] for t in order]), return_inverse=True)
+                else:
+                    rows = order[sl]
                 with tc.Tape():
                     out = net._forward(x[rows], **heads)
                     if label == "cls":
@@ -269,7 +254,7 @@ def _train(net, node: Stage, train: Split, targets):
                     elif label == ALIGNMENT:
                         task = euclidean_loss(out.regression, train.keypoints[rows])
                     else:
-                        task = tc.triplet_hinge(out.embedding, *triplets, cfg.lambda_margin)
+                        task = tc.triplet_hinge(out.embedding, *np.split(inverse, 3), cfg.lambda_margin)
                     loss = objective(task, out.logits, out.embedding, _rows(soft, rows),
                                      _rows(t_emb, rows), cfg, _rows(onehot, rows) if joint else None)
                 value = loss.item()
@@ -454,13 +439,12 @@ class Stage:
 
     ``label`` selects the task term and the metrics (``Run.evaluate``);
     ``row`` is the stage's report row key, or None when the plan does not
-    report it. The stage trains a value copy of the dependency ``start``, or
+    report it. The stage trains the checkpoint of the dependency ``start``, or
     a fresh build of ``spec`` when ``start`` is None, on the targets of the
     dependency ``teacher`` (None: no targets), with the weights ``distill``,
-    the batch size and momentum of ``splan``, the (rate, epochs) ``phases``
-    and the derived ``seed``. A fresh build runs ``splan``'s scratch rate,
-    then its continuation rate; a copied start only the continuation rate.
-    A stage compares, hashes and pickles by these values.
+    ``batch_size``, ``momentum``, the (rate, epochs) ``phases`` and the
+    derived ``seed``. A stage compares, hashes and pickles by these values,
+    so two records are equal exactly when they train alike.
     """
 
     key: str
@@ -470,7 +454,8 @@ class Stage:
     start: str | None
     teacher: str | None
     distill: DistillConfig
-    splan: StagePlan
+    batch_size: int
+    momentum: float
     phases: tuple[tuple[float, int], ...]
     seed: int
 
@@ -524,7 +509,7 @@ def stage(plan: ExperimentPlan, key: str) -> Stage:
     row = ("classification" if label == "cls" else label, f"student/{d}" if divisor else "teacher",
            init, distill.alpha, distill.beta)
     return Stage(key, label, row if key in _report_keys(plan) else None, spec, start, teacher,
-                 distill, splan, phases, derive_seed(plan.seed, key))
+                 distill, splan.batch_size, splan.momentum, phases, derive_seed(plan.seed, key))
 
 
 def _report_keys(plan: ExperimentPlan):
@@ -585,7 +570,7 @@ def run_stage(node: Stage, run: Run, ckpt_dir) -> tuple[Network, dict[str, float
         # the targets first: built after the start network, they raised the peak
         # RSS of a `train student2_cls_scratch` process from 46.5 to 48.5 MB
         targets = run.targets(node.teacher, ckpt_dir) if node.teacher else (None, None)
-        net = (clone(load_checkpoint(ckpt_dir, node.start)) if node.start
+        net = (load_checkpoint(ckpt_dir, node.start) if node.start
                else _fresh(node.spec, node.seed, run.data.train.features))
         _train(net, node, run.data.train, targets)
         metrics = run.evaluate(node.label, net)

@@ -263,3 +263,21 @@ def test_report_text_and_json_numbers_agree():
     for row in data["rows"]:
         for value in row["metrics"].values():
             assert f"{value:.12g}" in text
+
+
+def test_report_tables_are_each_tasks_own_report_text():
+    # reproduce writes each table as report_<task>.txt; its bytes are those of
+    # a report holding only that task's rows
+    r = MetricsReport()
+    r.add("verification", "student/2", "distill", 1.0, 0.0, verif_top1=0.5, pair_acc=0.75)
+    r.add("alignment", "student/8", "distill", 0.0, 1.0, nrmse=0.272198744883)
+    r.add("alignment", "teacher", "transfer", 0.0, 0.0, nrmse=0.207884067255)
+    tables = r.tables()
+    assert list(tables) == ["alignment", "verification"]
+    for task, table in tables.items():
+        sub = MetricsReport()
+        for key, metrics in r.rows():
+            if key[0] == task:
+                sub.add(*key, **metrics)
+        assert table + "\n" == sub.to_text()
+    assert r.to_text() == "\n\n".join(tables.values()) + "\n"

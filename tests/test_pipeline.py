@@ -45,7 +45,7 @@ from distillforge.pipeline import (
     stage,
     stages,
 )
-from distillforge.pipeline import _dedup_lookup, _teacher_targets
+from distillforge.pipeline import _teacher_targets
 
 GEN = GeneratorParams(num_identities=6, samples_per_identity=10, input_dim=16,
                       latent_dim=4, pose_dim=2, num_keypoints=3, seed=0)
@@ -199,6 +199,18 @@ def test_optimizer_state_allocates_four_flat_buffers(rng):
     assert opt.scratch.nbytes == nbytes
 
 
+def test_loaded_network_frees_its_payload_once_its_parameters_move(tmp_path):
+    # run_stage trains a start network as loaded: once OptimizerState has moved
+    # its parameters, nothing may keep the checkpoint's payload buffer alive
+    path = tmp_path / "start.ckpt"
+    save_network(build(SPEC, seed=1), path)
+    net = load_network(path)
+    payload = weakref.ref(net.parameters[0].data.base)
+    opt = OptimizerState.for_network(net, learning_rate=0.01)
+    assert payload() is None
+    assert all(p.data.base is opt.params for p in net.parameters)
+
+
 def test_nag_over_flat_buffers_matches_per_parameter_update(rng):
     # the training loop's path: backward accumulates into the zeroed views
     # zero_grad hands out and the step runs over whole buffers; the reference
@@ -256,20 +268,36 @@ def test_fresh_builds_run_two_phases_and_copied_starts_one():
     fresh = {"teacher_cls"} | {f"student{d}_cls_{kind}" for d in plan.cls_divisors
                                for kind in ("init", "scratch")}
     for node in stages(plan):
-        n = node.splan.epochs_per_phase
+        splan = {"cls": plan.cls_stage, ALIGNMENT: plan.alignment_stage}.get(
+            node.label, plan.verification_stage)
+        n = splan.epochs_per_phase
+        assert (node.batch_size, node.momentum) == (splan.batch_size, splan.momentum), node.key
         if node.key in fresh or node.key.endswith("_pretrain_base"):
             assert node.start is None, node.key
-            assert node.phases == ((node.splan.scratch_lr, n), (node.splan.continue_lr, n)), node.key
+            assert node.phases == ((splan.scratch_lr, n), (splan.continue_lr, n)), node.key
         else:
             assert node.start is not None, node.key
-            assert node.phases == ((node.splan.continue_lr, n),), node.key
+            assert node.phases == ((splan.continue_lr, n),), node.key
     assert sum(len(node.phases) == 2 for node in stages(plan)) == 10  # 7 cls stages, 3 pretrain bases
+
+
+def test_stage_records_are_equal_exactly_when_they_train_alike():
+    # a copied start never runs its family's scratch rate, so that rate is not
+    # part of its record; a fresh build runs it
+    p = ExperimentPlan()
+    for family, copied, fresh in (("cls_stage", "student4_cls_full_init", "student4_cls_scratch"),
+                                  ("verification_stage", "student2_verification_distill_a0_b1",
+                                   "student2_verification_pretrain_base")):
+        q = replace(p, **{family: replace(getattr(p, family), scratch_lr=0.05)})
+        assert stage(p, copied) == stage(q, copied), family
+        assert hash(stage(p, copied)) == hash(stage(q, copied)), family
+        assert stage(p, fresh) != stage(q, fresh), family
 
 
 def _planned_steps(node, n_train: int) -> int:
     """The optimizer steps of stage ``node`` over ``n_train`` training rows,
     from its record alone: one per batch of every epoch of every phase."""
-    return sum(epochs for _, epochs in node.phases) * -(-n_train // node.splan.batch_size)
+    return sum(epochs for _, epochs in node.phases) * -(-n_train // node.batch_size)
 
 
 def _n_train(plan) -> int:
@@ -533,17 +561,29 @@ def test_stage_table_rows_match_per_batch_builds(rng):
                 f"{name} rows for a {size}-row batch differ from the stage table's rows")
 
 
-def test_dedup_lookup_matches_unique(rng):
-    n = 300
-    dedup = _dedup_lookup(n)
-    for _ in range(200):
-        k = int(rng.integers(1, 65))
-        # few distinct rows, so triplets share members within and across arrays
-        a, p, n_ = (rng.integers(0, int(rng.integers(1, n + 1)), size=k) for _ in range(3))
-        uniq, inv = np.unique(np.concatenate([a, p, n_]), return_inverse=True)
-        got = dedup(a, p, n_)
-        for mine, want in zip(got, (uniq, inv[:k], inv[k:2 * k], inv[2 * k:])):
-            assert mine.dtype.kind == "i" and np.array_equal(mine, want)
+def test_triplet_steps_forward_each_distinct_row_once(data, monkeypatch):
+    # a triplet batch runs the network once over its distinct rows, however
+    # often a row recurs among its anchors, positives and negatives
+    drawn = _recording(monkeypatch, "make_triplets", lambda triplets, *_: triplets)
+    forward, seen = Network._forward, []
+
+    def counting(self, h, *args, **kwargs):
+        if tc.active_tape() is not None:  # a training step, not targets or evaluation
+            seen.append(len(h))
+        return forward(self, h, *args, **kwargs)
+
+    monkeypatch.setattr(Network, "_forward", counting)
+    teacher, student = build(SPEC, seed=1), build(SPEC.student(2), 2)
+    plan, n = _tiny_plan(verification_stage=StagePlan(16, 2)), len(data.train)
+    for key in ("student2_verification_distill_a1_b1", "student2_verification_joint_distill_a1_b1"):
+        drawn.clear()
+        seen.clear()
+        _train(plan, key, data, {dep: teacher if dep.startswith("teacher") else student
+                                 for dep in stage(plan, key).deps})
+        want = [np.unique(np.concatenate([t[start:start + 16] for t in triplets])).size
+                for triplets in drawn for start in range(0, n, 16)]
+        assert len(drawn) == 2 and seen == want, key
+        assert sum(want) < 3 * 2 * n, key  # rows do recur within batches
 
 
 def _objective_cases(rng, n, spec):
@@ -623,7 +663,7 @@ def test_stage_tables_are_built_once_per_stage(data, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("one_hot", "soft_targets", "_dedup_lookup"):
+    for name in ("one_hot", "soft_targets"):
         monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
     monkeypatch.setattr(Network, "standardize", counting("standardize", Network.standardize))
     taken = _recording(monkeypatch, "nag_step", lambda *_: None)
@@ -634,8 +674,8 @@ def test_stage_tables_are_built_once_per_stage(data, monkeypatch):
                 "joint": "student2_verification_joint_distill_a1_b1"}
     expected = {"cls distill": {"one_hot", "soft_targets", "standardize"},
                 "alignment grid": {"soft_targets", "standardize"},
-                "verification grid": {"soft_targets", "standardize", "_dedup_lookup"},
-                "joint": {"one_hot", "soft_targets", "standardize", "_dedup_lookup"}}
+                "verification grid": {"soft_targets", "standardize"},
+                "joint": {"one_hot", "soft_targets", "standardize"}}
     for family, key in families.items():
         built, steps = [], []
         for epochs in (1, 3):
