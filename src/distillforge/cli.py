@@ -25,6 +25,10 @@ and ``train`` and ``reproduce`` run a stage the same way
 (``pipeline.run_stage``): load its dependencies from there, train it, and
 write its own checkpoint there as soon as it finishes.
 ``train`` also writes ``<out>/<key>.metrics.json``.
+``generate`` and ``reproduce`` also write ``dataset.txt.bin`` (only
+``data.save_dataset`` writes it): the dataset's arrays in binary under the
+text's sha256, which ``train`` and ``evaluate`` read instead of parsing the
+text. A stale or missing sidecar only costs that parse; it is safe to delete.
 
 ``reproduce`` runs the stages on one forked worker process per CPU it may
 use when BLAS runs one thread, and in-process otherwise; its output bytes

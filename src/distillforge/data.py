@@ -1,4 +1,4 @@
-"""Synthetic identity/pose benchmark generator and its text container.
+"""Synthetic identity/pose benchmark generator, its text container and sidecar.
 
 Samples follow a linear-Gaussian latent model. Each identity owns a latent
 code z; each sample additionally draws a pose p. Features mix both
@@ -12,10 +12,19 @@ Projection matrices are scaled by 1/sqrt(source dim) so the scale knobs
 are directly comparable. The train/test split is 80/20 within every
 identity (``GeneratorParams.split_sizes``). Each split is one read-only
 ``Split`` of columns, one row per sample; triplets and pairs index its rows.
+
+The text is the only source of truth. ``save_dataset`` alone also writes the
+sidecar ``<path>.bin``, the split arrays in binary under the text's sha256,
+which ``load_dataset`` reads instead of parsing the text while they match. A
+missing, stale or damaged sidecar only costs the parse: it is safe to delete.
 """
 from __future__ import annotations
 
+import hashlib
+import itertools
+import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +46,8 @@ __all__ = [
 
 _FORMAT_NAME = "distillforge-dataset"
 _FORMAT_VERSION = "v1"
+_SIDECAR_MAGIC = b"distillforge-dataset-cache v1\n"
+_SIDECAR_KEYS = ("input_dim", "n_test", "n_train", "num_keypoint_coords", "text_sha256")
 
 
 @dataclass(frozen=True)
@@ -241,45 +252,99 @@ def make_pairs(split: Split, count_per_class: int, seed: int) -> tuple[np.ndarra
     multi = [idx for idx in groups.values() if len(idx) >= 2]
     if not multi:
         raise ValueError("no identity has 2 samples; cannot form same-identity pairs")
-    rng = np.random.default_rng(seed)
+    # replays the scalar rng.integers calls; a pair of pairs takes about five words
+    draw = _bounded_draws(np.random.default_rng(seed), 6 * count_per_class + 16)
+    identities = split.ids.tolist()
     n = len(split)
-    same = np.empty((count_per_class, 2), dtype=np.int64)
-    diff = np.empty((count_per_class, 2), dtype=np.int64)
-    for t in range(count_per_class):
-        idx = multi[int(rng.integers(len(multi)))]
-        i = idx[rng.integers(len(idx))]
+    same, diff = [], []
+    for _ in range(count_per_class):
+        idx = multi[draw(len(multi))]
+        i = idx[draw(len(idx))]
         j = i
         while j == i:
-            j = idx[rng.integers(len(idx))]
-        same[t] = (i, j)
-        i = int(rng.integers(n))
+            j = idx[draw(len(idx))]
+        same.append((i, j))
+        i = draw(n)
         j = i
-        while split.ids[j] == split.ids[i]:
-            j = int(rng.integers(n))
-        diff[t] = (i, j)
-    return same, diff
+        while identities[j] == identities[i]:
+            j = draw(n)
+        diff.append((i, j))
+    return np.array(same, dtype=np.int64), np.array(diff, dtype=np.int64)
 
 
 def save_dataset(ds: SplitDataset, path) -> None:
     """Plain-text container: a header line, then one line per row (split
     flag, identity, features, keypoints), train rows first; floats print
     with shortest round-trip repr. Rows are formatted and written one at a
-    time, so the write holds one line of text, never the whole file."""
+    time, so the write holds one line of text, never the whole file. Then the
+    sidecar: a magic line, a JSON header of the text's sha256 and the counts,
+    and the train then test ids, features and keypoints, little-endian."""
     n = len(ds.train) + len(ds.test)
     if not n:
         raise ValueError("refusing to save an empty dataset")
     input_dim, kc = ds.train.features.shape[1], ds.train.keypoints.shape[1]
-    with atomic_write(path, "w") as fh:
-        fh.write(f"{_FORMAT_NAME} {_FORMAT_VERSION} {n} {input_dim} {kc}\n")
-        for flag, split in (("train", ds.train), ("test", ds.test)):
-            for identity, feats, kps in zip(split.ids.tolist(), split.features, split.keypoints):
-                fh.write(" ".join([flag, str(identity), *map(repr, feats.tolist()),
-                                   *map(repr, kps.tolist())]) + "\n")
+    rows = (" ".join([flag, str(identity), *map(repr, feats.tolist()), *map(repr, kps.tolist())])
+            for flag, split in (("train", ds.train), ("test", ds.test))
+            for identity, feats, kps in zip(split.ids.tolist(), split.features, split.keypoints))
+    digest = hashlib.sha256()
+    with atomic_write(path, "wb") as fh:
+        for line in itertools.chain([f"{_FORMAT_NAME} {_FORMAT_VERSION} {n} {input_dim} {kc}"], rows):
+            data = f"{line}\n".encode()
+            digest.update(data)
+            fh.write(data)
+    header = {"text_sha256": digest.hexdigest(), "n_train": len(ds.train), "n_test": len(ds.test),
+              "input_dim": input_dim, "num_keypoint_coords": kc}
+    with atomic_write(f"{os.fspath(path)}.bin", "wb") as fh:
+        fh.write(_SIDECAR_MAGIC + json.dumps(header, sort_keys=True).encode() + b"\n")
+        for split in (ds.train, ds.test):
+            for array, dtype in ((split.ids, "<i8"), (split.features, "<f8"), (split.keypoints, "<f8")):
+                fh.write(np.ascontiguousarray(array, dtype=dtype).data)
+
+
+def _load_sidecar(path) -> SplitDataset | None:
+    """The dataset ``<path>.bin`` holds, or None unless it is well-formed, was
+    written with the text ``path`` holds now and passes the text's checks."""
+    try:
+        with open(f"{os.fspath(path)}.bin", "rb") as fh, open(path, "rb") as text:
+            magic, header = fh.readline(len(_SIDECAR_MAGIC)), json.loads(fh.readline(256))
+            if magic != _SIDECAR_MAGIC or not isinstance(header, dict) or header.keys() != {*_SIDECAR_KEYS}:
+                return None
+            *counts, text_sha256 = (header[key] for key in _SIDECAR_KEYS)
+            input_dim, n_test, n_train, kc = counts
+            if any(type(c) is not int for c in counts) or min(input_dim, n_test, n_train) < 1 or kc < 0:
+                return None
+            # sized before reading, so a corrupt header never asks for a huge read
+            if os.fstat(fh.fileno()).st_size - fh.tell() != 8 * (n_train + n_test) * (1 + input_dim + kc):
+                return None
+            first, chunk = text.readline(256), bytearray(1 << 20)  # the text is never held whole
+            digest = hashlib.sha256(first)
+            while size := text.readinto(chunk):
+                digest.update(memoryview(chunk)[:size])
+            del chunk  # freed before the arrays are read
+            text_header = f"{_FORMAT_NAME} {_FORMAT_VERSION} {n_train + n_test} {input_dim} {kc}\n"
+            if digest.hexdigest() != text_sha256 or first != text_header.encode():
+                return None
+            splits = []
+            for n in (n_train, n_test):
+                ids = np.fromfile(fh, "<i8", n)
+                features, keypoints = (np.fromfile(fh, "<f8", n * w).reshape(n, w) for w in (input_dim, kc))
+                if not (((ids >= 0) & (ids < 2 ** 31)).all() and np.isfinite(features).all()
+                        and np.isfinite(keypoints).all()):
+                    return None
+                splits.append(Split(features, ids, keypoints))
+    except (OSError, ValueError):
+        return None
+    return SplitDataset(*splits)
 
 
 def load_dataset(path) -> SplitDataset:
-    """Inverse of save_dataset. A file that is malformed or truncated, or
-    that leaves a split without rows, raises ValueError."""
+    """Inverse of save_dataset: the sidecar's arrays when ``_load_sidecar``
+    accepts them, else the text parse. A text file that is malformed or
+    truncated, or that leaves a split without rows, raises ValueError."""
+    return _load_sidecar(path) or _parse_text(path)
+
+
+def _parse_text(path) -> SplitDataset:
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 5 or header[0] != _FORMAT_NAME or header[1] != _FORMAT_VERSION:

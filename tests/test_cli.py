@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import distillforge.pipeline as pipeline
+import distillforge.data as data
 from distillforge import cli
 from distillforge.config import (ConfigError, DEFAULTS, apply_set, default_config,
                                  describe_keys, experiment_plan, load_config)
@@ -398,7 +399,7 @@ def test_plan_needs_two_test_samples_per_identity(tmp_path, capsys):
             assert code == 1, err
             assert err == (f"error: samples_per_identity {per_identity} leaves {n_test} test "
                            "samples per identity; evaluation needs at least 2\n")
-        assert sorted(p.name for p in out_dir.iterdir()) == ["dataset.txt"]
+        assert sorted(p.name for p in out_dir.iterdir()) == ["dataset.txt", "dataset.txt.bin"]
     with pytest.raises(ConfigError, match="samples_per_identity 7 leaves 1 test samples"):
         experiment_plan(load_config(None, [*TINY, "data.samples_per_identity=7"]))
     assert experiment_plan(load_config(None, [*TINY, "data.samples_per_identity=8"])).generator.split_sizes == (6, 2)
@@ -478,6 +479,8 @@ def test_corrupt_dataset_fails_cleanly(tmp_path, capsys):
     assert _run(capsys, "train", "teacher_cls", "--out", str(out_dir), *_sets())[0] == 0
     path = out_dir / "dataset.txt"
     pristine = path.read_text()
+    # the sidecar stays in place, stale, so it must never hide a bad text
+    assert (out_dir / "dataset.txt.bin").is_file()
     rng = np.random.default_rng(2024)
     for kind in ("field dropped", "field added", "non-numeric token", "non-finite value",
                  "identity out of range", "unknown split flag", "header count off by one",
@@ -491,6 +494,29 @@ def test_corrupt_dataset_fails_cleanly(tmp_path, capsys):
             assert len(err.splitlines()) == 1 and err.startswith("error: "), (kind, err)
     path.write_text(pristine)
     assert _run(capsys, "evaluate", "teacher_cls", "--out", str(out_dir), *_sets())[0] == 0
+
+
+def test_train_reads_the_sidecar_and_writes_what_the_text_gives(tmp_path, capsys, monkeypatch):
+    parses = []
+    parse_text = data._parse_text
+    monkeypatch.setattr(data, "_parse_text", lambda path: parses.append(path) or parse_text(path))
+    outputs = {}
+    for sidecar in (True, False):
+        out_dir = tmp_path / str(sidecar)
+        assert _run(capsys, "generate", "--out", str(out_dir), *_sets())[0] == 0
+        if not sidecar:
+            (out_dir / "dataset.txt.bin").unlink()
+        for key in ("teacher_cls", "student2_cls_scratch"):
+            assert _run(capsys, "train", key, "--out", str(out_dir), *_sets())[0] == 0
+        code, evaluated, _ = _run(capsys, "evaluate", "student2_cls_scratch", "--out", str(out_dir), *_sets())
+        assert code == 0
+        assert parses == ([] if sidecar else [str(out_dir / "dataset.txt")] * 3)
+        outputs[sidecar] = {str(p.relative_to(out_dir)): p.read_bytes()
+                            for p in out_dir.rglob("*") if p.is_file() and p.suffix != ".bin"}
+        outputs[sidecar]["evaluate"] = evaluated
+    assert outputs[True] == outputs[False]
+    assert len(outputs[True]) == 6  # the dataset, two checkpoints, two metrics files, one evaluation
+    assert not (tmp_path / "False" / "dataset.txt.bin").exists()
 
 
 _SPEC_INTS = ("input_dim", "embedding_dim", "num_classes", "num_keypoint_coords", "width_divisor")

@@ -1,12 +1,16 @@
 """Synthetic dataset generator: determinism, split discipline, the latent
 factor structure, triplet/pair sampling, and file round-trips."""
 import collections
+import hashlib
+import json
+import os
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import distillforge.data as data
 from distillforge.data import (
     GeneratorParams,
     LatentModel,
@@ -241,6 +245,48 @@ def test_pairs_structure():
     assert np.all(ids[diff[:, 0]] != ids[diff[:, 1]])
 
 
+def _reference_pairs(split, count_per_class, seed):
+    # the scalar-draw loop make_pairs replays, kept as its oracle
+    groups = {}
+    for i, identity in enumerate(split.ids.tolist()):
+        groups.setdefault(identity, []).append(i)
+    multi = [idx for idx in groups.values() if len(idx) >= 2]
+    rng = np.random.default_rng(seed)
+    n = len(split)
+    same = np.empty((count_per_class, 2), dtype=np.int64)
+    diff = np.empty((count_per_class, 2), dtype=np.int64)
+    for t in range(count_per_class):
+        idx = multi[int(rng.integers(len(multi)))]
+        i = idx[rng.integers(len(idx))]
+        j = i
+        while j == i:
+            j = idx[rng.integers(len(idx))]
+        same[t] = (i, j)
+        i = int(rng.integers(n))
+        j = i
+        while split.ids[j] == split.ids[i]:
+            j = int(rng.integers(n))
+        diff[t] = (i, j)
+    return same, diff
+
+
+def _one_pairable_identity():
+    # only identity 2 has two samples, so the identity draw has bound 1
+    ids = np.array([0, 1, 2, 3, 2, 4])
+    return Split(np.zeros((len(ids), 1)), ids, np.zeros((len(ids), 0)))
+
+
+@pytest.mark.parametrize("samples", [generate(SMALL).test, generate(GeneratorParams()).test,
+                                     _one_pairable_identity()],
+                         ids=["small", "default", "one-pairable"])
+def test_pairs_match_scalar_draw_reference(samples):
+    for seed in range(30):
+        for count in (1, 7, 200):
+            for g, w in zip(make_pairs(samples, count, seed), _reference_pairs(samples, count, seed)):
+                assert g.dtype == np.int64 and g.shape == (count, 2)
+                assert np.array_equal(g, w), (seed, count)
+
+
 # ------------------------------------------------------------------- file I/O
 
 def test_save_load_round_trip(tmp_path):
@@ -328,3 +374,144 @@ def test_save_load_save_is_byte_identical(tmp_path):
         for array in _columns(split):
             with pytest.raises(ValueError):
                 array[0] = 0
+
+
+# ------------------------------------------------------------- binary sidecar
+
+def _counting_text_parses(monkeypatch) -> list:
+    calls = []
+
+    def parse(path):
+        calls.append(path)
+        return parse_text(path)
+
+    parse_text = data._parse_text
+    monkeypatch.setattr(data, "_parse_text", parse)
+    return calls
+
+
+def _assert_same_dataset(got, want):
+    for part in ("train", "test"):
+        for g, w in zip(_columns(getattr(got, part)), _columns(getattr(want, part))):
+            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+            assert not g.flags.writeable and not w.flags.writeable
+            assert g.flags.c_contiguous and w.flags.c_contiguous
+
+
+@pytest.mark.parametrize("params", [SMALL, GeneratorParams(num_keypoints=1, seed=3)],
+                         ids=["small", "one-keypoint"])
+def test_sidecar_load_equals_text_parse(tmp_path, monkeypatch, params):
+    path = tmp_path / "dataset.txt"
+    save_dataset(generate(params), path)
+    assert sorted(os.listdir(tmp_path)) == ["dataset.txt", "dataset.txt.bin"]
+    parses = _counting_text_parses(monkeypatch)
+    loaded = load_dataset(path)
+    assert parses == []
+    _assert_same_dataset(loaded, data._parse_text(path))
+
+
+def test_sidecar_header_states_the_text_digest_and_counts(tmp_path):
+    path = tmp_path / "dataset.txt"
+    save_dataset(generate(SMALL), path)
+    magic, header, payload = _sidecar_parts((tmp_path / "dataset.txt.bin").read_bytes())
+    assert magic == b"distillforge-dataset-cache v1"
+    assert header == {"text_sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+                      "n_train": 48, "n_test": 12, "input_dim": 64, "num_keypoint_coords": 10}
+    assert len(payload) == 8 * 60 * (1 + 64 + 10)
+
+
+def _sidecar_parts(blob: bytes):
+    magic, header, payload = blob.split(b"\n", 2)
+    return magic, json.loads(header), payload
+
+
+def _with_header(blob: bytes, drop=(), **changes) -> bytes:
+    magic, header, payload = _sidecar_parts(blob)
+    header = {key: value for key, value in {**header, **changes}.items() if key not in drop}
+    return b"\n".join([magic, json.dumps(header).encode(), payload])
+
+
+def _with_value(blob: bytes, index: int, value, dtype) -> bytes:
+    magic, header, payload = _sidecar_parts(blob)
+    values = np.frombuffer(payload, dtype=dtype).copy()
+    values[index] = value
+    return b"\n".join([magic, json.dumps(header).encode(), values.tobytes()])
+
+
+def _without_last_test_row(blob: bytes, other: bytes) -> bytes:
+    # a well-formed sidecar of one row fewer, under the text's own digest:
+    # only the comparison with the text header's count can reject it
+    magic, header, payload = _sidecar_parts(blob)
+    n_train, n_test = header["n_train"], header["n_test"]
+    widths = (1, header["input_dim"], header["num_keypoint_coords"])
+    at = 8 * n_train * sum(widths)
+    kept = [payload[:at]]
+    for width in widths:
+        kept.append(payload[at:at + 8 * (n_test - 1) * width])
+        at += 8 * n_test * width
+    return b"\n".join([magic, json.dumps({**header, "n_test": n_test - 1}).encode(), b"".join(kept)])
+
+
+_SIDECAR_CORRUPTIONS = {
+    "truncated": lambda blob, other: blob[:-8],
+    "wrong magic": lambda blob, other: blob.replace(b"cache v1", b"cache v2", 1),
+    "bad JSON": lambda blob, other: blob.replace(b"{", b"[", 1),
+    "another text's digest": lambda blob, other: _with_header(
+        blob, text_sha256=_sidecar_parts(other)[1]["text_sha256"]),
+    "another text's sidecar": lambda blob, other: other,
+    "counts disagree with the text": _without_last_test_row,
+    "count not an integer": lambda blob, other: _with_header(blob, input_dim="64"),
+    "header key missing": lambda blob, other: _with_header(blob, drop=("n_test",)),
+    "non-finite value": lambda blob, other: _with_value(blob, 60, np.nan, "<f8"),
+    "non-finite keypoint": lambda blob, other: _with_value(blob, -1, -np.inf, "<f8"),
+    "id out of range": lambda blob, other: _with_value(blob, 5, 2 ** 31, "<i8"),
+    "negative id": lambda blob, other: _with_value(blob, 0, -1, "<i8"),
+    "trailing bytes": lambda blob, other: blob + b"\0" * 8,
+    "empty": lambda blob, other: b"",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SIDECAR_CORRUPTIONS))
+def test_corrupt_sidecar_falls_back_to_the_text_parse(tmp_path, monkeypatch, kind):
+    path, other = tmp_path / "dataset.txt", tmp_path / "other.txt"
+    save_dataset(generate(SMALL), path)
+    save_dataset(generate(GeneratorParams(num_identities=6, samples_per_identity=10, seed=6)), other)
+    sidecar = tmp_path / "dataset.txt.bin"
+    blob = _SIDECAR_CORRUPTIONS[kind](sidecar.read_bytes(), (tmp_path / "other.txt.bin").read_bytes())
+    assert blob != sidecar.read_bytes()
+    sidecar.write_bytes(blob)
+    parses = _counting_text_parses(monkeypatch)
+    loaded = load_dataset(path)
+    assert len(parses) == 1
+    _assert_same_dataset(loaded, data._parse_text(path))
+    assert sidecar.read_bytes() == blob  # a reader never rewrites the sidecar
+
+
+def test_load_leaves_the_directory_listing_unchanged(tmp_path):
+    path = tmp_path / "dataset.txt"
+    save_dataset(generate(SMALL), path)
+    sidecar = tmp_path / "dataset.txt.bin"
+    for state in ("fresh", "stale", "missing"):
+        if state == "stale":
+            sidecar.write_bytes(sidecar.read_bytes()[:-1])
+        elif state == "missing":
+            sidecar.unlink()
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        load_dataset(path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before, state
+
+
+def test_sidecar_load_holds_less_than_the_text(tmp_path):
+    # the text (2.3 MB) is hashed through one 1 MB buffer, freed before the
+    # arrays (0.96 MB) are read, so the load holds one of the two at a time
+    path = tmp_path / "dataset.txt"
+    save_dataset(generate(GeneratorParams()), path)
+    peaks = {}
+    for name, load in (("sidecar", load_dataset), ("text", data._parse_text)):
+        tracemalloc.start()
+        try:
+            load(path)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["sidecar"] < min(peaks["text"], path.stat().st_size, 1.1 * 2 ** 20), peaks
