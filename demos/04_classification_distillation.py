@@ -14,7 +14,6 @@ Small benchmark, so all four stages finish in a few seconds.
 import tempfile
 
 from distillforge.data import GeneratorParams, generate
-from distillforge.losses import DistillConfig
 from distillforge.nets import num_parameters
 from distillforge.pipeline import ExperimentPlan, Run, StagePlan, run_stage, stages
 
@@ -30,7 +29,7 @@ def main():
         generator=GeneratorParams(num_identities=24, samples_per_identity=20, input_dim=32,
                                   noise_std=0.5, seed=7),
         hidden_widths=(96, 48), embedding_dim=12,
-        distill=DistillConfig(alpha=1.0, tau=3.0),
+        cls_alpha=1.0, tau=3.0,  # the soft target's weight and temperature
         cls_divisors=(4,),
         tasks=(),
         # scratch stages run 6 epochs at 0.02, then 6 at 0.002; full

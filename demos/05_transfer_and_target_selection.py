@@ -15,7 +15,6 @@ seconds.
 import tempfile
 
 from distillforge.data import GeneratorParams, generate
-from distillforge.losses import DistillConfig
 from distillforge.pipeline import (ALIGNMENT, ExperimentPlan, Run, StagePlan, TaskPlan,
                                    run_experiment, run_stage, select_targets, stage)
 
@@ -25,7 +24,7 @@ def main():
         generator=GeneratorParams(num_identities=12, samples_per_identity=30, input_dim=32,
                                   num_keypoints=5, seed=3),
         hidden_widths=(96, 48), embedding_dim=12,
-        distill=DistillConfig(tau=3.0),
+        tau=3.0,
         cls_divisors=(4,),
         cls_inits=("full_init",),
         # the student arrives via the classification path, then moves to the new task

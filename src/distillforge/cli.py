@@ -167,12 +167,11 @@ def cmd_evaluate(args) -> int:
         if not os.path.exists(args.stage):
             raise FileNotFoundError(f"checkpoint {args.stage} not found")
         net = load_network(args.stage)
-        metrics = {**run.evaluate("cls", net), **run.evaluate(VERIFICATION, net)}
-        if net.spec.num_keypoint_coords >= 4:  # NRMSE normalizes by the first two keypoints
-            metrics.update(run.evaluate(ALIGNMENT, net))
+        aligned = (ALIGNMENT,) if net.spec.num_keypoint_coords >= 4 else ()  # NRMSE needs 2 keypoints
+        metrics = run.evaluate(net, "cls", VERIFICATION, *aligned)
     else:
         label = _graph(stage, plan, args.stage).label
-        metrics = run.evaluate(label, load_checkpoint(_checkpoints(out_dir), args.stage))
+        metrics = run.evaluate(load_checkpoint(_checkpoints(out_dir), args.stage), label)
     _print_metrics(metrics)
     return 0
 

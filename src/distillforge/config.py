@@ -5,7 +5,8 @@ line; blank lines and lines starting with ``#`` are skipped. Precedence:
 built-in defaults, then the file, then ``--set key=value`` overrides.
 
 A key's default, type and bound are those of the plan field it sets
-(``_schema``), so the config accepts what the library accepts.
+(``_schema``), so the config accepts what the library accepts. No key
+sets beta: each task grid run takes its alpha and beta from its run key.
 ``experiment.*_divisors`` and ``experiment.verification_modes`` become
 ``TaskPlan``s: the divisors have the bound of ``TaskPlan.divisors``, and
 all three read their defaults from the default plan's tasks. ``out`` sets
@@ -20,7 +21,6 @@ from dataclasses import field, fields
 
 from ._schema import bound_text, check, setting
 from .data import GeneratorParams
-from .losses import DistillConfig
 from .pipeline import ALIGNMENT, VERIFICATION, ExperimentPlan, StagePlan, TaskPlan
 
 __all__ = ["ConfigError", "DEFAULTS", "load_config", "apply_set", "generator_params",
@@ -60,10 +60,9 @@ DEFAULTS: dict[str, tuple] = {
     "data.noise_std": _plan("generator.noise_std"),
     "net.hidden_widths": _plan("hidden_widths"),
     "net.embedding_dim": _plan("embedding_dim"),
-    "distill.alpha": _plan("distill.alpha"),
-    "distill.beta": _plan("distill.beta"),
-    "distill.tau": _plan("distill.tau"),
-    "distill.lambda_margin": _plan("distill.lambda_margin"),
+    "distill.alpha": _plan("cls_alpha"),
+    "distill.tau": _plan("tau"),
+    "distill.lambda_margin": _plan("lambda_margin"),
     "cls.batch_size": _plan("cls_stage.batch_size"),
     "cls.epochs_per_phase": _plan("cls_stage.epochs_per_phase"),
     "cls.scratch_lr": _plan("cls_stage.scratch_lr"),
@@ -76,7 +75,7 @@ DEFAULTS: dict[str, tuple] = {
     "verification.epochs_per_phase": _plan("verification_stage.epochs_per_phase"),
     "verification.scratch_lr": _plan("verification_stage.scratch_lr"),
     "verification.continue_lr": _plan("verification_stage.continue_lr"),
-    "optimizer.momentum": _plan("cls_stage.momentum"),
+    "optimizer.momentum": _plan("momentum"),
     "experiment.divisors": _plan("cls_divisors"),
     "experiment.alignment_divisors": (None, field(default=_TABLES[ALIGNMENT].divisors, metadata=_DIVISORS)),
     "experiment.verification_divisors": (None, field(default=_TABLES[VERIFICATION].divisors,
@@ -162,12 +161,10 @@ def experiment_plan(cfg: dict) -> ExperimentPlan:
             tasks.append(TaskPlan(VERIFICATION, cfg["experiment.verification_divisors"],
                                   include_softmax=(mode == "joint")))
     try:
-        # optimizer.momentum sets the momentum of every stage plan
-        stage_plans = {f"{section}_stage": StagePlan(**{"momentum": cfg["optimizer.momentum"],
-                                                        **_fields(cfg, f"{section}_stage")})
+        stage_plans = {f"{section}_stage": StagePlan(**_fields(cfg, f"{section}_stage"))
                        for section in ("cls", "alignment", "verification")}
         return ExperimentPlan(**_fields(cfg, ""), **stage_plans, generator=generator_params(cfg),
-                              distill=DistillConfig(**_fields(cfg, "distill")), tasks=tuple(tasks))
+                              tasks=tuple(tasks))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

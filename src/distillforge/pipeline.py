@@ -13,12 +13,12 @@ Stage layout mirrors the two-step transfer recipe:
 
 The teacher's architecture, ``ExperimentPlan.teacher``, is the dataset's
 input, identity and keypoint widths around the plan's hidden and embedding
-widths; students divide only the hidden widths. A stage's record takes
-its batch size, momentum and (rate, epochs) phases from its family's
-``StagePlan``: the scratch rate, then the continuation rate, for a fresh
-build; the continuation rate only for an initialized start. Every stage
-draws its randomness from a named substream of one top-level seed, so any
-run is reproducible in isolation.
+widths; students divide only the hidden widths. A stage's record takes its
+batch size and (rate, epochs) phases from its family's ``StagePlan`` (the
+scratch rate, then the continuation rate, for a fresh build; the
+continuation rate only for an initialized start), and its momentum, tau
+and margin from the plan. Every stage draws its randomness from a named
+substream of one top-level seed, so any run is reproducible in isolation.
 
 Every stage trains on the dataset's training split and is scored on its
 test split, both read-only ``data.Split`` columns that all stages share.
@@ -39,10 +39,10 @@ Each stage is named by a run key (``teacher_cls``, ``student4_cls_full_init``,
 to a ``Stage``, a frozen record of everything the stage trains: its label
 (``cls``, ``alignment``, ``verification``, ``verification_joint``), spec,
 start (a fresh build, or the checkpoint of a dependency for full
-initialization and transfer), teacher, ``DistillConfig`` (a stage without a
-teacher has alpha and beta 0, a classification stage beta 0), batch size,
-momentum, phases and seed. The one training body, ``_train``, reads only
-the record; ``Run.evaluate`` scores every label from one forward.
+initialization and transfer), teacher, ``DistillConfig`` (alpha and beta
+from the run key, ``cls_alpha`` and 0 for a classification student, 0
+without a teacher), batch size, momentum, phases and seed. ``_train``
+reads only the record; ``Run.evaluate`` scores labels from one forward.
 ``stages(plan)`` lists a plan's stages, dependencies first; ``run_experiment``
 and the CLI's ``train`` both run this one graph, so their checkpoints match.
 
@@ -301,16 +301,15 @@ class StagePlan:
     """Stage sizing plus the two learning rates of a stage family's phases.
 
     The default rates are desk-scale values picked empirically: at the
-    reference scale (momentum 0.9, He-uniform init, these layer widths)
-    scratch rates of 0.1 kill every rectifier in the trunk within the
-    first epochs and training collapses to the bias solution.
+    reference scale (momentum 0.9, He-uniform init, these widths, seed 0) a
+    scratch rate of 0.1 kills all 16 embedding rectifiers of the teacher in
+    its first epoch (and 19 of 256, 50 of 128 below), so top-1 stays at chance.
     """
 
     batch_size: int = setting(int, ge=1)
     epochs_per_phase: int = setting(int, ge=0)
     scratch_lr: float = setting(float, 0.02, gt=0)
     continue_lr: float = setting(float, 0.002, gt=0)
-    momentum: float = setting(float, 0.9, ge=0, lt=1)
 
     def __post_init__(self):
         check_fields(self)
@@ -351,7 +350,9 @@ class ExperimentPlan:
     # a student whose last trunk layer is narrower than the embedding cannot
     # span the teacher's embedding space and hidden matching hits a rank floor
     embedding_dim: int = setting(int, 16, ge=1)
-    distill: DistillConfig = DistillConfig()
+    cls_alpha: float = setting(float, DistillConfig.alpha, ge=0)  # classification students' soft weight
+    tau: float = setting(float, DistillConfig.tau, ge=1)
+    lambda_margin: float = setting(float, DistillConfig.lambda_margin, ge=0)
     cls_divisors: tuple[int, ...] = setting(int, (2, 4, 8), each=True, ge=1)
     cls_inits: tuple[str, ...] = setting(str, ("scratch", "full_init"), each=True,
                                          among=("scratch", "full_init"))
@@ -363,6 +364,7 @@ class ExperimentPlan:
     cls_stage: StagePlan = StagePlan(64, 15)
     alignment_stage: StagePlan = StagePlan(32, 30, scratch_lr=0.005, continue_lr=0.0002)
     verification_stage: StagePlan = StagePlan(32, 15, scratch_lr=0.005, continue_lr=0.001)
+    momentum: float = setting(float, 0.9, ge=0, lt=1)  # of every stage's Nesterov steps
     eval_pairs: int = setting(int, 200, ge=1)  # evaluation pairs per class
     seed: int = setting(int, 0, ge=0)
 
@@ -417,19 +419,21 @@ class Run:
             self._targets[path] = stamp, _teacher_targets(load_network(path), self.data.train.features)
         return self._targets[path][1]
 
-    def evaluate(self, label: str, net: Network) -> dict[str, float]:
-        """Test-split metrics of a stage label from one forward: top-1 for
-        ``cls``, NRMSE for alignment, verification top-1 for the verification
-        labels, and the pair accuracy for every label but alignment."""
+    def evaluate(self, net: Network, *labels: str) -> dict[str, float]:
+        """Test-split metrics of the stage ``labels``, each once, from one
+        forward: top-1 for ``cls``, NRMSE for alignment, verification top-1
+        for the verification labels, and the pair accuracy for any but alignment."""
         test = self.data.test
-        out = net.forward(test.features)
-        if label == ALIGNMENT:
-            return {"nrmse": nrmse(out.regression, test.keypoints, reference_distances(test.keypoints))}
-        if label == "cls":
-            metrics = {"top1": top1_accuracy(out.logits, test.ids)}
-        else:
-            metrics = {"verif_top1": verification_top1(out.embedding, test.ids)}
-        metrics["pair_acc"] = pair_verification_accuracy(out.embedding, *self.pairs)
+        out, metrics = net.forward(test.features), {}
+        for label in labels:
+            if label == ALIGNMENT:
+                metrics["nrmse"] = nrmse(out.regression, test.keypoints, reference_distances(test.keypoints))
+            elif label == "cls":
+                metrics["top1"] = top1_accuracy(out.logits, test.ids)
+            else:
+                metrics["verif_top1"] = verification_top1(out.embedding, test.ids)
+        if set(labels) - {ALIGNMENT}:
+            metrics["pair_acc"] = pair_verification_accuracy(out.embedding, *self.pairs)
         return metrics
 
 
@@ -491,7 +495,7 @@ def stage(plan: ExperimentPlan, key: str) -> Stage:
         # init is softmax only; full_init continues from a value copy of init
         teacher = None if kind == "init" else "teacher_cls"
         start = f"student{d}_cls_init" if kind == "full_init" else None
-        alpha = plan.distill.alpha  # no hidden term
+        alpha = plan.cls_alpha  # no hidden term
     elif grid is not None and label != "cls":
         init, teacher, alpha, beta = grid[1], f"teacher_{label}", grid[2], grid[3]
         start = {"pretrain": f"student{d}_{label}_pretrain_base",
@@ -501,7 +505,7 @@ def stage(plan: ExperimentPlan, key: str) -> Stage:
     n = splan.epochs_per_phase  # a copied start continues; a fresh build starts at the scratch rate
     phases = ((splan.continue_lr, n),) if start else ((splan.scratch_lr, n), (splan.continue_lr, n))
     try:
-        distill = replace(plan.distill, alpha=float(alpha), beta=float(beta))
+        distill = DistillConfig(float(alpha), float(beta), plan.tau, plan.lambda_margin)
     except ValueError as exc:
         raise ValueError(f"bad stage key {key!r}: {exc}") from exc
     if teacher is None or not (distill.alpha or distill.beta):  # no term reads a target: no teacher
@@ -509,7 +513,7 @@ def stage(plan: ExperimentPlan, key: str) -> Stage:
     row = ("classification" if label == "cls" else label, f"student/{d}" if divisor else "teacher",
            init, distill.alpha, distill.beta)
     return Stage(key, label, row if key in _report_keys(plan) else None, spec, start, teacher,
-                 distill, splan.batch_size, splan.momentum, phases, derive_seed(plan.seed, key))
+                 distill, splan.batch_size, plan.momentum, phases, derive_seed(plan.seed, key))
 
 
 def _report_keys(plan: ExperimentPlan):
@@ -573,7 +577,7 @@ def run_stage(node: Stage, run: Run, ckpt_dir) -> tuple[Network, dict[str, float
         net = (load_checkpoint(ckpt_dir, node.start) if node.start
                else _fresh(node.spec, node.seed, run.data.train.features))
         _train(net, node, run.data.train, targets)
-        metrics = run.evaluate(node.label, net)
+        metrics = run.evaluate(net, node.label)
         for name, value in metrics.items():
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")

@@ -9,6 +9,8 @@ import multiprocessing
 import os
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -126,7 +128,6 @@ data.pose_dim                     default: 4  (>= 1)
 data.pose_keypoint_scale          default: 1.0  (> 0)
 data.samples_per_identity         default: 50  (>= 2)
 distill.alpha                     default: 1.0  (>= 0)
-distill.beta                      default: 1.0  (>= 0)
 distill.lambda_margin             default: 0.4  (>= 0)
 distill.tau                       default: 3.0  (>= 1)
 experiment.alignment_divisors     default: 8  (each >= 1)
@@ -208,6 +209,39 @@ def test_every_bounded_field_rejects_out_of_bound_values(plan):
                 replace(plan, **{f.name: value})
 
 
+def _another_value(f):
+    """A valid value of the key field ``f`` other than its default."""
+    default, kind = f.default, f.metadata["type"]
+    if f.metadata.get("each"):
+        return default[:-1]
+    return default + 1 if kind is int else default / 2 if kind is float else f"{default}2"
+
+
+def _effect(cfg) -> tuple:
+    """What a config changes in a run: its stage records, its generator, its
+    evaluation pairs and its run directory."""
+    plan = experiment_plan(cfg)
+    return pipeline.stages(plan), plan.generator, plan.eval_pairs, cfg["out"]
+
+
+@pytest.mark.parametrize("key", sorted(DEFAULTS))
+def test_every_key_changes_the_run(key):
+    # a key whose value reaches no stage, no generator, no pair count and no
+    # directory changes nothing a run does, as distill.beta once did
+    value = _another_value(DEFAULTS[key][1])
+    raw = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+    assert _effect(load_config(None, [f"{key}={raw}"])) != _effect(load_config()), (key, raw)
+
+
+def test_removed_beta_key_is_unknown(tmp_path, capsys):
+    # a plan-wide beta had no stage to act on: every task run names its own
+    (tmp_path / "run.cfg").write_text("distill.beta = 0.5\n")
+    for argv in (["--set", "distill.beta=0.5"], ["--config", str(tmp_path / "run.cfg")]):
+        code, out, err = _run(capsys, "generate", "--out", str(tmp_path / "run"), *argv)
+        assert code == 1 and out == "" and not (tmp_path / "run").exists(), argv
+        assert "unknown config key 'distill.beta'" in err and err.count("\n") == 1, err
+
+
 def test_out_is_stripped_and_must_not_be_empty(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "run.cfg").write_text("out = myrun\n")
@@ -226,6 +260,18 @@ def test_config_subcommand_prints_keys(capsys):
     code, out, _ = _run(capsys, "config")
     assert code == 0
     assert "distill.tau" in out and "default: 3.0" in out
+
+
+def test_cli_import_leaves_pool_and_random_modules_out():
+    # every command pays for what the CLI imports; only a pool needs the pool
+    # modules and only a draw numpy.random (about 25 ms and 8-10 ms of each
+    # command's start-up on a 2-vCPU box)
+    code = "import sys, distillforge.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    result = subprocess.run([sys.executable, "-c", code, "multiprocessing", "concurrent.futures",
+                             "numpy.random"], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"
 
 
 def test_generate_is_byte_deterministic(tmp_path, capsys):
@@ -282,6 +328,15 @@ def test_train_then_evaluate_agree_exactly(tmp_path, capsys):
         assert sidecar["metrics"][name] == float(text)
 
     assert (tmp_path / "run" / "dataset.txt").read_bytes() == dataset_before
+
+
+def test_evaluate_missing_checkpoint_path_fails_naming_it(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    assert _run(capsys, "generate", "--out", str(out_dir), *_sets())[0] == 0
+    missing = out_dir / "missing.ckpt"
+    code, out, err = _run(capsys, "evaluate", str(missing), "--out", str(out_dir), *_sets())
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and str(missing) in err, err
 
 
 def test_evaluate_accepts_checkpoint_path(tmp_path, capsys):

@@ -175,7 +175,7 @@ def test_uncompared_field_scan_sees_a_planted_field():
 # plan fields whose values are nested plans or tables, checked by their own
 # dataclass or __post_init__ rather than by one schema bound
 _STRUCTURED_FIELDS = {
-    "ExperimentPlan.generator", "ExperimentPlan.distill", "ExperimentPlan.tasks",
+    "ExperimentPlan.generator", "ExperimentPlan.tasks",
     "ExperimentPlan.cls_stage", "ExperimentPlan.alignment_stage",
     "ExperimentPlan.verification_stage", "TaskPlan.grid",
 }

@@ -50,7 +50,6 @@ from distillforge.pipeline import _teacher_targets
 GEN = GeneratorParams(num_identities=6, samples_per_identity=10, input_dim=16,
                       latent_dim=4, pose_dim=2, num_keypoints=3, seed=0)
 SPEC = NetworkSpec(16, (32, 16), 8, 6, 6)
-DCFG = DistillConfig()
 
 
 @pytest.fixture(scope="module")
@@ -271,7 +270,7 @@ def test_fresh_builds_run_two_phases_and_copied_starts_one():
         splan = {"cls": plan.cls_stage, ALIGNMENT: plan.alignment_stage}.get(
             node.label, plan.verification_stage)
         n = splan.epochs_per_phase
-        assert (node.batch_size, node.momentum) == (splan.batch_size, splan.momentum), node.key
+        assert (node.batch_size, node.momentum) == (splan.batch_size, plan.momentum), node.key
         if node.key in fresh or node.key.endswith("_pretrain_base"):
             assert node.start is None, node.key
             assert node.phases == ((splan.scratch_lr, n), (splan.continue_lr, n)), node.key
@@ -783,7 +782,6 @@ def _tiny_plan(**overrides):
         generator=GEN,
         hidden_widths=SPEC.hidden_widths,
         embedding_dim=SPEC.embedding_dim,
-        distill=DCFG,
         cls_divisors=(2,),
         cls_inits=("full_init",),
         tasks=(TaskPlan(ALIGNMENT, (2,), inits=("distill",), grid=((0.0, 0.0), (0.0, 1.0))),),
@@ -848,22 +846,11 @@ def test_task_plan_rejects_nonpositive_divisors(divisors):
         TaskPlan(ALIGNMENT, divisors)
 
 
-def test_cls_stage_checkpoint_does_not_depend_on_beta(data, tmp_path):
-    # classification has no hidden term: stage() gives its stages beta 0
-    _saved({"teacher_cls": _train(_tiny_plan(), "teacher_cls", data)}, tmp_path)
-    checkpoints = set()
-    for beta in (0.0, 1.0, 3.0):
-        plan = _tiny_plan(distill=DistillConfig(beta=beta))
-        run_stage(stage(plan, "student4_cls_scratch"), Run(plan, data), tmp_path)
-        checkpoints.add((tmp_path / "student4_cls_scratch.ckpt").read_bytes())
-    assert len(checkpoints) == 1
-
-
 def test_experiment_report_covers_grid():
     report = run_experiment(_tiny_plan())
     keys = {key for key, _ in report.rows()}
     assert ("classification", "teacher", "scratch", 0.0, 0.0) in keys
-    assert ("classification", "student/2", "full_init", DCFG.alpha, 0.0) in keys
+    assert ("classification", "student/2", "full_init", 1.0, 0.0) in keys
     assert ("alignment", "teacher", "transfer", 0.0, 0.0) in keys
     assert ("alignment", "student/2", "distill", 0.0, 0.0) in keys
     assert ("alignment", "student/2", "distill", 0.0, 1.0) in keys
@@ -1222,7 +1209,7 @@ def test_stage_resolves_keys_outside_the_plan_and_rejects_unknown_keys():
     # a stage that reads no target has no teacher
     assert stage(plan, "student8_alignment_pretrain_a0_b0").deps == ("student8_alignment_pretrain_base",)
     assert stage(plan, "student2_verification_distill_a0_b0").deps == ("student2_cls_full_init",)
-    no_soft = replace(plan, distill=replace(plan.distill, alpha=0.0))
+    no_soft = replace(plan, cls_alpha=0.0)
     assert stage(no_soft, "student2_cls_scratch").deps == ()
     assert stage(no_soft, "student2_cls_full_init").deps == ("student2_cls_init",)
     for key in ("teacher_cls_scratch", "student2_cls", "student0_cls_scratch",
@@ -1277,7 +1264,7 @@ def test_training_arrays_are_read_only(data):
 
 # ------------------------------------------------------------- evaluation
 
-def test_run_evaluate_matches_the_metrics_on_one_forward(data):
+def test_run_evaluate_matches_the_metrics_on_one_forward(data, monkeypatch):
     # every label's scores are the metrics functions on the test-split forward
     plan = _rich_plan()
     run, net = Run(plan, data), _train(plan, "teacher_cls", data)
@@ -1292,4 +1279,12 @@ def test_run_evaluate_matches_the_metrics_on_one_forward(data):
         f"{VERIFICATION}_joint": verif,
     }
     for label, metrics in expected.items():
-        assert run.evaluate(label, net) == metrics, label
+        assert run.evaluate(net, label) == metrics, label
+    # several labels: one forward, and each metric computed once
+    calls = []
+    monkeypatch.setattr(net, "forward", lambda batch, _f=net.forward: calls.append("forward") or _f(batch))
+    monkeypatch.setattr(pipeline, "pair_verification_accuracy",
+                        lambda *args, _f=pair_verification_accuracy: calls.append("pair_acc") or _f(*args))
+    assert run.evaluate(net, "cls", VERIFICATION, ALIGNMENT) == {
+        **expected["cls"], **expected[VERIFICATION], **expected[ALIGNMENT]}
+    assert calls == ["forward", "pair_acc"]
