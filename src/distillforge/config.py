@@ -60,9 +60,8 @@ DEFAULTS: dict[str, tuple] = {
     "data.noise_std": _plan("generator.noise_std"),
     "net.hidden_widths": _plan("hidden_widths"),
     "net.embedding_dim": _plan("embedding_dim"),
-    "distill.alpha": _plan("cls_alpha"),
     "distill.tau": _plan("tau"),
-    "distill.lambda_margin": _plan("lambda_margin"),
+    "cls.alpha": _plan("cls_alpha"),
     "cls.batch_size": _plan("cls_stage.batch_size"),
     "cls.epochs_per_phase": _plan("cls_stage.epochs_per_phase"),
     "cls.scratch_lr": _plan("cls_stage.scratch_lr"),
@@ -71,6 +70,7 @@ DEFAULTS: dict[str, tuple] = {
     "alignment.epochs_per_phase": _plan("alignment_stage.epochs_per_phase"),
     "alignment.scratch_lr": _plan("alignment_stage.scratch_lr"),
     "alignment.continue_lr": _plan("alignment_stage.continue_lr"),
+    "verification.lambda_margin": _plan("lambda_margin"),
     "verification.batch_size": _plan("verification_stage.batch_size"),
     "verification.epochs_per_phase": _plan("verification_stage.epochs_per_phase"),
     "verification.scratch_lr": _plan("verification_stage.scratch_lr"),

@@ -17,6 +17,8 @@ The text is the only source of truth. ``save_dataset`` alone also writes the
 sidecar ``<path>.bin``, the split arrays in binary under the text's sha256,
 which ``load_dataset`` reads instead of parsing the text while they match. A
 missing, stale or damaged sidecar only costs the parse: it is safe to delete.
+The parse is one ``np.loadtxt`` call, which reads each number to the double
+``float()`` gives, and then checks whole columns.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ import itertools
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -345,9 +348,9 @@ def load_dataset(path) -> SplitDataset:
 
 
 def _parse_text(path) -> SplitDataset:
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         header = fh.readline().split()
-        if len(header) != 5 or header[0] != _FORMAT_NAME or header[1] != _FORMAT_VERSION:
+        if len(header) != 5 or header[:2] != [_FORMAT_NAME.encode(), _FORMAT_VERSION.encode()]:
             raise ValueError(f"{path}:1: bad header; expected '{_FORMAT_NAME} {_FORMAT_VERSION} "
                              "<num_samples> <input_dim> <num_keypoint_coords>'")
         try:
@@ -357,35 +360,28 @@ def _parse_text(path) -> SplitDataset:
         if input_dim < 1 or kc < 0:
             raise ValueError(f"{path}:1: input_dim must be positive and num_keypoint_coords "
                              f"nonnegative, got {input_dim} and {kc}")
-        is_train: list[bool] = []
-        ids: list[int] = []
-        rows: list[np.ndarray] = []
-        for lineno, raw in enumerate(fh, start=2):
-            if not raw.strip():
-                continue
-            if not raw.endswith("\n"):  # save_dataset ends every line
-                raise ValueError(f"{path}:{lineno}: truncated line")
-            tok = raw.split()
-            if len(tok) != 2 + input_dim + kc:
-                raise ValueError(f"{path}:{lineno}: expected {2 + input_dim + kc} fields, got {len(tok)}")
-            if tok[0] not in ("train", "test"):
-                raise ValueError(f"{path}:{lineno}: unknown split flag {tok[0]!r}")
-            try:
-                ids.append(int(tok[1]))
-                rows.append(np.fromiter(map(float, tok[2:]), np.float64, len(tok) - 2))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: unparseable number: {exc}") from exc
-            if not 0 <= ids[-1] < 2 ** 31:
-                raise ValueError(f"{path}:{lineno}: identity {ids[-1]} out of range")
-            is_train.append(tok[0] == "train")
-    if len(ids) != n:
-        raise ValueError(f"{path}: header declares {n} samples, file holds {len(ids)}")
-    is_train = np.array(is_train, dtype=bool)
-    for flag, take in (("train", is_train), ("test", ~is_train)):
-        if not take.any():
-            raise ValueError(f"{path}: no {flag} rows")
-    table, ids = np.stack(rows), np.array(ids)
+        # a 6-character flag, so a longer token than 'train' never truncates to a valid one
+        row = np.dtype([("flag", "U6"), ("id", np.int64), ("values", np.float64, (input_dim + kc,))])
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no rows: refused by the count check
+                rows = np.loadtxt(fh, row, comments=None, ndmin=1)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+        fh.seek(-1, os.SEEK_END)
+        if fh.read(1) != b"\n":  # save_dataset ends every line
+            raise ValueError(f"{path}: truncated last line")
+    if len(rows) != n:
+        raise ValueError(f"{path}: header declares {n} samples, file holds {len(rows)}")
+    flags, ids, table = rows["flag"], rows["id"], rows["values"]
+    is_train = flags == "train"
+    for what, column, bad in (("unknown split flag {!r}", flags, ~is_train & (flags != "test")),
+                              ("identity {} out of range", ids, (ids < 0) | (ids >= 2 ** 31))):
+        if bad.any():
+            raise ValueError(f"{path}: {what.format(column[bad].tolist()[0])} in data row {bad.argmax() + 1}")
     if not np.isfinite(table).all():
         raise ValueError(f"{path}: non-finite value in data row {np.isfinite(table).all(1).argmin() + 1}")
+    if is_train.all() or not is_train.any():  # each split needs a row
+        raise ValueError(f"{path}: no {'test' if is_train.any() else 'train'} rows")
     return SplitDataset(*(Split(table[take, :input_dim], ids[take], table[take, input_dim:])
                           for take in (is_train, ~is_train)))

@@ -41,10 +41,11 @@ to a ``Stage``, a frozen record of everything the stage trains: its label
 start (a fresh build, or the checkpoint of a dependency for full
 initialization and transfer), teacher, ``DistillConfig`` (alpha and beta
 from the run key, ``cls_alpha`` and 0 for a classification student, 0
-without a teacher), batch size, momentum, phases and seed. ``_train``
-reads only the record; ``Run.evaluate`` scores labels from one forward.
-``stages(plan)`` lists a plan's stages, dependencies first; ``run_experiment``
-and the CLI's ``train`` both run this one graph, so their checkpoints match.
+without a teacher; the plan's tau and margin only where a term reads them),
+batch size, momentum, phases and seed. ``_train`` reads only the record;
+``Run.evaluate`` scores labels from one forward. ``stages(plan)`` lists a
+plan's stages, dependencies first; ``run_experiment`` and the CLI's
+``train`` both run this one graph, so their checkpoints match.
 
 Networks pass between stages only as checkpoint files:
 ``run_stage(stage(plan, key), Run(plan, data), ckpt_dir)`` loads a stage's
@@ -120,7 +121,7 @@ class OptimizerState:
     scratch buffer, so that it allocates nothing.
     """
 
-    def __init__(self, parameters, learning_rate: float, momentum: float = 0.9):
+    def __init__(self, parameters, learning_rate: float, momentum: float):
         self.parameters = list(parameters)
         self.learning_rate = float(learning_rate)
         self.momentum = float(momentum)
@@ -138,7 +139,7 @@ class OptimizerState:
             start = end
 
     @classmethod
-    def for_network(cls, net, learning_rate: float, momentum: float = 0.9) -> "OptimizerState":
+    def for_network(cls, net, learning_rate: float, momentum: float) -> "OptimizerState":
         return cls(net.parameters, learning_rate, momentum)
 
     def zero_grad(self) -> None:
@@ -505,11 +506,14 @@ def stage(plan: ExperimentPlan, key: str) -> Stage:
     n = splan.epochs_per_phase  # a copied start continues; a fresh build starts at the scratch rate
     phases = ((splan.continue_lr, n),) if start else ((splan.scratch_lr, n), (splan.continue_lr, n))
     try:
-        distill = DistillConfig(float(alpha), float(beta), plan.tau, plan.lambda_margin)
+        distill = DistillConfig(float(alpha), float(beta))
     except ValueError as exc:
         raise ValueError(f"bad stage key {key!r}: {exc}") from exc
     if teacher is None or not (distill.alpha or distill.beta):  # no term reads a target: no teacher
-        teacher, distill = None, replace(distill, alpha=0.0, beta=0.0)
+        teacher, distill = None, DistillConfig(0.0, 0.0)
+    # tau only for a soft term, the margin only for the triplet hinge; unread, each keeps its default
+    distill = replace(distill, tau=plan.tau if distill.alpha else distill.tau, lambda_margin=(
+        plan.lambda_margin if label.startswith(VERIFICATION) else distill.lambda_margin))
     row = ("classification" if label == "cls" else label, f"student/{d}" if divisor else "teacher",
            init, distill.alpha, distill.beta)
     return Stage(key, label, row if key in _report_keys(plan) else None, spec, start, teacher,

@@ -114,6 +114,7 @@ alignment.batch_size              default: 32  (>= 1)
 alignment.continue_lr             default: 0.0002  (> 0)
 alignment.epochs_per_phase        default: 30  (>= 0)
 alignment.scratch_lr              default: 0.005  (> 0)
+cls.alpha                         default: 1.0  (>= 0)
 cls.batch_size                    default: 64  (>= 1)
 cls.continue_lr                   default: 0.002  (> 0)
 cls.epochs_per_phase              default: 15  (>= 0)
@@ -127,8 +128,6 @@ data.num_keypoints                default: 5  (>= 1)
 data.pose_dim                     default: 4  (>= 1)
 data.pose_keypoint_scale          default: 1.0  (> 0)
 data.samples_per_identity         default: 50  (>= 2)
-distill.alpha                     default: 1.0  (>= 0)
-distill.lambda_margin             default: 0.4  (>= 0)
 distill.tau                       default: 3.0  (>= 1)
 experiment.alignment_divisors     default: 8  (each >= 1)
 experiment.divisors               default: 2,4,8  (each >= 1)
@@ -143,6 +142,7 @@ seed                              default: 0  (>= 0)
 verification.batch_size           default: 32  (>= 1)
 verification.continue_lr          default: 0.001  (> 0)
 verification.epochs_per_phase     default: 15  (>= 0)
+verification.lambda_margin        default: 0.4  (>= 0)
 verification.scratch_lr           default: 0.005  (> 0)
 """
 
@@ -240,6 +240,18 @@ def test_removed_beta_key_is_unknown(tmp_path, capsys):
         code, out, err = _run(capsys, "generate", "--out", str(tmp_path / "run"), *argv)
         assert code == 1 and out == "" and not (tmp_path / "run").exists(), argv
         assert "unknown config key 'distill.beta'" in err and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("old, new", [("distill.alpha", "cls.alpha"),
+                                      ("distill.lambda_margin", "verification.lambda_margin")])
+def test_renamed_keys_are_unknown_under_their_old_names(tmp_path, capsys, old, new):
+    # each key sits in the section of the only stages it changes
+    assert new in DEFAULTS and old not in DEFAULTS
+    (tmp_path / "run.cfg").write_text(f"{old} = 0.5\n")
+    for argv in (["--set", f"{old}=0.5"], ["--config", str(tmp_path / "run.cfg")]):
+        code, out, err = _run(capsys, "generate", "--out", str(tmp_path / "run"), *argv)
+        assert code == 1 and out == "" and not (tmp_path / "run").exists(), argv
+        assert f"unknown config key {old!r}" in err and err.count("\n") == 1, err
 
 
 def test_out_is_stripped_and_must_not_be_empty(tmp_path, capsys, monkeypatch):
@@ -639,6 +651,26 @@ def test_corrupt_checkpoint_fails_cleanly(tmp_path, capsys):
     assert not (out_dir / "checkpoints" / "student2_cls_scratch.ckpt").exists()
     path.write_bytes(pristine)
     assert _run(capsys, "evaluate", str(path), "--out", str(out_dir), *_sets())[0] == 0
+
+
+def test_checkpoint_with_bad_magic_header_or_tail_fails_naming_it(tmp_path, capsys):
+    # the reader's three checks that a random corruption rarely reaches
+    out_dir = tmp_path / "run"
+    assert _run(capsys, "generate", "--out", str(out_dir), *_sets())[0] == 0
+    assert _run(capsys, "train", "teacher_cls", "--out", str(out_dir), *_sets())[0] == 0
+    pristine = (out_dir / "checkpoints" / "teacher_cls.ckpt").read_bytes()
+    assert pristine.startswith(b"distillforge-ckpt v1\n{")
+    for kind, blob, message in (
+            ("wrong magic", pristine.replace(b"ckpt v1", b"ckpt v2", 1), "not a network checkpoint"),
+            ("header not JSON", pristine.replace(b"\n{", b"\n{{", 1), "corrupt checkpoint header"),
+            ("trailing bytes", pristine + b"\0" * 8, "trailing bytes after checkpoint payload")):
+        path = out_dir / f"{kind.replace(' ', '_')}.ckpt"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+            load_network(path)
+        code, out, err = _run(capsys, "evaluate", str(path), "--out", str(out_dir), *_sets())
+        assert code == 2 and out == "", kind
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and str(path) in err, (kind, err)
 
 
 def test_config_floats_must_be_finite(tmp_path, capsys):

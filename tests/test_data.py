@@ -376,6 +376,47 @@ def test_save_load_save_is_byte_identical(tmp_path):
                 array[0] = 0
 
 
+def test_text_parse_is_bitwise_at_float_edges(tmp_path):
+    edges = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e+308, 0.1, 1e-05]
+    feats = np.array([edges, edges[::-1], [-v for v in edges]])
+    ds = SplitDataset(Split(feats[:2, :4], np.array([0, 2 ** 31 - 1]), feats[:2, 4:]),
+                      Split(feats[2:, :4], np.array([7]), feats[2:, 4:]))
+    path = tmp_path / "d.txt"
+    save_dataset(ds, path)
+    _assert_same_dataset(data._parse_text(path), ds)
+
+
+def test_text_parse_skips_blank_lines(tmp_path):
+    path = tmp_path / "d.txt"
+    save_dataset(generate(SMALL), path)
+    want = data._parse_text(path)
+    header, first, *rows = path.read_text().splitlines(keepends=True)
+    path.write_text("".join([header, first, "\n", " \t \n", *rows]))
+    _assert_same_dataset(data._parse_text(path), want)
+
+
+@pytest.mark.parametrize("body, message", [("", "header declares 2 samples, file holds 0"),
+                                           ("\n \n\n", "header declares 2 samples, file holds 0"),
+                                           (None, "no train rows")])
+def test_text_without_rows_raises_one_error_and_no_warning(tmp_path, recwarn, body, message):
+    # numpy's reader warns on input without rows; the parse refuses it silently
+    path = tmp_path / "d.txt"
+    path.write_text(f"distillforge-dataset v1 {0 if body is None else 2} 3 1\n{body or ''}")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
+        data._parse_text(path)
+    assert not recwarn.list
+
+
+def test_text_cut_inside_its_last_number_is_refused(tmp_path):
+    path = tmp_path / "d.txt"
+    save_dataset(generate(SMALL), path)
+    text = path.read_text()
+    assert text[-3:-1].isdigit() and text[-1] == "\n"  # the cut row still parses
+    path.write_text(text[:-2])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: truncated last line$"):
+        data._parse_text(path)
+
+
 # ------------------------------------------------------------- binary sidecar
 
 def _counting_text_parses(monkeypatch) -> list:

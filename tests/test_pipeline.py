@@ -105,7 +105,7 @@ def test_nag_scalar_quadratic_reference():
 
 def test_nag_requires_gradients():
     net = _OneParamNet(1.0)
-    opt = OptimizerState.for_network(net, 0.1)
+    opt = OptimizerState.for_network(net, 0.1, 0.9)
     with pytest.raises(RuntimeError):
         nag_step(net, opt)
 
@@ -120,7 +120,7 @@ def test_nag_rejects_mismatched_state():
 
 def test_nag_clears_gradients():
     net = _OneParamNet(1.0)
-    opt = OptimizerState.for_network(net, 0.1)
+    opt = OptimizerState.for_network(net, 0.1, 0.9)
     net.parameters[0].grad = np.array([1.0])
     nag_step(net, opt)
     assert net.parameters[0].grad is None
@@ -150,7 +150,7 @@ def test_nag_matches_allocating_reference(rng):
 def test_nag_step_allocates_no_arrays(rng):
     net = type("Net", (), {})()
     net.parameters = [tc.Tensor(rng.normal(size=(256, 256)), requires_grad=True)]
-    opt = OptimizerState.for_network(net, learning_rate=0.01)
+    opt = OptimizerState.for_network(net, learning_rate=0.01, momentum=0.9)
     grad = rng.normal(size=(256, 256))
     net.parameters[0].grad = grad
     nag_step(net, opt)
@@ -190,7 +190,7 @@ def test_optimizer_state_allocates_four_flat_buffers(rng):
     nbytes = sum(p.data.nbytes for p in net.parameters)
     tracemalloc.start()
     try:
-        opt = OptimizerState.for_network(net, learning_rate=0.01)
+        opt = OptimizerState.for_network(net, learning_rate=0.01, momentum=0.9)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -205,7 +205,7 @@ def test_loaded_network_frees_its_payload_once_its_parameters_move(tmp_path):
     save_network(build(SPEC, seed=1), path)
     net = load_network(path)
     payload = weakref.ref(net.parameters[0].data.base)
-    opt = OptimizerState.for_network(net, learning_rate=0.01)
+    opt = OptimizerState.for_network(net, learning_rate=0.01, momentum=0.9)
     assert payload() is None
     assert all(p.data.base is opt.params for p in net.parameters)
 
@@ -291,6 +291,14 @@ def test_stage_records_are_equal_exactly_when_they_train_alike():
         assert stage(p, copied) == stage(q, copied), family
         assert hash(stage(p, copied)) == hash(stage(q, copied)), family
         assert stage(p, fresh) != stage(q, fresh), family
+    # only verification labels read the margin, and only a soft term (alpha > 0) reads tau
+    reads = {"lambda_margin": lambda node: node.label.startswith("verification"),
+             "tau": lambda node: node.distill.alpha != 0}
+    for name, value, n_alike in (("lambda_margin", 0.9, 18), ("tau", 5.0, 22)):
+        q = replace(p, **{name: value})
+        alike = [node.key for node in stages(p) if stage(q, node.key) == node]
+        assert alike == [node.key for node in stages(p) if not reads[name](node)], name
+        assert len(alike) == n_alike and all(hash(stage(q, key)) == hash(stage(p, key)) for key in alike)
 
 
 def _planned_steps(node, n_train: int) -> int:
@@ -630,7 +638,7 @@ def test_skipping_unread_heads_changes_no_gradient_bit(rng):
     for p in net.parameters:  # random heads too: a zero head would hide a reordered sum
         p.data = rng.normal(size=p.data.shape) * 0.5
     net.set_normalizer(rng.normal(size=spec.input_dim), rng.uniform(0.5, 2.0, size=spec.input_dim))
-    opt = OptimizerState.for_network(net, 0.1)
+    opt = OptimizerState.for_network(net, 0.1, 0.9)
     batch = rng.normal(size=(24, spec.input_dim))
     head_params = {"logits": net.parameters[-4:-2], "regression": net.parameters[-2:]}
 
