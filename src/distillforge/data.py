@@ -14,9 +14,9 @@ identity (``GeneratorParams.split_sizes``). Each split is one read-only
 ``Split`` of columns, one row per sample; triplets and pairs index its rows.
 
 The text is the only source of truth. ``save_dataset`` alone also writes the
-sidecar ``<path>.bin``, the split arrays in binary under the text's sha256,
-which ``load_dataset`` reads instead of parsing the text while they match. A
-missing, stale or damaged sidecar only costs the parse: it is safe to delete.
+sidecar ``<path>.bin``, the split arrays in binary under the text's sha256 and
+their own, which ``load_dataset`` reads instead of parsing the text while both
+match. A missing, stale or damaged sidecar only costs the parse: it is safe to delete.
 The parse is one ``np.loadtxt`` call, which reads each number to the double
 ``float()`` gives, and then checks whole columns.
 """
@@ -27,6 +27,7 @@ import itertools
 import json
 import math
 import os
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -49,8 +50,8 @@ __all__ = [
 
 _FORMAT_NAME = "distillforge-dataset"
 _FORMAT_VERSION = "v1"
-_SIDECAR_MAGIC = b"distillforge-dataset-cache v1\n"
-_SIDECAR_KEYS = ("input_dim", "n_test", "n_train", "num_keypoint_coords", "text_sha256")
+_SIDECAR_MAGIC = b"distillforge-dataset-cache v2\n"
+_SIDECAR_KEYS = ("input_dim", "n_test", "n_train", "num_keypoint_coords", "payload_sha256", "text_sha256")
 
 
 @dataclass(frozen=True)
@@ -280,8 +281,9 @@ def save_dataset(ds: SplitDataset, path) -> None:
     flag, identity, features, keypoints), train rows first; floats print
     with shortest round-trip repr. Rows are formatted and written one at a
     time, so the write holds one line of text, never the whole file. Then the
-    sidecar: a magic line, a JSON header of the text's sha256 and the counts,
-    and the train then test ids, features and keypoints, little-endian."""
+    sidecar: a magic line, a JSON header of the counts and the sha256s of the
+    text and of the payload, and the payload: the train then test ids,
+    features and keypoints, little-endian."""
     n = len(ds.train) + len(ds.test)
     if not n:
         raise ValueError("refusing to save an empty dataset")
@@ -295,24 +297,30 @@ def save_dataset(ds: SplitDataset, path) -> None:
             data = f"{line}\n".encode()
             digest.update(data)
             fh.write(data)
-    header = {"text_sha256": digest.hexdigest(), "n_train": len(ds.train), "n_test": len(ds.test),
-              "input_dim": input_dim, "num_keypoint_coords": kc}
+    blocks = [np.ascontiguousarray(array, dtype=dtype) for split in (ds.train, ds.test)
+              for array, dtype in ((split.ids, "<i8"), (split.features, "<f8"), (split.keypoints, "<f8"))]
+    payload = hashlib.sha256()
+    for block in blocks:
+        payload.update(block)
+    header = {"text_sha256": digest.hexdigest(), "payload_sha256": payload.hexdigest(),
+              "n_train": len(ds.train), "n_test": len(ds.test), "input_dim": input_dim,
+              "num_keypoint_coords": kc}
     with atomic_write(f"{os.fspath(path)}.bin", "wb") as fh:
         fh.write(_SIDECAR_MAGIC + json.dumps(header, sort_keys=True).encode() + b"\n")
-        for split in (ds.train, ds.test):
-            for array, dtype in ((split.ids, "<i8"), (split.features, "<f8"), (split.keypoints, "<f8")):
-                fh.write(np.ascontiguousarray(array, dtype=dtype).data)
+        for block in blocks:
+            fh.write(block.data)
 
 
 def _load_sidecar(path) -> SplitDataset | None:
     """The dataset ``<path>.bin`` holds, or None unless it is well-formed, was
-    written with the text ``path`` holds now and passes the text's checks."""
+    written with the text ``path`` holds now, holds the payload its header
+    hashes and passes the text's checks."""
     try:
         with open(f"{os.fspath(path)}.bin", "rb") as fh, open(path, "rb") as text:
             magic, header = fh.readline(len(_SIDECAR_MAGIC)), json.loads(fh.readline(256))
             if magic != _SIDECAR_MAGIC or not isinstance(header, dict) or header.keys() != {*_SIDECAR_KEYS}:
                 return None
-            *counts, text_sha256 = (header[key] for key in _SIDECAR_KEYS)
+            *counts, payload_sha256, text_sha256 = (header[key] for key in _SIDECAR_KEYS)
             input_dim, n_test, n_train, kc = counts
             if any(type(c) is not int for c in counts) or min(input_dim, n_test, n_train) < 1 or kc < 0:
                 return None
@@ -327,17 +335,19 @@ def _load_sidecar(path) -> SplitDataset | None:
             text_header = f"{_FORMAT_NAME} {_FORMAT_VERSION} {n_train + n_test} {input_dim} {kc}\n"
             if digest.hexdigest() != text_sha256 or first != text_header.encode():
                 return None
-            splits = []
+            splits, payload = [], hashlib.sha256()
             for n in (n_train, n_test):
                 ids = np.fromfile(fh, "<i8", n)
                 features, keypoints = (np.fromfile(fh, "<f8", n * w).reshape(n, w) for w in (input_dim, kc))
+                for block in (ids, features, keypoints):
+                    payload.update(block)
                 if not (((ids >= 0) & (ids < 2 ** 31)).all() and np.isfinite(features).all()
                         and np.isfinite(keypoints).all()):
                     return None
                 splits.append(Split(features, ids, keypoints))
     except (OSError, ValueError):
         return None
-    return SplitDataset(*splits)
+    return SplitDataset(*splits) if payload.hexdigest() == payload_sha256 else None
 
 
 def load_dataset(path) -> SplitDataset:
@@ -366,8 +376,9 @@ def _parse_text(path) -> SplitDataset:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # no rows: refused by the count check
                 rows = np.loadtxt(fh, row, comments=None, ndmin=1)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+        except ValueError as exc:  # numpy counts a bad token's row from 0, its other rows from 1
+            raise ValueError(f"{path}: " + re.sub(r"at row (\d+)(, column)?", lambda m: (
+                f"in data row {int(m[1]) + bool(m[2])}{m[2] or ''}"), str(exc))) from exc
         fh.seek(-1, os.SEEK_END)
         if fh.read(1) != b"\n":  # save_dataset ends every line
             raise ValueError(f"{path}: truncated last line")

@@ -43,9 +43,10 @@ initialization and transfer), teacher, ``DistillConfig`` (alpha and beta
 from the run key, ``cls_alpha`` and 0 for a classification student, 0
 without a teacher; the plan's tau and margin only where a term reads them),
 batch size, momentum, phases and seed. ``_train`` reads only the record;
-``Run.evaluate`` scores labels from one forward. ``stages(plan)`` lists a
-plan's stages, dependencies first; ``run_experiment`` and the CLI's
-``train`` both run this one graph, so their checkpoints match.
+``Run.evaluate`` scores labels from one forward. ``_report_rows(plan)``
+alone names the run keys the report shows and their rows; ``stages(plan)``
+lists them and their dependencies, dependencies first. ``run_experiment``
+and the CLI's ``train`` both run this one graph, so their checkpoints match.
 
 Networks pass between stages only as checkpoint files:
 ``run_stage(stage(plan, key), Run(plan, data), ckpt_dir)`` loads a stage's
@@ -54,9 +55,9 @@ The in-process walk, a pool worker and ``train`` all call it, so a stage
 runs one way everywhere. ``run_experiment(plan, workers=N)`` walks the
 graph on N forked worker processes: a stage is submitted as soon as its
 dependencies have finished, a worker returns only metrics, and the report
-rows come out in ``stages(plan)`` order, so no byte depends on N. A run
-with one worker, or whose ``run_stage`` has been wrapped (a span tracer,
-say), walks in-process, so the wrapper sees every stage.
+rows come from the plan, so no byte depends on N. A run with one worker,
+or whose ``run_stage`` has been wrapped (a span tracer, say), walks
+in-process, so the wrapper sees every stage.
 """
 from __future__ import annotations
 
@@ -442,19 +443,18 @@ class Run:
 class Stage:
     """One node of the stage graph: everything ``stage()`` resolves for a run key.
 
-    ``label`` selects the task term and the metrics (``Run.evaluate``);
-    ``row`` is the stage's report row key, or None when the plan does not
-    report it. The stage trains the checkpoint of the dependency ``start``, or
-    a fresh build of ``spec`` when ``start`` is None, on the targets of the
-    dependency ``teacher`` (None: no targets), with the weights ``distill``,
+    ``label`` selects the task term and the metrics (``Run.evaluate``). The
+    stage trains the checkpoint of the dependency ``start``, or a fresh build
+    of ``spec`` when ``start`` is None, on the targets of the dependency
+    ``teacher`` (None: no targets), with the weights ``distill``,
     ``batch_size``, ``momentum``, the (rate, epochs) ``phases`` and the
     derived ``seed``. A stage compares, hashes and pickles by these values,
-    so two records are equal exactly when they train alike.
+    so two records are equal exactly when they train alike; the report row
+    is the plan's (``_report_rows``), not the record's.
     """
 
     key: str
     label: str
-    row: tuple | None
     spec: NetworkSpec
     start: str | None
     teacher: str | None
@@ -472,10 +472,10 @@ class Stage:
 def stage(plan: ExperimentPlan, key: str) -> Stage:
     """The stage a run key names, under this plan's settings and seed.
 
-    Keys outside the plan's report (``_report_keys``), such as another
-    divisor or grid point, are stages too, with no report row. A key that
-    names no stage, or weights ``DistillConfig`` rejects, or an alignment key
-    on fewer than two keypoints raises ValueError.
+    Keys outside the plan's report (``_report_rows``), such as another
+    divisor or grid point, are stages too. A key that names no stage, or
+    weights ``DistillConfig`` rejects, or an alignment key on fewer than two
+    keypoints raises ValueError.
     """
     m = _STAGE_KEY.fullmatch(key)
     if m is None or (m[1] is None) != (m[3] is None):  # only student keys carry a suffix
@@ -487,20 +487,18 @@ def stage(plan: ExperimentPlan, key: str) -> Stage:
     splan = {"cls": plan.cls_stage, ALIGNMENT: plan.alignment_stage}.get(label, plan.verification_stage)
     d = int(divisor) if divisor else 1
     spec, grid = plan.teacher.student(d), _GRID_RUN.fullmatch(kind or "")
-    teacher, start, init, alpha, beta = None, None, kind, 0.0, 0.0
-    if key == "teacher_cls":
-        init = "scratch"
-    elif divisor is None:  # a task teacher: a value copy of the classification teacher, fine-tuned
-        start, init = "teacher_cls", "transfer"
+    teacher, start, alpha, beta = None, None, 0.0, 0.0
+    if divisor is None:  # a task teacher fine-tunes a value copy of the classification teacher
+        start = None if key == "teacher_cls" else "teacher_cls"
     elif label == "cls" and kind in ("init", "scratch", "full_init"):
         # init is softmax only; full_init continues from a value copy of init
         teacher = None if kind == "init" else "teacher_cls"
         start = f"student{d}_cls_init" if kind == "full_init" else None
         alpha = plan.cls_alpha  # no hidden term
     elif grid is not None and label != "cls":
-        init, teacher, alpha, beta = grid[1], f"teacher_{label}", grid[2], grid[3]
+        teacher, alpha, beta = f"teacher_{label}", grid[2], grid[3]
         start = {"pretrain": f"student{d}_{label}_pretrain_base",
-                 "distill": f"student{d}_cls_full_init"}.get(init)
+                 "distill": f"student{d}_cls_full_init"}.get(grid[1])
     elif label == "cls" or kind != "pretrain_base":  # the pretrain base trains a fresh student
         raise ValueError(f"unknown stage key {key!r}")
     n = splan.epochs_per_phase  # a copied start continues; a fresh build starts at the scratch rate
@@ -514,23 +512,25 @@ def stage(plan: ExperimentPlan, key: str) -> Stage:
     # tau only for a soft term, the margin only for the triplet hinge; unread, each keeps its default
     distill = replace(distill, tau=plan.tau if distill.alpha else distill.tau, lambda_margin=(
         plan.lambda_margin if label.startswith(VERIFICATION) else distill.lambda_margin))
-    row = ("classification" if label == "cls" else label, f"student/{d}" if divisor else "teacher",
-           init, distill.alpha, distill.beta)
-    return Stage(key, label, row if key in _report_keys(plan) else None, spec, start, teacher,
-                 distill, splan.batch_size, plan.momentum, phases, derive_seed(plan.seed, key))
+    return Stage(key, label, spec, start, teacher, distill, splan.batch_size, plan.momentum, phases,
+                 derive_seed(plan.seed, key))
 
 
-def _report_keys(plan: ExperimentPlan):
-    yield "teacher_cls"
+def _report_rows(plan: ExperimentPlan):
+    """(run key, report row) of each stage the plan reports, the row being its
+    (task, network, init, alpha, beta) in ``MetricsReport``; a repeated
+    divisor or grid point repeats its pair."""
+    yield "teacher_cls", ("classification", "teacher", "scratch", 0, 0)
     for d in plan.cls_divisors:
         for init in plan.cls_inits:
-            yield f"student{d}_cls_{init}"
+            yield f"student{d}_cls_{init}", ("classification", f"student/{d}", init, plan.cls_alpha, 0)
     for tp in plan.tasks:
-        yield f"teacher_{tp.label}"
+        yield f"teacher_{tp.label}", (tp.label, "teacher", "transfer", 0, 0)
         for d in tp.divisors:
             for init in tp.inits:
                 for alpha, beta in tp.grid:
-                    yield f"student{d}_{tp.label}_{init}_a{alpha:g}_b{beta:g}"
+                    yield (f"student{d}_{tp.label}_{init}_a{alpha:g}_b{beta:g}",
+                           (tp.label, f"student/{d}", init, alpha, beta))
 
 
 def stages(plan: ExperimentPlan) -> list[Stage]:
@@ -545,7 +545,7 @@ def stages(plan: ExperimentPlan) -> list[Stage]:
                 visit(dep)
             listed[key] = node
 
-    for key in _report_keys(plan):
+    for key, _ in _report_rows(plan):
         visit(key)
     return list(listed.values())
 
@@ -619,9 +619,8 @@ def run_experiment(plan: ExperimentPlan, out_dir=None, workers: int = 1,
         else:
             _walk(listed, run, workers, ckpt_dir, metrics)
     report = MetricsReport()
-    for node in listed:
-        if node.row is not None:
-            report.add(*node.row, **metrics[node.key])
+    for key, row in dict(_report_rows(plan)).items():
+        report.add(*row, **metrics[key])
     return report
 
 

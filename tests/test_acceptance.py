@@ -7,8 +7,9 @@ of ``reproduce``, metric oracles, the optimizer oracle, and the recorded
 ``report.json`` digest of the benchmark's scaled grid. The terminal
 summary prints one PASS/FAIL line per check (see conftest).
 
-The ordering checks train real networks and dominate the runtime; each
-asserts its own wall-clock budget so regressions in speed fail loudly.
+The ordering checks train real networks, on as many worker processes as
+``reproduce`` starts, and dominate the runtime; each asserts its own
+wall-clock budget so regressions in speed fail loudly.
 """
 import hashlib
 import json
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 
 import distillforge.tensor as tc
-from distillforge.cli import main as cli_main
+from distillforge.cli import _workers, main as cli_main
 from distillforge.data import GeneratorParams
 from distillforge.losses import (DistillConfig, alignment_distill_loss,
                                  classification_distill_loss, cross_entropy,
@@ -206,7 +207,7 @@ def test_05_full_init_classification_beats_scratch():
     start = time.perf_counter()
     full, scratch = [], []
     for seed in range(5):
-        report = run_experiment(_bench_plan(seed, cls_divisors=(8,), tasks=()))
+        report = run_experiment(_bench_plan(seed, cls_divisors=(8,), tasks=()), workers=_workers())
         full.append(report.get("classification", "student/8", "full_init", 1.0, 0.0)["top1"])
         scratch.append(report.get("classification", "student/8", "scratch", 1.0, 0.0)["top1"])
     assert median(full) >= median(scratch), (full, scratch)
@@ -219,7 +220,7 @@ def test_06_alignment_hidden_target_helps_soft_target_hurts():
     for seed in range(5):
         plan = _bench_plan(seed, cls_divisors=(), cls_inits=("full_init",),
                            tasks=(TaskPlan(ALIGNMENT, (8,), inits=("distill",)),))
-        report = run_experiment(plan)
+        report = run_experiment(plan, workers=_workers())
         for alpha, beta in by_grid:
             row = report.get("alignment", "student/8", "distill", alpha, beta)
             by_grid[(alpha, beta)].append(row["nrmse"])
@@ -240,7 +241,7 @@ def test_07_verification_init_and_joint_orderings():
                             grid=((0.0, 0.0),)),
                    TaskPlan(VERIFICATION, (2,), inits=("distill",),
                             include_softmax=True)))
-        report = run_experiment(plan)
+        report = run_experiment(plan, workers=_workers())
         for init in single:
             single[init].append(
                 report.get("verification", "student/2", init, 0.0, 0.0)["verif_top1"])

@@ -384,7 +384,7 @@ def test_train_and_evaluate_read_a_reproduce_directory(tmp_path, capsys):
         code, out, err = _run(capsys, "evaluate", key, "--out", str(out_dir), *_sets())
         assert code == 0, f"{key}: {err}"
         metrics = {name: float(text) for name, text in _metric_lines(out).items()}
-        assert metrics == table[pipeline.stage(plan, key).row], key
+        assert metrics == table[dict(pipeline._report_rows(plan))[key]], key
     # a key outside the plan trains on the directory's teacher
     code, _, err = _run(capsys, "train", "student3_cls_scratch", "--out", str(out_dir), *_sets())
     assert code == 0, err
@@ -563,27 +563,49 @@ def test_corrupt_dataset_fails_cleanly(tmp_path, capsys):
     assert _run(capsys, "evaluate", "teacher_cls", "--out", str(out_dir), *_sets())[0] == 0
 
 
+def _negated_test_features(blob: bytes) -> bytes:
+    """A dataset sidecar whose test features are negated, its header untouched."""
+    magic, header, payload = blob.split(b"\n", 2)
+    head = json.loads(header)
+    widths = 1 + head["input_dim"] + head["num_keypoint_coords"]
+    start = 8 * (head["n_train"] * widths + head["n_test"])
+    values = np.frombuffer(payload, "<f8").copy()
+    values[start // 8:start // 8 + head["n_test"] * head["input_dim"]] *= -1
+    return b"\n".join([magic, header, values.tobytes()])
+
+
+def _v1_sidecar(blob: bytes) -> bytes:
+    """The sidecar as it was written before its payload had a digest."""
+    magic, header, payload = blob.split(b"\n", 2)
+    head = {key: value for key, value in json.loads(header).items() if key != "payload_sha256"}
+    return b"\n".join([magic.replace(b"v2", b"v1"), json.dumps(head, sort_keys=True).encode(), payload])
+
+
 def test_train_reads_the_sidecar_and_writes_what_the_text_gives(tmp_path, capsys, monkeypatch):
     parses = []
     parse_text = data._parse_text
     monkeypatch.setattr(data, "_parse_text", lambda path: parses.append(path) or parse_text(path))
     outputs = {}
-    for sidecar in (True, False):
-        out_dir = tmp_path / str(sidecar)
+    for sidecar in ("fresh", "deleted", "negated test features", "v1"):
+        out_dir = tmp_path / sidecar.replace(" ", "_")
         assert _run(capsys, "generate", "--out", str(out_dir), *_sets())[0] == 0
-        if not sidecar:
-            (out_dir / "dataset.txt.bin").unlink()
+        path = out_dir / "dataset.txt.bin"
+        if sidecar == "deleted":
+            path.unlink()
+        elif sidecar != "fresh":
+            path.write_bytes((_v1_sidecar if sidecar == "v1" else _negated_test_features)(path.read_bytes()))
+        parses.clear()
         for key in ("teacher_cls", "student2_cls_scratch"):
             assert _run(capsys, "train", key, "--out", str(out_dir), *_sets())[0] == 0
         code, evaluated, _ = _run(capsys, "evaluate", "student2_cls_scratch", "--out", str(out_dir), *_sets())
         assert code == 0
-        assert parses == ([] if sidecar else [str(out_dir / "dataset.txt")] * 3)
+        assert parses == ([] if sidecar == "fresh" else [str(out_dir / "dataset.txt")] * 3), sidecar
         outputs[sidecar] = {str(p.relative_to(out_dir)): p.read_bytes()
                             for p in out_dir.rglob("*") if p.is_file() and p.suffix != ".bin"}
         outputs[sidecar]["evaluate"] = evaluated
-    assert outputs[True] == outputs[False]
-    assert len(outputs[True]) == 6  # the dataset, two checkpoints, two metrics files, one evaluation
-    assert not (tmp_path / "False" / "dataset.txt.bin").exists()
+    assert all(output == outputs["fresh"] for output in outputs.values())
+    assert len(outputs["fresh"]) == 6  # the dataset, two checkpoints, two metrics files, one evaluation
+    assert not (tmp_path / "deleted" / "dataset.txt.bin").exists()
 
 
 _SPEC_INTS = ("input_dim", "embedding_dim", "num_classes", "num_keypoint_coords", "width_divisor")

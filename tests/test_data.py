@@ -407,6 +407,31 @@ def test_text_without_rows_raises_one_error_and_no_warning(tmp_path, recwarn, bo
     assert not recwarn.list
 
 
+_BAD_ROWS = {
+    "id not an integer": lambda f: [f[0], "1_0", *f[2:]],
+    "value not a number": lambda f: [*f[:-1], "x"],
+    "field dropped": lambda f: f[:-1],
+    "field added": lambda f: [*f, "0.5"],
+    "unknown split flag": lambda f: ["valid", *f[1:]],
+    "identity out of range": lambda f: [f[0], str(2 ** 31), *f[2:]],
+    "non-finite value": lambda f: [*f[:-1], "inf"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_ROWS))
+@pytest.mark.parametrize("row", [1, 3])
+def test_every_parse_error_counts_data_rows_from_1(tmp_path, kind, row):
+    # numpy's reader counts the row of a token it cannot convert from 0, and
+    # its other rows, like the parse's own checks, from 1
+    path = tmp_path / "d.txt"
+    save_dataset(generate(SMALL), path)
+    header, *rows = path.read_text().splitlines(keepends=True)
+    rows[row - 1] = " ".join(_BAD_ROWS[kind](rows[row - 1].split())) + "\n"
+    path.write_text("".join([header, rows[0], "\n", *rows[1:]]))  # a blank line is no data row
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: .* data row {row}\b"):
+        data._parse_text(path)
+
+
 def test_text_cut_inside_its_last_number_is_refused(tmp_path):
     path = tmp_path / "d.txt"
     save_dataset(generate(SMALL), path)
@@ -455,8 +480,9 @@ def test_sidecar_header_states_the_text_digest_and_counts(tmp_path):
     path = tmp_path / "dataset.txt"
     save_dataset(generate(SMALL), path)
     magic, header, payload = _sidecar_parts((tmp_path / "dataset.txt.bin").read_bytes())
-    assert magic == b"distillforge-dataset-cache v1"
+    assert magic == b"distillforge-dataset-cache v2"
     assert header == {"text_sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+                      "payload_sha256": hashlib.sha256(payload).hexdigest(),
                       "n_train": 48, "n_test": 12, "input_dim": 64, "num_keypoint_coords": 10}
     assert len(payload) == 8 * 60 * (1 + 64 + 10)
 
@@ -472,11 +498,17 @@ def _with_header(blob: bytes, drop=(), **changes) -> bytes:
     return b"\n".join([magic, json.dumps(header).encode(), payload])
 
 
+def _with_payload(magic: bytes, header: dict, payload: bytes) -> bytes:
+    """A sidecar whose header hashes ``payload``, so only its other checks can reject it."""
+    header = {**header, "payload_sha256": hashlib.sha256(payload).hexdigest()}
+    return b"\n".join([magic, json.dumps(header).encode(), payload])
+
+
 def _with_value(blob: bytes, index: int, value, dtype) -> bytes:
     magic, header, payload = _sidecar_parts(blob)
     values = np.frombuffer(payload, dtype=dtype).copy()
     values[index] = value
-    return b"\n".join([magic, json.dumps(header).encode(), values.tobytes()])
+    return _with_payload(magic, header, values.tobytes())
 
 
 def _without_last_test_row(blob: bytes, other: bytes) -> bytes:
@@ -490,12 +522,33 @@ def _without_last_test_row(blob: bytes, other: bytes) -> bytes:
     for width in widths:
         kept.append(payload[at:at + 8 * (n_test - 1) * width])
         at += 8 * n_test * width
-    return b"\n".join([magic, json.dumps({**header, "n_test": n_test - 1}).encode(), b"".join(kept)])
+    return _with_payload(magic, {**header, "n_test": n_test - 1}, b"".join(kept))
+
+
+def _flipped(split: str, block: str):
+    """A corruption that flips the lowest bit of the first value of one payload
+    block: the value stays a valid identity or a finite number, so only the
+    payload's digest can reject it."""
+    def corrupt(blob: bytes, other: bytes) -> bytes:
+        magic, header, payload = _sidecar_parts(blob)
+        widths = {"ids": 1, "features": header["input_dim"], "keypoints": header["num_keypoint_coords"]}
+        at = 8 * header["n_train"] * sum(widths.values()) if split == "test" else 0
+        before = list(widths)[:list(widths).index(block)]
+        at += 8 * header[f"n_{split}"] * sum(widths[name] for name in before)
+        flipped = bytearray(payload)
+        flipped[at] ^= 1
+        return b"\n".join([magic, json.dumps(header).encode(), bytes(flipped)])
+    return corrupt
 
 
 _SIDECAR_CORRUPTIONS = {
+    **{f"flipped {split} {block} bit": _flipped(split, block)
+       for split in ("train", "test") for block in ("ids", "features", "keypoints")},
     "truncated": lambda blob, other: blob[:-8],
-    "wrong magic": lambda blob, other: blob.replace(b"cache v1", b"cache v2", 1),
+    "wrong magic": lambda blob, other: blob.replace(b"cache v2", b"cache v3", 1),
+    # what save_dataset wrote before the payload had a digest
+    "v1 sidecar": lambda blob, other: _with_header(blob.replace(b"cache v2", b"cache v1", 1),
+                                                   drop=("payload_sha256",)),
     "bad JSON": lambda blob, other: blob.replace(b"{", b"[", 1),
     "another text's digest": lambda blob, other: _with_header(
         blob, text_sha256=_sidecar_parts(other)[1]["text_sha256"]),

@@ -299,6 +299,16 @@ def test_stage_records_are_equal_exactly_when_they_train_alike():
         alike = [node.key for node in stages(p) if stage(q, node.key) == node]
         assert alike == [node.key for node in stages(p) if not reads[name](node)], name
         assert len(alike) == n_alike and all(hash(stage(q, key)) == hash(stage(p, key)) for key in alike)
+    # whether a plan reports a stage is no part of its record: the release
+    # gate's test_05 plan reports this stage and its test_06 plan does not
+    reported = ExperimentPlan(cls_divisors=(8,), tasks=())
+    unreported = ExperimentPlan(cls_divisors=(), cls_inits=("full_init",),
+                                tasks=(TaskPlan(ALIGNMENT, (8,), inits=("distill",)),))
+    key = "student8_cls_full_init"
+    assert key in dict(pipeline._report_rows(reported))
+    assert key not in dict(pipeline._report_rows(unreported))
+    assert stage(reported, key) == stage(unreported, key)
+    assert hash(stage(reported, key)) == hash(stage(unreported, key))
 
 
 def _planned_steps(node, n_train: int) -> int:
@@ -1187,8 +1197,24 @@ def test_stage_graph_of_default_plan():
         assert set(node.deps) <= done, f"{node.key} is listed before a dependency"
         done.add(node.key)
         assert stage(plan, node.key) == node
-    rows = [node.row for node in listed if node.row is not None]
-    assert len(rows) == len(set(rows)) == 28  # 1 + 3 * 2 classification rows, 3 tables of 7
+    rows = dict(pipeline._report_rows(plan))
+    assert len(rows) == len(set(rows.values())) == 28  # 1 + 3 * 2 classification rows, 3 tables of 7
+    for key, (_, _, _, alpha, beta) in rows.items():  # a row states the weights its stage trains with
+        assert (alpha, beta) == (stage(plan, key).distill.alpha, stage(plan, key).distill.beta), key
+
+
+def test_a_repeated_divisor_or_grid_point_is_one_stage_and_one_row():
+    default = ExperimentPlan()
+    plan = replace(default, cls_divisors=(8, 8), tasks=(TaskPlan(ALIGNMENT, (8, 8)), *default.tasks[1:]))
+    keys = [key for key, _ in pipeline._report_rows(plan)]
+    assert (len(keys), len(set(keys))) == (32, 24)
+    once = replace(default, cls_divisors=(8,))
+    assert [node.key for node in stages(plan)] == [node.key for node in stages(once)]
+    tiny = _tiny_plan(cls_divisors=(2, 2), tasks=(
+        TaskPlan(ALIGNMENT, (2, 2), inits=("distill",), grid=((0.0, 0.0), (0.0, 1.0), (0.0, 0.0))),))
+    report = run_experiment(tiny)
+    assert report.keys() == set(dict(pipeline._report_rows(tiny)).values())
+    assert len(report.rows()) == 1 + 1 + 1 + 2
 
 
 def test_a_stage_is_a_value():
@@ -1208,12 +1234,12 @@ def test_a_stage_is_a_value():
 
 def test_stage_resolves_keys_outside_the_plan_and_rejects_unknown_keys():
     plan = ExperimentPlan()
+    rows = dict(pipeline._report_rows(plan))
     node = stage(plan, "student3_cls_scratch")
-    assert (node.deps, node.label, node.row) == (("teacher_cls",), "cls", None)
+    assert (node.deps, node.label) == (("teacher_cls",), "cls") and node.key not in rows
     node = stage(plan, "student2_alignment_distill_a0.5_b2")
-    assert node.deps == ("teacher_alignment", "student2_cls_full_init") and node.row is None
-    assert stage(plan, "student8_alignment_distill_a0_b1").row == ("alignment", "student/8", "distill",
-                                                                   0.0, 1.0)
+    assert node.deps == ("teacher_alignment", "student2_cls_full_init") and node.key not in rows
+    assert rows["student8_alignment_distill_a0_b1"] == ("alignment", "student/8", "distill", 0.0, 1.0)
     # a stage that reads no target has no teacher
     assert stage(plan, "student8_alignment_pretrain_a0_b0").deps == ("student8_alignment_pretrain_base",)
     assert stage(plan, "student2_verification_distill_a0_b0").deps == ("student2_cls_full_init",)
