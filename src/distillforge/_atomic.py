@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import os
-import threading
 from contextlib import contextmanager
 
 
@@ -15,7 +14,7 @@ def atomic_write(path, mode: str = "w", **open_kwargs):
     """
     path = os.fspath(path)
     head, tail = os.path.split(path)
-    tmp = os.path.join(head, f".{tail}.{os.getpid()}.{threading.get_ident()}.tmp")
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
         with open(tmp, mode, **open_kwargs) as fh:
             yield fh

@@ -8,9 +8,9 @@ for every item) and ``nonempty``. An ``int`` is integral, a ``float`` a
 finite real, and neither may be a bool; a ``bool`` is True or False. Each
 plan dataclass calls ``check_fields(self)`` from ``__post_init__``, which
 stores every checked value as its declared type (``np.int64(3)`` as ``3``,
-a list as a tuple), so plans compare, hash and serialize alike however
-they were built; the config reads the same metadata to parse, check and
-list its keys.
+a list as a tuple, -0.0 as 0.0), so plans compare, hash and serialize
+alike however they were built; the config reads the same metadata to
+parse, check and list its keys.
 """
 from __future__ import annotations
 
@@ -64,7 +64,8 @@ def check(name: str, bound, value):
           else _fits(bound, value))
     if not ok or (bound.get("nonempty") and not value):
         raise ValueError(f"{name} must be {bound_text(bound, listing=False)}, got {value!r}")
-    return tuple(map(kind, value)) if each else kind(value)
+    cast = (lambda v: float(v) + 0.0) if kind is float else kind  # + 0.0 makes -0.0 0.0
+    return tuple(map(cast, value)) if each else cast(value)
 
 
 def check_fields(obj) -> None:

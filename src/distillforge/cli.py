@@ -170,8 +170,8 @@ def cmd_evaluate(args) -> int:
         aligned = (ALIGNMENT,) if net.spec.num_keypoint_coords >= 4 else ()  # NRMSE needs 2 keypoints
         metrics = run.evaluate(net, "cls", VERIFICATION, *aligned)
     else:
-        label = _graph(stage, plan, args.stage).label
-        metrics = run.evaluate(load_checkpoint(_checkpoints(out_dir), args.stage), label)
+        node = _graph(stage, plan, args.stage)
+        metrics = run.evaluate(load_checkpoint(_checkpoints(out_dir), node.key, node.spec), node.label)
     _print_metrics(metrics)
     return 0
 

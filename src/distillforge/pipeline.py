@@ -139,10 +139,6 @@ class OptimizerState:
             self.grads.append(self.grad[start:end].reshape(view.shape))
             start = end
 
-    @classmethod
-    def for_network(cls, net, learning_rate: float, momentum: float) -> "OptimizerState":
-        return cls(net.parameters, learning_rate, momentum)
-
     def zero_grad(self) -> None:
         """Zero the gradient buffer and give each parameter its view of it, so
         backward accumulates in place; bitwise the same as accumulating into
@@ -152,15 +148,13 @@ class OptimizerState:
             p.grad = view
 
 
-def nag_step(net, opt: OptimizerState) -> None:
+def nag_step(opt: OptimizerState) -> None:
     """v <- mu*v - lr*g; theta <- theta + mu*v - lr*g; gradients are cleared.
 
     The step consumes the flat gradient buffer ``opt.grad``, which ends as
     lr*g. A gradient that is not the parameter's view of it is copied in
     first; that gradient array itself is left unmodified.
     """
-    if net.parameters != opt.parameters:
-        raise ValueError("optimizer state does not match the network's parameter list")
     for p, view in zip(opt.parameters, opt.grads):
         if p.grad is not view:
             if p.grad is None:
@@ -236,7 +230,7 @@ def _train(net, node: Stage, train: Split, targets):
     joint, verification = label == f"{VERIFICATION}_joint", label.startswith(VERIFICATION)
     onehot = one_hot(train.ids, net.spec.num_classes) if label == "cls" or joint else None
     heads = {"logits": cfg.alpha != 0 or onehot is not None, "regression": label == ALIGNMENT}
-    opt = OptimizerState.for_network(net, node.phases[0][0], node.momentum)
+    opt = OptimizerState(net.parameters, node.phases[0][0], node.momentum)
     rng = np.random.default_rng(node.seed)
     for phase, (lr, n_epochs) in enumerate(node.phases, 1):
         opt.learning_rate = lr
@@ -267,7 +261,7 @@ def _train(net, node: Stage, train: Split, targets):
                 # heads untouched by this objective keep a genuinely zero gradient
                 opt.zero_grad()
                 tc.backward(loss)
-                nag_step(net, opt)
+                nag_step(opt)
 
 
 # Target selection ----------------------------------------------------------------
@@ -338,6 +332,7 @@ class TaskPlan:
         if any(not 0 <= w < math.inf or float(f"{w:g}") != w for point in self.grid for w in point):
             raise ValueError("grid weights must be finite, nonnegative and exact in a run key's "
                              f"%g form, got {self.grid}")
+        object.__setattr__(self, "grid", tuple((a + 0.0, b + 0.0) for a, b in self.grid))  # -0.0 is 0.0
 
     @property
     def label(self) -> str:
@@ -444,13 +439,13 @@ class Stage:
     """One node of the stage graph: everything ``stage()`` resolves for a run key.
 
     ``label`` selects the task term and the metrics (``Run.evaluate``). The
-    stage trains the checkpoint of the dependency ``start``, or a fresh build
-    of ``spec`` when ``start`` is None, on the targets of the dependency
-    ``teacher`` (None: no targets), with the weights ``distill``,
-    ``batch_size``, ``momentum``, the (rate, epochs) ``phases`` and the
-    derived ``seed``. A stage compares, hashes and pickles by these values,
-    so two records are equal exactly when they train alike; the report row
-    is the plan's (``_report_rows``), not the record's.
+    stage trains a network of architecture ``spec``: the checkpoint of the
+    dependency ``start``, or a fresh build when ``start`` is None. It trains on
+    the targets of the dependency ``teacher`` (None: no targets), with the
+    weights ``distill``, ``batch_size``, ``momentum``, the (rate, epochs)
+    ``phases`` and the derived ``seed``. A stage compares, hashes and pickles
+    by these values, so two records are equal exactly when they train alike;
+    the report row is the plan's (``_report_rows``), not the record's.
     """
 
     key: str
@@ -558,9 +553,12 @@ def _checkpoint(ckpt_dir, key: str) -> str:
     return path
 
 
-def load_checkpoint(ckpt_dir, key: str) -> Network:
-    """The network of stage ``key`` from ``<ckpt_dir>/<key>.ckpt``."""
-    return load_network(_checkpoint(ckpt_dir, key))
+def load_checkpoint(ckpt_dir, key: str, spec: NetworkSpec) -> Network:
+    """The network of stage ``key`` from ``<ckpt_dir>/<key>.ckpt``, which must be a ``spec``."""
+    net = load_network(path := _checkpoint(ckpt_dir, key))
+    if net.spec != spec:
+        raise ValueError(f"checkpoint {path} holds a {net.spec}; the plan gives {spec}")
+    return net
 
 
 def run_stage(node: Stage, run: Run, ckpt_dir) -> tuple[Network, dict[str, float]]:
@@ -578,7 +576,7 @@ def run_stage(node: Stage, run: Run, ckpt_dir) -> tuple[Network, dict[str, float
         # the targets first: built after the start network, they raised the peak
         # RSS of a `train student2_cls_scratch` process from 46.5 to 48.5 MB
         targets = run.targets(node.teacher, ckpt_dir) if node.teacher else (None, None)
-        net = (load_checkpoint(ckpt_dir, node.start) if node.start
+        net = (load_checkpoint(ckpt_dir, node.start, node.spec) if node.start
                else _fresh(node.spec, node.seed, run.data.train.features))
         _train(net, node, run.data.train, targets)
         metrics = run.evaluate(net, node.label)

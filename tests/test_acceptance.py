@@ -314,14 +314,14 @@ def test_10_optimizer_matches_scalar_reference():
             self.parameters = [tc.Tensor(np.array([1.0]), requires_grad=True)]
 
     net = _Scalar()
-    opt = OptimizerState.for_network(net, learning_rate=0.1, momentum=0.9)
+    opt = OptimizerState(net.parameters, learning_rate=0.1, momentum=0.9)
     theta_ref, v = 1.0, 0.0
     for _ in range(10):
         with tc.Tape():
             th = net.parameters[0]
             loss = tc.mul(tc.tsum(tc.mul(th, th)), 0.5)  # f(theta) = theta^2 / 2
             tc.backward(loss)
-        nag_step(net, opt)
+        nag_step(opt)
         g = theta_ref
         v = 0.9 * v - 0.1 * g
         theta_ref = theta_ref + 0.9 * v - 0.1 * g

@@ -372,6 +372,24 @@ def test_train_chain_through_full_init(tmp_path, capsys):
         assert (tmp_path / "run" / "checkpoints" / f"{stage}.ckpt").exists()
 
 
+@pytest.mark.parametrize("command, ckpt, change", [
+    (["train", "student2_cls_full_init"], "student2_cls_init", "net.hidden_widths=16,4"),
+    (["train", "teacher_alignment"], "teacher_cls", "data.num_keypoints=4"),
+    (["evaluate", "student2_cls_init"], "student2_cls_init", "net.embedding_dim=3"),
+], ids=["widths", "keypoints", "evaluate"])
+def test_a_checkpoint_of_another_architecture_is_refused(tmp_path, capsys, command, ckpt, change):
+    # a start network or an evaluated checkpoint must be the network the plan
+    # names; each of these once exited 0, training or scoring the old network
+    out_dir = str(tmp_path)
+    _run(capsys, "generate", "--out", out_dir, *_sets())
+    for stage in ("teacher_cls", "student2_cls_init"):
+        assert _run(capsys, "train", stage, "--out", out_dir, *_sets())[0] == 0
+    code, out, err = _run(capsys, *command, "--out", out_dir, *_sets(change))
+    path = os.path.join(out_dir, "checkpoints", f"{ckpt}.ckpt")
+    assert code == 2 and out == "" and f"checkpoint {path} holds a NetworkSpec(" in err, err
+    assert sorted(os.listdir(tmp_path / "checkpoints")) == ["student2_cls_init.ckpt", "teacher_cls.ckpt"]
+
+
 def test_train_and_evaluate_read_a_reproduce_directory(tmp_path, capsys):
     # every command keeps its checkpoints in <out>/checkpoints
     out_dir = tmp_path / "r"
