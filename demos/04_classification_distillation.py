@@ -36,10 +36,10 @@ def main():
         # initialization continues from the hard-label student at 0.002
         cls_stage=StagePlan(32, 6, scratch_lr=0.02, continue_lr=0.002),
     )
-    run = Run(plan, generate(plan.generator))
     with tempfile.TemporaryDirectory() as ckpt_dir:
+        run = Run(plan, generate(plan.generator), ckpt_dir)
         for node in stages(plan):
-            net, metrics = run_stage(node, run, ckpt_dir)
+            net, metrics = run_stage(node, run)
             print(f"{LABELS[node.key]:37s}: {metrics['top1']:.3f} ({num_parameters(net)} params)")
 
 

@@ -52,7 +52,7 @@ def main():
         if (alpha, beta) not in probes:  # e.g. both solo probes helped -> run the combination
             # a stage outside the plan's report, trained from the run's checkpoints
             final = stage(plan, f"student4_alignment_distill_a{alpha}_b{beta}")
-            _, metrics = run_stage(final, Run(plan, data), ckpt_dir)
+            _, metrics = run_stage(final, Run(plan, data, ckpt_dir))
             print(f"student /4 nrmse at the selected weighting: {metrics['nrmse']:.4f}")
 
 

@@ -24,8 +24,8 @@ from .losses import (DistillConfig, alignment_distill_loss, classification_disti
                      soft_predictions, softmax_loss, triplet_loss, verification_distill_loss)
 from .metrics import (MetricsReport, nrmse, pair_verification_accuracy, reference_distances,
                       top1_accuracy, verification_top1)
-from .nets import (Network, NetworkOutputs, NetworkSpec, build, clone, load_network,
-                   num_parameters, save_network)
+from .nets import (Network, NetworkOutputs, NetworkSpec, build, load_network, num_parameters,
+                   save_network)
 from .pipeline import (ExperimentPlan, OptimizerState, StagePlan, TaskPlan, derive_seed,
                        nag_step, run_experiment, select_targets)
 from .tensor import Tape, Tensor, backward, grad_check
@@ -38,7 +38,7 @@ __all__ = [
     "classification_distill_loss", "euclidean_loss", "hidden_match_loss",
     "alignment_distill_loss", "triplet_loss", "verification_distill_loss",
     "general_distill_loss",
-    "NetworkSpec", "NetworkOutputs", "Network", "build", "clone",
+    "NetworkSpec", "NetworkOutputs", "Network", "build",
     "num_parameters", "save_network", "load_network",
     "GeneratorParams", "Split", "SplitDataset", "LatentModel", "generate",
     "make_triplets", "make_pairs", "save_dataset", "load_dataset",

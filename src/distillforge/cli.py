@@ -21,9 +21,12 @@ Stage names follow the experiment's run keys, e.g. ``teacher_cls``,
 run the same stage graph (``pipeline.stage``), so a checkpoint ``train``
 writes is bit-identical to the one ``reproduce`` writes for the same seed.
 Every command keeps checkpoints in one place, ``<out>/checkpoints/<key>.ckpt``,
-and ``train`` and ``reproduce`` run a stage the same way
-(``pipeline.run_stage``): load its dependencies from there, train it, and
-write its own checkpoint there as soon as it finishes.
+the directory of the command's ``pipeline.Run``, and ``train`` and
+``reproduce`` run a stage the same way (``pipeline.run_stage``): load its
+dependencies from there, train it, and write its own checkpoint there as
+soon as it finishes. ``train`` and ``evaluate KEY`` read every checkpoint
+through ``Run.load``, which refuses one whose architecture is not the one
+the plan gives its stage (exit 2, naming the file).
 ``train`` also writes ``<out>/<key>.metrics.json``.
 ``generate`` and ``reproduce`` also write ``dataset.txt.bin`` (only
 ``data.save_dataset`` writes it): the dataset's arrays in binary under the
@@ -46,8 +49,7 @@ from .config import (ConfigError, apply_set, describe_keys, experiment_plan, gen
                      load_config)
 from .data import generate, load_dataset, save_dataset
 from .nets import load_network
-from .pipeline import (ALIGNMENT, VERIFICATION, Run, load_checkpoint, run_experiment, run_stage,
-                       stage, stages)
+from .pipeline import ALIGNMENT, VERIFICATION, Run, run_experiment, run_stage, stage, stages
 
 __all__ = ["main"]
 
@@ -105,15 +107,13 @@ def _load_cfg(args) -> dict:
     return cfg
 
 
-def _checkpoints(out_dir: str) -> str:
-    return os.path.join(out_dir, "checkpoints")
-
-
-def _require_dataset(out_dir: str):
+def _run(plan, out_dir: str) -> Run:
+    """The run of ``plan`` on ``<out>/dataset.txt``, which must exist, with its
+    checkpoints in ``<out>/checkpoints``."""
     path = os.path.join(out_dir, "dataset.txt")
     if not os.path.exists(path):
         raise FileNotFoundError(f"{path} not found; run 'distillforge generate' first")
-    return load_dataset(path)
+    return Run(plan, load_dataset(path), os.path.join(out_dir, "checkpoints"))
 
 
 def _graph(make, *args):
@@ -146,23 +146,21 @@ def cmd_train(args) -> int:
     out_dir = cfg["out"]
     plan = experiment_plan(cfg)
     node = _graph(stage, plan, args.stage)  # validate the key before touching files
-    run, ckpt_dir = Run(plan, _require_dataset(out_dir)), _checkpoints(out_dir)
-    os.makedirs(ckpt_dir, exist_ok=True)
-    metrics = run_stage(node, run, ckpt_dir)[1]
+    run = _run(plan, out_dir)
+    os.makedirs(run.ckpt_dir, exist_ok=True)
+    metrics = run_stage(node, run)[1]
     with atomic_write(os.path.join(out_dir, f"{args.stage}.metrics.json"), "w",
                       encoding="utf-8") as fh:
         fh.write(json.dumps({"stage": args.stage, "metrics": metrics}, indent=2, sort_keys=True))
         fh.write("\n")
-    print(f"wrote {os.path.join(ckpt_dir, f'{args.stage}.ckpt')}")
+    print(f"wrote {run.path(args.stage)}")
     _print_metrics(metrics)
     return 0
 
 
 def cmd_evaluate(args) -> int:
     cfg = _load_cfg(args)
-    out_dir = cfg["out"]
-    plan = experiment_plan(cfg)
-    run = Run(plan, _require_dataset(out_dir))
+    run = _run(experiment_plan(cfg), cfg["out"])
     if args.stage.endswith(".ckpt"):
         if not os.path.exists(args.stage):
             raise FileNotFoundError(f"checkpoint {args.stage} not found")
@@ -170,8 +168,8 @@ def cmd_evaluate(args) -> int:
         aligned = (ALIGNMENT,) if net.spec.num_keypoint_coords >= 4 else ()  # NRMSE needs 2 keypoints
         metrics = run.evaluate(net, "cls", VERIFICATION, *aligned)
     else:
-        node = _graph(stage, plan, args.stage)
-        metrics = run.evaluate(load_checkpoint(_checkpoints(out_dir), node.key, node.spec), node.label)
+        node = _graph(stage, run.plan, args.stage)
+        metrics = run.evaluate(run.load(node.key), node.label)
     _print_metrics(metrics)
     return 0
 
@@ -199,7 +197,7 @@ def cmd_reproduce(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     data = generate(plan.generator)
     save_dataset(data, os.path.join(out_dir, "dataset.txt"))
-    report = run_experiment(plan, out_dir=_checkpoints(out_dir),
+    report = run_experiment(plan, out_dir=os.path.join(out_dir, "checkpoints"),
                             workers=_workers(), data=data)
     report_path = os.path.join(out_dir, "report.json")
     with atomic_write(report_path, "w", encoding="utf-8") as fh:

@@ -28,7 +28,6 @@ __all__ = [
     "NetworkOutputs",
     "Network",
     "build",
-    "clone",
     "save_network",
     "load_network",
     "num_parameters",
@@ -152,12 +151,6 @@ def build(spec: NetworkSpec, seed: int) -> Network:
         params.append(Tensor(w, requires_grad=True))
         params.append(Tensor(np.zeros(fan_out), requires_grad=True))
     return Network(spec, params, np.zeros(spec.input_dim), np.ones(spec.input_dim))
-
-
-def clone(src: Network) -> Network:
-    """A value copy: identical outputs, no storage shared with ``src``."""
-    params = [Tensor(p.data.copy(), requires_grad=True) for p in src.parameters]
-    return Network(src.spec, params, src.norm_mean.copy(), src.norm_std.copy())
 
 
 def num_parameters(net: Network) -> int:

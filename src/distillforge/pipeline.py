@@ -48,16 +48,17 @@ alone names the run keys the report shows and their rows; ``stages(plan)``
 lists them and their dependencies, dependencies first. ``run_experiment``
 and the CLI's ``train`` both run this one graph, so their checkpoints match.
 
-Networks pass between stages only as checkpoint files:
-``run_stage(stage(plan, key), Run(plan, data), ckpt_dir)`` loads a stage's
-dependencies from ``ckpt_dir``, trains it and writes ``<key>.ckpt`` there.
-The in-process walk, a pool worker and ``train`` all call it, so a stage
-runs one way everywhere. ``run_experiment(plan, workers=N)`` walks the
-graph on N forked worker processes: a stage is submitted as soon as its
-dependencies have finished, a worker returns only metrics, and the report
-rows come from the plan, so no byte depends on N. A run with one worker,
-or whose ``run_stage`` has been wrapped (a span tracer, say), walks
-in-process, so the wrapper sees every stage.
+Networks pass between stages only as checkpoint files in the run's
+directory: ``run_stage(stage(plan, key), Run(plan, data, ckpt_dir))`` loads
+a stage's dependencies from ``ckpt_dir``, each checked against the
+architecture of its own stage (``Run.load``), trains it and writes
+``<key>.ckpt`` there. The in-process walk, a pool worker and ``train`` all
+call it, so a stage runs one way everywhere. ``run_experiment(plan,
+workers=N)`` walks the graph on N forked worker processes: a stage is
+submitted as soon as its dependencies have finished, a worker returns only
+metrics, and the report rows come from the plan, so no byte depends on N.
+A run with one worker, or whose ``run_stage`` has been wrapped (a span
+tracer, say), walks in-process, so the wrapper sees every stage.
 """
 from __future__ import annotations
 
@@ -96,7 +97,6 @@ __all__ = [
     "stage",
     "stages",
     "run_stage",
-    "load_checkpoint",
     "run_experiment",
 ]
 
@@ -222,9 +222,6 @@ def _train(net, node: Stage, train: Split, targets):
     pass."""
     label, cfg, n = node.label, node.distill, len(train)
     t_logits, t_emb = targets
-    if t_logits is not None and (t_emb.shape[1] != net.spec.embedding_dim
-                                 or t_logits.shape[1] != net.spec.num_classes):
-        raise ValueError("student and teacher must share embedding_dim and num_classes")
     x, soft = net.standardize(train.features), soft_targets(t_logits, cfg)
     t_emb = t_emb if cfg.beta else None  # only the hidden term reads it
     joint, verification = label == f"{VERIFICATION}_joint", label.startswith(VERIFICATION)
@@ -393,14 +390,15 @@ _GRID_RUN = re.compile(r"(scratch|pretrain|distill)_a([0-9.eE+-]+)_b([0-9.eE+-]+
 
 class Run:
     """The constants every stage of one run shares: the dataset, whose splits
-    are read-only, and, each computed at most once, the evaluation pairs and
-    each teacher's targets, memoised by the teacher's checkpoint file
-    (``targets`` loads a checkpoint again only when its path, or the device,
-    inode, size or modification time at that path, is new)."""
+    are read-only, the directory ``ckpt_dir`` of its checkpoints and, each
+    computed at most once, the evaluation pairs and each teacher's targets,
+    memoised by run key (``targets`` loads a checkpoint again only when the
+    device, inode, size or modification time at its path is new)."""
 
-    def __init__(self, plan: ExperimentPlan, data: SplitDataset):
+    def __init__(self, plan: ExperimentPlan, data: SplitDataset, ckpt_dir):
         self.plan = plan
         self.data = data
+        self.ckpt_dir = ckpt_dir
         self._targets: dict[str, tuple[tuple, tuple[np.ndarray, np.ndarray]]] = {}
 
     @cached_property
@@ -408,13 +406,27 @@ class Run:
         return make_pairs(self.data.test, self.plan.eval_pairs,
                           derive_seed(self.plan.seed, "eval_pairs"))
 
-    def targets(self, key: str, ckpt_dir) -> tuple[np.ndarray, np.ndarray]:
-        path = _checkpoint(ckpt_dir, key)
-        st = os.stat(path)  # before the load: a file replaced in between is loaded again next time
+    def path(self, key: str) -> str:
+        """Where stage ``key``'s checkpoint lives: ``<ckpt_dir>/<key>.ckpt``."""
+        return os.path.join(self.ckpt_dir, f"{key}.ckpt")
+
+    def load(self, key: str) -> Network:
+        """The network of stage ``key`` from its checkpoint, which must hold the
+        architecture the plan gives that stage, ``stage(plan, key).spec``: the
+        teacher's, its hidden widths divided by the key's student divisor (read
+        off the key, so a pool worker resolves no stage record)."""
+        net = load_network(path := self.path(key))
+        spec = self.plan.teacher.student(int(_STAGE_KEY.fullmatch(key)[1] or 1))
+        if net.spec != spec:
+            raise ValueError(f"checkpoint {path} holds a {net.spec}; the plan gives {spec}")
+        return net
+
+    def targets(self, key: str) -> tuple[np.ndarray, np.ndarray]:
+        st = os.stat(self.path(key))  # before the load: a file replaced in between is loaded again next time
         stamp = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
-        if path not in self._targets or self._targets[path][0] != stamp:
-            self._targets[path] = stamp, _teacher_targets(load_network(path), self.data.train.features)
-        return self._targets[path][1]
+        if key not in self._targets or self._targets[key][0] != stamp:
+            self._targets[key] = stamp, _teacher_targets(self.load(key), self.data.train.features)
+        return self._targets[key][1]
 
     def evaluate(self, net: Network, *labels: str) -> dict[str, float]:
         """Test-split metrics of the stage ``labels``, each once, from one
@@ -545,39 +557,25 @@ def stages(plan: ExperimentPlan) -> list[Stage]:
     return list(listed.values())
 
 
-def _checkpoint(ckpt_dir, key: str) -> str:
-    """The path of stage ``key``'s checkpoint in ``ckpt_dir``, which must exist."""
-    path = os.path.join(ckpt_dir, f"{key}.ckpt")
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"missing prerequisite checkpoint {path}; train '{key}' first")
-    return path
-
-
-def load_checkpoint(ckpt_dir, key: str, spec: NetworkSpec) -> Network:
-    """The network of stage ``key`` from ``<ckpt_dir>/<key>.ckpt``, which must be a ``spec``."""
-    net = load_network(path := _checkpoint(ckpt_dir, key))
-    if net.spec != spec:
-        raise ValueError(f"checkpoint {path} holds a {net.spec}; the plan gives {spec}")
-    return net
-
-
-def run_stage(node: Stage, run: Run, ckpt_dir) -> tuple[Network, dict[str, float]]:
-    """Train one stage on its dependencies' checkpoints in ``ckpt_dir``,
-    evaluate it and write its own, ``<ckpt_dir>/<key>.ckpt``, atomically.
+def run_stage(node: Stage, run: Run) -> tuple[Network, dict[str, float]]:
+    """Train one stage on its dependencies' checkpoints in ``run.ckpt_dir``,
+    evaluate it and write its own, ``run.path(node.key)``, atomically.
 
     A missing dependency file fails before any work is done; each dependency
-    is loaded only when the stage reads it (a teacher only if ``run`` has no
-    targets of that file) and is not kept while the stage trains. Any failure, a
+    is loaded by ``run.load`` only when the stage reads it (a teacher only if
+    ``run`` has no targets of that file), the start before the teacher's
+    targets are built, and is not kept while the stage trains. Any failure, a
     non-finite metric included, keeps its exception type and names the run key.
     """
     for dep in node.deps:
-        _checkpoint(ckpt_dir, dep)
+        if not os.path.exists(path := run.path(dep)):
+            raise FileNotFoundError(f"missing prerequisite checkpoint {path}; train '{dep}' first")
     try:
-        # the targets first: built after the start network, they raised the peak
-        # RSS of a `train student2_cls_scratch` process from 46.5 to 48.5 MB
-        targets = run.targets(node.teacher, ckpt_dir) if node.teacher else (None, None)
-        net = (load_checkpoint(ckpt_dir, node.start, node.spec) if node.start
-               else _fresh(node.spec, node.seed, run.data.train.features))
+        net = run.load(node.start) if node.start else None
+        targets = run.targets(node.teacher) if node.teacher else (None, None)
+        # a fresh build after the targets: built first, it raised the peak RSS
+        # of a `train student2_cls_scratch` process from 46.5 to 48.5 MB
+        net = net or _fresh(node.spec, node.seed, run.data.train.features)
         _train(net, node, run.data.train, targets)
         metrics = run.evaluate(net, node.label)
         for name, value in metrics.items():
@@ -585,7 +583,7 @@ def run_stage(node: Stage, run: Run, ckpt_dir) -> tuple[Network, dict[str, float
                 raise ValueError(f"{name} must be finite, got {value}")
     except (RuntimeError, ValueError) as exc:
         raise type(exc)(f"stage {node.key}: {exc}") from exc
-    save_network(net, os.path.join(ckpt_dir, f"{node.key}.ckpt"))
+    save_network(net, run.path(node.key))
     return net, metrics
 
 
@@ -603,19 +601,19 @@ def run_experiment(plan: ExperimentPlan, out_dir=None, workers: int = 1,
     ``out_dir`` they go to a temporary directory, removed when the run ends.
     """
     workers = check("workers", {"type": int, "ge": 1}, workers)
-    run = Run(plan, generate(plan.generator) if data is None else data)
     listed = stages(plan)
     metrics: dict[str, dict[str, float]] = {}
     workers = min(workers, len(listed))
     with (tempfile.TemporaryDirectory(prefix="distillforge-") if out_dir is None
           else contextlib.nullcontext(out_dir)) as ckpt_dir:
         os.makedirs(ckpt_dir, exist_ok=True)
+        run = Run(plan, generate(plan.generator) if data is None else data, ckpt_dir)
         # what a wrapper records in a forked worker never reaches this process
         if workers == 1 or hasattr(run_stage, "__wrapped__"):
             for node in listed:
-                metrics[node.key] = run_stage(node, run, ckpt_dir)[1]
+                metrics[node.key] = run_stage(node, run)[1]
         else:
-            _walk(listed, run, workers, ckpt_dir, metrics)
+            _walk(listed, run, workers, metrics)
     report = MetricsReport()
     for key, row in dict(_report_rows(plan)).items():
         report.add(*row, **metrics[key])
@@ -631,11 +629,11 @@ def _adopt(run: Run) -> None:
     _worker_run = run
 
 
-def _run_adopted(node: Stage, ckpt_dir) -> dict[str, float]:
-    return run_stage(node, _worker_run, ckpt_dir)[1]
+def _run_adopted(node: Stage) -> dict[str, float]:
+    return run_stage(node, _worker_run)[1]
 
 
-def _walk(listed: list[Stage], run: Run, workers: int, ckpt_dir, metrics: dict) -> None:
+def _walk(listed: list[Stage], run: Run, workers: int, metrics: dict) -> None:
     """Run the stages on a process pool, each once its dependencies are done,
     and fill ``metrics`` by run key.
 
@@ -643,8 +641,8 @@ def _walk(listed: list[Stage], run: Run, workers: int, ckpt_dir, metrics: dict) 
     computed here first, without pickling them and without
     re-importing numpy and this package, which a spawned worker must do
     first; forking also means the caller should run no other threads. A
-    worker gets a stage record and ``ckpt_dir``: it loads the stage's
-    dependencies from their checkpoints there, writes the stage's own and
+    worker gets a stage record: it loads the stage's dependencies from their
+    checkpoints in ``run.ckpt_dir``, writes the stage's own there and
     returns only its metrics, so no network crosses the process boundary. A
     stage is submitted only after its dependencies' workers have returned,
     which they do after their checkpoint's atomic replace. On the first
@@ -666,7 +664,7 @@ def _walk(listed: list[Stage], run: Run, workers: int, ckpt_dir, metrics: dict) 
         while waiting or running:
             for node in [n for n in waiting if all(dep in metrics for dep in n.deps)]:
                 waiting.remove(node)
-                running[pool.submit(_run_adopted, node, ckpt_dir)] = node
+                running[pool.submit(_run_adopted, node)] = node
             done, _ = wait(running, return_when=FIRST_COMPLETED)
             if any(future.exception() is not None for future in done):
                 break
@@ -682,7 +680,7 @@ def _walk(listed: list[Stage], run: Run, workers: int, ckpt_dir, metrics: dict) 
             # the pool kills the other workers too, perhaps in the middle of a
             # checkpoint write
             for node in running.values():
-                remove_partial_writes(os.path.join(ckpt_dir, f"{node.key}.ckpt"))
+                remove_partial_writes(run.path(node.key))
             raise RuntimeError("a worker process died while running stages "
                                f"{', '.join(node.key for node in running.values())}") from exc
         raise exc

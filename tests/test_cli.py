@@ -376,10 +376,11 @@ def test_train_chain_through_full_init(tmp_path, capsys):
     (["train", "student2_cls_full_init"], "student2_cls_init", "net.hidden_widths=16,4"),
     (["train", "teacher_alignment"], "teacher_cls", "data.num_keypoints=4"),
     (["evaluate", "student2_cls_init"], "student2_cls_init", "net.embedding_dim=3"),
-], ids=["widths", "keypoints", "evaluate"])
+    (["train", "student2_cls_scratch"], "teacher_cls", "net.hidden_widths=16,4"),
+], ids=["widths", "keypoints", "evaluate", "teacher"])
 def test_a_checkpoint_of_another_architecture_is_refused(tmp_path, capsys, command, ckpt, change):
-    # a start network or an evaluated checkpoint must be the network the plan
-    # names; each of these once exited 0, training or scoring the old network
+    # a start network, a teacher or an evaluated checkpoint must be the network
+    # the plan names; each of these once exited 0, training on or scoring the old network
     out_dir = str(tmp_path)
     _run(capsys, "generate", "--out", out_dir, *_sets())
     for stage in ("teacher_cls", "student2_cls_init"):
@@ -388,6 +389,22 @@ def test_a_checkpoint_of_another_architecture_is_refused(tmp_path, capsys, comma
     path = os.path.join(out_dir, "checkpoints", f"{ckpt}.ckpt")
     assert code == 2 and out == "" and f"checkpoint {path} holds a NetworkSpec(" in err, err
     assert sorted(os.listdir(tmp_path / "checkpoints")) == ["student2_cls_init.ckpt", "teacher_cls.ckpt"]
+
+
+def test_a_bad_start_is_refused_before_the_teacher_targets_are_built(tmp_path, capsys, monkeypatch):
+    # the teacher matches the plan and the start does not: the start is loaded
+    # first, so the refusal costs no forward of the teacher over the training split
+    out_dir, built = str(tmp_path), []
+    _run(capsys, "generate", "--out", out_dir, *_sets())
+    assert _run(capsys, "train", "teacher_cls", "--out", out_dir, *_sets())[0] == 0
+    assert _run(capsys, "train", "student2_cls_init", "--out", out_dir,
+                *_sets("net.hidden_widths=16,4"))[0] == 0
+    targets = pipeline._teacher_targets
+    monkeypatch.setattr(pipeline, "_teacher_targets", lambda *args: built.append(args) or targets(*args))
+    code, out, err = _run(capsys, "train", "student2_cls_full_init", "--out", out_dir, *_sets())
+    path = os.path.join(out_dir, "checkpoints", "student2_cls_init.ckpt")
+    assert code == 2 and out == "" and f"checkpoint {path} holds a NetworkSpec(" in err, err
+    assert built == []
 
 
 def test_train_and_evaluate_read_a_reproduce_directory(tmp_path, capsys):

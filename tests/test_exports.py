@@ -4,9 +4,9 @@ imports a name it never reads, every private top-level function or class
 of the package is referenced outside its own definition, every plan
 field carries a schema bound unless it is a listed structured field, some
 code outside the schema reads every bounded plan field, no dataclass field
-is left out of comparison, and only the ops that share one
+is left out of comparison, only the ops that share one
 backward computation across their inputs record on the tape without
-``tensor._record``."""
+``tensor._record``, and only a ``Run`` takes a checkpoint directory."""
 import ast
 import dataclasses
 import importlib
@@ -217,3 +217,33 @@ def test_unread_setting_scan_sees_a_planted_field():
 
     source = "def f(p):\n    p.stored = 3\n    return p.read + getattr(p, 'stored')\n"
     assert _unread_settings((Planted,), {"m.py": source}) == ["Planted.stored"]
+
+
+def _ckpt_dir_takers(source: str) -> list[str]:
+    """``name`` or ``Class.name`` of each function in ``source`` that takes a
+    ``ckpt_dir`` parameter."""
+    tree = ast.parse(source)
+    owner = {id(fn): f"{cls.name}." for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+             for fn in cls.body}
+    return sorted(owner.get(id(node), "") + node.name for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                      arg is not None and arg.arg == "ckpt_dir" for arg in (
+                          *node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs,
+                          node.args.vararg, node.args.kwarg)))
+
+
+def test_only_a_run_takes_a_checkpoint_directory():
+    # the directory is part of the run, so it cannot drift back into the
+    # signatures of the stage runner and the walks
+    files = sorted((ROOT / "src/distillforge").glob("*.py"))
+    assert len(files) > 8
+    takers = {path.name: names for path in files
+              if (names := _ckpt_dir_takers(path.read_text(encoding="utf-8")))}
+    assert takers == {"pipeline.py": ["Run.__init__"]}
+
+
+def test_ckpt_dir_scan_sees_functions_and_methods():
+    source = ("def f(a, ckpt_dir):\n    pass\n\nclass C:\n"
+              "    def m(self, *, ckpt_dir=None):\n        def inner(ckpt_dir, /):\n            pass\n\n"
+              "def g(a, *ckpt_dirs, **kw):\n    pass\n\nasync def h(**ckpt_dir):\n    pass\n")
+    assert _ckpt_dir_takers(source) == ["C.m", "f", "h", "inner"]

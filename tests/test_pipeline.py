@@ -9,6 +9,7 @@ import math
 import multiprocessing
 import os
 import pickle
+import re
 import shutil
 import tempfile
 import time
@@ -339,10 +340,10 @@ def _recording(monkeypatch, name, read):
 def test_planned_step_counts_match_the_steps_taken(monkeypatch, tmp_path):
     plan = _digest_plan()
     steps = _recording(monkeypatch, "nag_step", lambda *_: None)
-    run = Run(plan, generate(plan.generator))
+    run = Run(plan, generate(plan.generator), tmp_path)
     for node in stages(plan):
         steps.clear()
-        run_stage(node, run, tmp_path)
+        run_stage(node, run)
         assert len(steps) == _planned_steps(node, len(run.data.train)) > 0, node.key
 
 
@@ -353,39 +354,35 @@ def test_a_stage_trains_the_phases_of_its_record(data, monkeypatch, tmp_path):
     _saved({"teacher_cls": build(SPEC, 1), "student2_cls_init": build(SPEC.student(2), 2)}, tmp_path)
     for key in ("teacher_cls", "student2_cls_scratch", "student2_cls_full_init"):
         lrs.clear()
-        run_stage(replace(stage(plan, key), phases=((0.05, 1),)), Run(plan, data), tmp_path)
+        run_stage(replace(stage(plan, key), phases=((0.05, 1),)), Run(plan, data, tmp_path))
         assert lrs == [0.05] * -(-len(data.train) // 16), key
 
 
-def test_run_reloads_the_targets_of_another_or_a_replaced_teacher(data, tmp_path):
-    # a Run reused for another checkpoint directory, or after the teacher's
-    # checkpoint is replaced, trains on the teacher in that file, as a fresh Run does
+def test_run_reloads_the_targets_of_a_replaced_teacher(data, tmp_path):
+    # a Run reused after the teacher's checkpoint is replaced trains on the
+    # teacher in that file, as a fresh Run does
     plan, key = _tiny_plan(), "student2_cls_scratch"
-    a, b, alone = tmp_path / "a", tmp_path / "b", tmp_path / "alone"
-    for ckpt_dir, seed in ((a, 0), (b, 5)):
+    a, alone = tmp_path / "a", tmp_path / "alone"
+    for ckpt_dir, seed in ((a, 0), (alone, 5)):
         ckpt_dir.mkdir()
         _saved({"teacher_cls": _train(replace(plan, seed=seed), "teacher_cls", data)}, ckpt_dir)
-    alone.mkdir()
-    shutil.copy(b / "teacher_cls.ckpt", alone)
-    run_stage(stage(plan, key), Run(plan, data), alone)
+    run_stage(stage(plan, key), Run(plan, data, alone))
     expected = (alone / f"{key}.ckpt").read_bytes()
-    run = Run(plan, data)
-    run_stage(stage(plan, key), run, a)
+    run = Run(plan, data, a)
+    run_stage(stage(plan, key), run)
     assert (a / f"{key}.ckpt").read_bytes() != expected
-    run_stage(stage(plan, key), run, b)
-    assert (b / f"{key}.ckpt").read_bytes() == expected
-    save_network(load_network(b / "teacher_cls.ckpt"), a / "teacher_cls.ckpt")  # an atomic replace
-    run_stage(stage(plan, key), run, a)
+    save_network(load_network(alone / "teacher_cls.ckpt"), a / "teacher_cls.ckpt")  # an atomic replace
+    run_stage(stage(plan, key), run)
     assert (a / f"{key}.ckpt").read_bytes() == expected
 
 
 def test_a_trained_network_carries_only_its_values(data, tmp_path):
     plan = _tiny_plan(tasks=(TaskPlan(ALIGNMENT, (2,)), TaskPlan(VERIFICATION, (2,)),
                              TaskPlan(VERIFICATION, (2,), include_softmax=True)))
-    run = Run(plan, data)
+    run = Run(plan, data, tmp_path)
     for key in ("teacher_cls", "teacher_alignment", "teacher_verification",
                 "teacher_verification_joint"):
-        net, _ = run_stage(stage(plan, key), run, tmp_path)
+        net, _ = run_stage(stage(plan, key), run)
         assert sorted(vars(net)) == ["norm_mean", "norm_std", "parameters", "spec"], key
 
 
@@ -400,7 +397,7 @@ def _train(plan, key, data, nets=None):
     """The network of stage ``key``, trained as ``reproduce`` trains it from
     the networks ``nets`` of its dependencies."""
     with tempfile.TemporaryDirectory() as ckpt_dir:
-        return run_stage(stage(plan, key), Run(plan, data), _saved(nets or {}, ckpt_dir))[0]
+        return run_stage(stage(plan, key), Run(plan, data, _saved(nets or {}, ckpt_dir)))[0]
 
 
 def test_zero_epoch_stage_leaves_network_unchanged(data):
@@ -451,7 +448,7 @@ def test_distillation_does_not_touch_teacher(data, tmp_path):
     plan = _tiny_plan()
     _saved({"teacher_cls": _train(plan, "teacher_cls", data)}, tmp_path)
     before = (tmp_path / "teacher_cls.ckpt").read_bytes()
-    run_stage(stage(plan, "student2_cls_scratch"), Run(plan, data), tmp_path)
+    run_stage(stage(plan, "student2_cls_scratch"), Run(plan, data, tmp_path))
     assert (tmp_path / "teacher_cls.ckpt").read_bytes() == before
 
 
@@ -461,7 +458,7 @@ def test_task_distillation_copies_init(data, tmp_path):
     _saved({"teacher_alignment": _train(plan, "teacher_alignment", data, {"teacher_cls": teacher}),
             "student2_cls_full_init": _train(plan, "student2_cls_init", data)}, tmp_path)
     before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
-    tuned, _ = run_stage(stage(plan, "student2_alignment_distill_a1_b1"), Run(plan, data), tmp_path)
+    tuned, _ = run_stage(stage(plan, "student2_alignment_distill_a1_b1"), Run(plan, data, tmp_path))
     assert {name: (tmp_path / name).read_bytes() for name in before} == before
     s_init = load_network(tmp_path / "student2_cls_full_init.ckpt")
     assert any(not np.array_equal(p.data, q.data) for p, q in zip(tuned.parameters, s_init.parameters))
@@ -479,13 +476,15 @@ def test_teacher_task_zero_epochs_is_value_copy(data):
 @pytest.mark.parametrize("key", ["student2_alignment_distill_a1_b0",
                                  "student2_verification_joint_distill_a0_b1"])
 def test_task_stage_rejects_a_teacher_of_another_width(data, key, tmp_path):
-    # alpha alone reads only the logits and beta fails deep in the loss, so the body checks first
+    # alpha alone reads only the logits and beta fails deep in the loss, so the
+    # teacher is checked against the plan's teacher architecture when loaded
     plan = _rich_plan()
     node = stage(plan, key)
     narrow_teacher, student = build(replace(SPEC, embedding_dim=4), 1), build(SPEC.student(2), 2)
     nets = {dep: narrow_teacher if dep.startswith("teacher") else student for dep in node.deps}
-    with pytest.raises(ValueError, match=f"^stage {key}: student and teacher must share embedding_dim"):
-        run_stage(node, Run(plan, data), _saved(nets, tmp_path))
+    path = re.escape(str(tmp_path / f"{node.teacher}.ckpt"))
+    with pytest.raises(ValueError, match=f"^stage {key}: checkpoint {path} holds a NetworkSpec"):
+        run_stage(node, Run(plan, data, _saved(nets, tmp_path)))
 
 
 def test_verification_stage_runs(data, monkeypatch):
@@ -891,7 +890,7 @@ def test_experiment_checkpoints_match_stages_trained_alone(tmp_path):
         alone.mkdir()
         for dep in node.deps:
             shutil.copy(tmp_path / "run" / f"{dep}.ckpt", alone)
-        run_stage(node, Run(plan, data), alone)
+        run_stage(node, Run(plan, data, alone))
         assert ((alone / f"{node.key}.ckpt").read_bytes()
                 == (tmp_path / "run" / f"{node.key}.ckpt").read_bytes()), node.key
         shutil.rmtree(alone)
@@ -958,9 +957,9 @@ def test_serial_walk_holds_one_trained_network_at_a_time(tmp_path, monkeypatch):
     refs = []
     real = pipeline.run_stage
 
-    def recording(node, run, ckpt_dir):
+    def recording(node, run):
         assert [ref() for ref in refs if ref() is not None] == []
-        net, metrics = real(node, run, ckpt_dir)
+        net, metrics = real(node, run)
         refs.append(weakref.ref(net))
         return net, metrics
 
@@ -984,9 +983,9 @@ def test_checkpoint_stages_load_a_memoised_teacher_once(tmp_path, monkeypatch):
         return load(path)
 
     monkeypatch.setattr(pipeline, "load_network", counting)
-    run = Run(plan, generate(plan.generator))
+    run = Run(plan, generate(plan.generator), tmp_path)
     for key in keys:
-        run_stage(stage(plan, key), run, tmp_path)
+        run_stage(stage(plan, key), run)
         assert (tmp_path / f"{key}.ckpt").read_bytes() == written[key], key
     # the start network for each stage, the teacher only for the first
     assert sorted(loads) == ["student2_cls_full_init.ckpt"] * 2 + ["teacher_alignment.ckpt"]
@@ -995,7 +994,7 @@ def test_checkpoint_stages_load_a_memoised_teacher_once(tmp_path, monkeypatch):
     for name in ("load_network", "_train"):
         monkeypatch.setattr(pipeline, name, lambda *args, name=name: pytest.fail(name))
     with pytest.raises(FileNotFoundError, match="train 'teacher_alignment' first"):
-        run_stage(stage(plan, keys[0]), run, tmp_path)
+        run_stage(stage(plan, keys[0]), run)
 
 
 def test_experiment_bytes_do_not_depend_on_worker_count(tmp_path):
@@ -1165,9 +1164,9 @@ def test_wrapped_run_stage_walks_in_process(monkeypatch):
     inner = pipeline.run_stage
 
     @functools.wraps(inner)
-    def traced(node, run, ckpt_dir):
+    def traced(node, run):
         seen.append((os.getpid(), node.key))
-        return inner(node, run, ckpt_dir)
+        return inner(node, run)
 
     monkeypatch.setattr(pipeline, "run_stage", traced)
     run_experiment(plan, workers=2)
@@ -1294,10 +1293,10 @@ def test_training_arrays_are_read_only(data):
 
 # ------------------------------------------------------------- evaluation
 
-def test_run_evaluate_matches_the_metrics_on_one_forward(data, monkeypatch):
+def test_run_evaluate_matches_the_metrics_on_one_forward(data, monkeypatch, tmp_path):
     # every label's scores are the metrics functions on the test-split forward
     plan = _rich_plan()
-    run, net = Run(plan, data), _train(plan, "teacher_cls", data)
+    run, net = Run(plan, data, tmp_path), _train(plan, "teacher_cls", data)
     out, test = net.forward(data.test.features), data.test
     pair_acc = pair_verification_accuracy(out.embedding, *run.pairs)
     verif = {"verif_top1": verification_top1(out.embedding, test.ids), "pair_acc": pair_acc}
